@@ -79,12 +79,12 @@ BENCHMARK(BM_RegisterAllocation);
 
 void BM_VmInterpreter(benchmark::State &State) {
   const workloads::Workload &W = m88k();
+  int64_t Steps = 0;
   for (auto _ : State) {
     auto R = vm::runModule(*W.M, W.TrainArgs);
-    benchmark::DoNotOptimize(R.Steps);
+    Steps += static_cast<int64_t>(R.Steps);
   }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(25000));
+  State.SetItemsProcessed(Steps);
 }
 BENCHMARK(BM_VmInterpreter);
 

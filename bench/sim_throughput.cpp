@@ -83,7 +83,6 @@ int main(int argc, char **argv) {
 
     const timing::PackedTrace &PT = Run->packedTrace();
     timing::Simulator Sim(Machine, Run->Alloc);
-    Sim.setSampling({}); // Throughput of the exact simulation only.
 
     timing::SimStats RefStats, FastStats;
     Sim.setFastPath(false);

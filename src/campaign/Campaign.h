@@ -11,8 +11,8 @@
 ///
 ///  * Identity: every cell carries a content key -- chained FNV-1a
 ///    over (workload, pipeline key, canonical machine key, journal
-///    schema), the same platform-stable scheme as the serve DiskCache
-///    -- so "the same cell" means the same bytes everywhere.
+///    schema), the platform-stable scheme of support/Hash.h -- so
+///    "the same cell" means the same bytes everywhere.
 ///  * Durability: each completed cell (OK result or typed ERR) is
 ///    appended to the write-ahead Journal before the campaign moves
 ///    on. On restart, journaled cells replay byte-identically and only
@@ -26,18 +26,18 @@
 ///    tests and trusted cell functions only; a crash then kills the
 ///    runner, though the journal still bounds the loss.)
 ///  * Publication: consumers build their final report from the
-///    returned outcomes and publish it with publishReport() --
-///    write-to-tmp-then-rename, the serve::DiskCache atomic-
-///    publication idiom -- so readers only ever observe a complete
-///    report.
+///    returned outcomes and publish it with publishReport(), which
+///    writes to a tmp file and renames it into place, so readers only
+///    ever observe a complete report.
 ///
 /// Parallelism: cells fan out on the shared support::ThreadPool.
 /// Sandboxed cells fork from pool workers under the documented
-/// serve-style relaxation (see serve/Server.h): the child runs only
-/// self-contained compile/simulate code and never touches parent
-/// locks, caches, or registries. Options.Jobs=1 runs cells inline on
-/// the calling thread -- required when the runner itself executes in a
-/// forked child (pool threads do not survive a fork).
+/// relaxation of the forking contract (see support/Subprocess.h): the
+/// child runs only self-contained compile/simulate code and never
+/// touches parent locks, caches, or registries. Options.Jobs=1 runs
+/// cells inline on the calling thread -- required when the runner
+/// itself executes in a forked child (pool threads do not survive a
+/// fork).
 ///
 /// Environment knobs (defaults in parentheses; see docs/CAMPAIGNS.md):
 ///   FPINT_CAMPAIGN_DIR         state directory ("campaign_state")
@@ -131,14 +131,14 @@ struct Summary {
 
 /// Content address of one (workload, pipeline, machine) cell:
 /// 16 lower-case hex digits, stable across processes and platforms
-/// (chained FNV-1a, the serve::DiskCache::key scheme, folded with
-/// JournalSchema so a layout bump re-runs every cell).
+/// (chained FNV-1a with 0x1f separators over support/Hash.h, folded
+/// with JournalSchema so a layout bump re-runs every cell).
 std::string cellKey(const std::string &Workload,
                     const std::string &PipelineKey,
                     const std::string &MachineKey);
 
 /// Serializes \p S as the "campaign" informational object rendered by
-/// fpint-report (never gated, like "run_cache" and "serve").
+/// fpint-report (never gated, like "run_cache").
 json::Value summaryToJson(const Summary &S);
 
 /// Atomically publishes \p Doc (canonical dump + trailing newline) at

@@ -186,13 +186,6 @@ Value stats::simStatsToJson(const timing::SimStats &S) {
   // fpint-report (wall time is machine/load dependent).
   V.set("sim_wall_ms", S.SimWallMs);
   V.set("sim_cycles_per_sec", S.cyclesPerSecond());
-  if (S.Sampled) {
-    // Sampled (extrapolated) statistics are clearly marked and must
-    // never feed golden/figure paths.
-    V.set("sampled", true);
-    V.set("sampled_instructions", S.SampledInstructions);
-    V.set("sampled_cycles", S.SampledCycles);
-  }
   if (S.Telemetry)
     V.set("telemetry", breakdownToJson(*S.Telemetry));
   return V;
@@ -396,12 +389,10 @@ DiffResult stats::diffReports(const Value &Base, const Value &Current,
   }
 
   // Optional top-level metric objects ("run_cache" memoization
-  // counters, "serve" latency/throughput from fpint-loadgen,
-  // "campaign" resume/retry accounting from fpint-explore): compared
-  // member-by-member when both trees carry them, but strictly
-  // informational -- cache hit rates, wall-clock service latency, and
-  // how often a campaign resumed or retried are environment-dependent
-  // and never gate.
+  // counters, "campaign" resume/retry accounting from fpint-explore):
+  // compared member-by-member when both trees carry them, but strictly
+  // informational -- cache hit rates and how often a campaign resumed
+  // or retried are environment-dependent and never gate.
   auto diffInfoObject = [&](const char *Key) {
     const Value *BO = Base.find(Key);
     const Value *CO = Current.find(Key);
@@ -424,7 +415,6 @@ DiffResult stats::diffReports(const Value &Base, const Value &Current,
     }
   };
   diffInfoObject("run_cache");
-  diffInfoObject("serve");
   diffInfoObject("campaign");
   return R;
 }

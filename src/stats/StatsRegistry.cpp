@@ -55,10 +55,10 @@ json::Value StatsRegistry::reportJson(const std::string &BinaryName) const {
     Runs.push(std::move(Run));
   }
   Doc.set("runs", std::move(Runs));
-  // In-memory memoization counters of this process, so in-process
-  // (RunCache) and on-disk (fpint-serve) hit rates are separable in
-  // fpint-report. Misses count distinct keys and hits the replays, so
-  // the numbers are scheduling-independent and safe to byte-diff.
+  // In-memory memoization counters of this process (core::RunCache),
+  // rendered by fpint-report. Misses count distinct keys and hits the
+  // replays, so the numbers are scheduling-independent and safe to
+  // byte-diff.
   const core::RunCache::Stats CS = core::RunCache::global().stats();
   json::Value RC = json::Value::object();
   RC.set("compile_hits", CS.CompileHits);

@@ -21,14 +21,12 @@
 ///
 /// Instrumented sites: "compile" (core::compileAndMeasure), "simulate"
 /// (core::simulate), "cell" (bench::runMatrix sandboxed cell), "oracle"
-/// (testgen::runOracle), "serve" (serve::Server miss execution, fired
-/// inside the sandbox child or the in-process path),
-/// "campaign:journal" (campaign::Journal::append, fired in the *runner*
-/// process after a record is durably on disk -- killing the harness
-/// itself, which the resumable campaign layer must survive) and
-/// "campaign:cell" (campaign::Runner cell execution, fired inside the
-/// sandbox child). The hooks are inert unless FPINT_FAULT is set; CI's
-/// fault-injection, serve-smoke, and campaign-resume jobs are the only
+/// (testgen::runOracle), "campaign:journal" (campaign::Journal::append,
+/// fired in the *runner* process after a record is durably on disk --
+/// killing the harness itself, which the resumable campaign layer must
+/// survive) and "campaign:cell" (campaign::Runner cell execution, fired
+/// inside the sandbox child). The hooks are inert unless FPINT_FAULT is
+/// set; CI's fault-injection and campaign-resume jobs are the only
 /// intended users.
 ///
 //===----------------------------------------------------------------------===//

@@ -8,9 +8,9 @@
 /// The repository's one content-hash primitive: 64-bit FNV-1a.
 /// std::hash is not stable across standard-library implementations,
 /// but these hashes leak into artifacts that outlive a process --
-/// golden-baseline run ids (stats::runId) and the on-disk
-/// content-addressed cache of the serving layer (serve::DiskCache) --
-/// so a fixed, platform-independent function is required.
+/// golden-baseline run ids (stats::runId) and the durable campaign
+/// cell keys (campaign::cellKey) -- so a fixed, platform-independent
+/// function is required.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -24,10 +24,16 @@
 /// the run cache). The harnesses guarantee this by dispatching all
 /// sandboxed work from the orchestration thread, never from pool
 /// workers. The child runs the callable and _exit()s; it never
-/// returns into the caller's stack. The one documented relaxation is
-/// the fpint-serve daemon, which forks from pool workers but confines
-/// the child to self-contained compile/simulate code (no shared
-/// caches, registries, or other parent locks); see serve/Server.h.
+/// returns into the caller's stack.
+///
+/// The one documented relaxation is campaign::Runner, which forks
+/// from thread-pool workers while sibling workers run concurrently.
+/// This is safe on the glibc targets the harness supports because
+/// fork() runs the malloc fork handlers (the child's arenas are
+/// reinitialized consistently), and the child executes only
+/// self-contained compile/simulate code -- it never touches the
+/// parent's caches, registries, or any other lock a sibling thread
+/// could have held at fork time.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -266,9 +266,6 @@ private:
   void crossCheckTiming(const std::string &Name, const core::PipelineRun &Run,
                         const std::vector<vm::TraceEntry> &Trace) {
     timing::Simulator Sim(Opts.Machine, Run.Alloc);
-    // The invariants below assume every instruction was simulated;
-    // sampled (extrapolated) stats would break them by construction.
-    Sim.setSampling({});
 
     timing::SimStats Stats, FastStats;
     try {

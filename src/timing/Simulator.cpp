@@ -5,7 +5,7 @@
 //  * runReference -- the original cycle loop over vm::TraceEntry
 //    vectors, kept deliberately simple; it is the differential oracle
 //    for the fast path (FPINT_SIM_FAST=0, fpint-fuzz cross-check).
-//  * runFastRange -- the packed fast path: pre-decoded PackedOp records,
+//  * runFast -- the packed fast path: pre-decoded PackedOp records,
 //    one dense seq-indexed ring holding every in-flight instruction
 //    (wakeup scoreboard included), incremental window occupancy
 //    counters, and event-driven idle-cycle skipping.
@@ -22,8 +22,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -104,70 +102,11 @@ double msSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
-/// Every additive SimStats counter (used by the sampling extrapolation;
-/// ratio-derived and provenance fields are handled separately).
-#define FPINT_SIM_COUNTERS(X)                                                  \
-  X(Cycles)                                                                    \
-  X(Instructions)                                                              \
-  X(IntIssued)                                                                 \
-  X(FpIssued)                                                                  \
-  X(CondBranches)                                                              \
-  X(Mispredicts)                                                               \
-  X(Loads)                                                                     \
-  X(Stores)                                                                    \
-  X(DCacheMisses)                                                              \
-  X(ICacheMisses)                                                              \
-  X(StoreForwards)                                                             \
-  X(FpBusyCycles)                                                              \
-  X(IntIdleFpBusyCycles)
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// SampleSpec / SimulationOverrun
+// SimulationOverrun
 //===----------------------------------------------------------------------===//
-
-bool SampleSpec::parse(const std::string &Text, SampleSpec &Out) {
-  uint64_t V[3];
-  size_t Pos = 0;
-  for (int I = 0; I < 3; ++I) {
-    if (Pos >= Text.size() || Text[Pos] < '0' || Text[Pos] > '9')
-      return false;
-    char *End = nullptr;
-    V[I] = std::strtoull(Text.c_str() + Pos, &End, 10);
-    Pos = static_cast<size_t>(End - Text.c_str());
-    if (I < 2) {
-      if (Pos >= Text.size() || Text[Pos] != ':')
-        return false;
-      ++Pos;
-    }
-  }
-  if (Pos != Text.size())
-    return false;
-  Out.Warmup = V[0];
-  Out.Window = V[1];
-  Out.Stride = V[2];
-  return true;
-}
-
-SampleSpec SampleSpec::fromEnv() {
-  const char *E = std::getenv("FPINT_SIM_SAMPLE");
-  if (!E || !*E)
-    return {};
-  SampleSpec S;
-  if (!parse(E, S)) {
-    static bool Warned = false;
-    if (!Warned) {
-      std::fprintf(stderr,
-                   "fpint: ignoring malformed FPINT_SIM_SAMPLE='%s' "
-                   "(expected warmup:window:stride)\n",
-                   E);
-      Warned = true;
-    }
-    return {};
-  }
-  return S;
-}
 
 SimulationOverrun::SimulationOverrun(uint64_t CycleIn, uint64_t LimitIn,
                                      uint64_t RetiredIn, uint64_t TraceSizeIn)
@@ -213,7 +152,6 @@ Simulator::Simulator(const MachineConfig &ConfigIn,
                      const regalloc::ModuleAlloc &AllocIn)
     : Config(ConfigIn), Alloc(AllocIn), State(std::make_unique<Impl>()) {
   UseFast = fastPathFromEnv();
-  Sample = SampleSpec::fromEnv();
 }
 
 Simulator::~Simulator() = default;
@@ -222,8 +160,7 @@ SimStats Simulator::run(const std::vector<TraceEntry> &Trace) {
   auto T0 = std::chrono::steady_clock::now();
   SimStats Stats;
   if (UseFast) {
-    PackedTrace PT = PackedTrace::build(Trace, Alloc);
-    Stats = Sample.enabled() ? runSampled(PT) : runFast(PT);
+    Stats = runFast(PackedTrace::build(Trace, Alloc));
   } else {
     Stats = runReference(Trace);
   }
@@ -235,7 +172,7 @@ SimStats Simulator::run(const PackedTrace &Trace) {
   auto T0 = std::chrono::steady_clock::now();
   SimStats Stats;
   if (UseFast) {
-    Stats = Sample.enabled() ? runSampled(Trace) : runFast(Trace);
+    Stats = runFast(Trace);
   } else {
     std::vector<TraceEntry> Entries = Trace.entries();
     Stats = runReference(Entries);
@@ -626,13 +563,7 @@ SimStats Simulator::runReference(const std::vector<TraceEntry> &Trace) {
 // Fast loop (packed SoA + dense ring + cycle skipping)
 //===----------------------------------------------------------------------===//
 
-SimStats Simulator::runFast(const PackedTrace &Trace) {
-  return runFastRange(Trace, 0, Trace.size(), 0, nullptr);
-}
-
-SimStats Simulator::runFastRange(const PackedTrace &PT, size_t Begin,
-                                 size_t End, uint64_t WarmupInstrs,
-                                 SimStats *WarmupSnap) {
+SimStats Simulator::runFast(const PackedTrace &PT) {
   SimStats Stats;
   Impl &S = *State;
   S.reset(Config);
@@ -659,7 +590,8 @@ SimStats Simulator::runFastRange(const PackedTrace &PT, size_t Begin,
   unsigned IntPhysFree = Config.IntPhysRegs - regalloc::ArchLayout::FileSize;
   unsigned FpPhysFree = Config.FpPhysRegs - regalloc::ArchLayout::FileSize;
 
-  size_t FetchIdx = Begin;
+  const size_t End = PT.size();
+  size_t FetchIdx = 0;
   uint64_t RetireSeq = 1, DispatchSeq = 1, NextSeq = 1;
   uint64_t Cycle = 0;
   uint64_t FetchResumeCycle = 0;
@@ -670,12 +602,8 @@ SimStats Simulator::runFastRange(const PackedTrace &PT, size_t Begin,
 
   stats::StallReason ResumeKind = stats::StallReason::None;
 
-  bool SnapPending = WarmupSnap && WarmupInstrs > 0;
-  if (WarmupSnap)
-    *WarmupSnap = SimStats{}; // Warmup == 0: measure from cycle zero.
-
   const uint64_t SafetyLimit =
-      static_cast<uint64_t>((End - Begin) + 1000) * 400 + 100000;
+      static_cast<uint64_t>(End + 1000) * 400 + 100000;
 
   while (FetchIdx < End || RetireSeq != NextSeq) {
     stats::StallReason IssueBlock = stats::StallReason::None;
@@ -1003,63 +931,11 @@ SimStats Simulator::runFastRange(const PackedTrace &PT, size_t Begin,
 
     Cycle += Advance;
     if (Cycle > SafetyLimit)
-      throw SimulationOverrun(Cycle, SafetyLimit, Stats.Instructions,
-                              End - Begin);
-
-    if (SnapPending && Stats.Instructions >= WarmupInstrs) {
-      *WarmupSnap = Stats;
-      WarmupSnap->Cycles = Cycle;
-      SnapPending = false;
-    }
+      throw SimulationOverrun(Cycle, SafetyLimit, Stats.Instructions, End);
   }
 
   Stats.Cycles = Cycle;
-  if (SnapPending) {
-    // The segment ended inside the warmup; nothing was measured.
-    *WarmupSnap = Stats;
-  }
   return Stats;
-}
-
-//===----------------------------------------------------------------------===//
-// Sampled simulation
-//===----------------------------------------------------------------------===//
-
-SimStats Simulator::runSampled(const PackedTrace &PT) {
-  const uint64_t N = PT.size();
-  const uint64_t SegLen = Sample.Warmup + Sample.Window;
-  const uint64_t Stride = std::max<uint64_t>({Sample.Stride, SegLen, 1});
-
-  SimStats Acc; // Sum of measured (post-warmup) window deltas.
-  for (uint64_t Start = 0; Start < N; Start += Stride) {
-    const uint64_t SegEnd = std::min<uint64_t>(Start + SegLen, N);
-    SimStats Snap;
-    SimStats Seg = runFastRange(PT, Start, SegEnd, Sample.Warmup, &Snap);
-    if (Seg.Instructions <= Snap.Instructions)
-      continue; // Warmup swallowed the whole segment.
-#define FPINT_ACC(F) Acc.F += Seg.F - Snap.F;
-    FPINT_SIM_COUNTERS(FPINT_ACC)
-#undef FPINT_ACC
-  }
-
-  if (Acc.Instructions == 0)
-    // Degenerate spec (e.g. warmup longer than every segment): fall
-    // back to the exact full simulation.
-    return runFast(PT);
-
-  const double Ratio =
-      static_cast<double>(N) / static_cast<double>(Acc.Instructions);
-  SimStats Out;
-#define FPINT_SCALE(F)                                                         \
-  Out.F = static_cast<uint64_t>(                                               \
-      std::llround(static_cast<double>(Acc.F) * Ratio));
-  FPINT_SIM_COUNTERS(FPINT_SCALE)
-#undef FPINT_SCALE
-  Out.Instructions = N; // The trace length is exact, not extrapolated.
-  Out.Sampled = true;
-  Out.SampledInstructions = Acc.Instructions;
-  Out.SampledCycles = Acc.Cycles;
-  return Out;
 }
 
 //===----------------------------------------------------------------------===//

@@ -41,14 +41,6 @@
 ///    full stall-attribution telemetry are bit-identical to the
 ///    reference loop.
 ///
-/// Optionally (`FPINT_SIM_SAMPLE=warmup:window:stride`, or
-/// setSampling()) a run samples the trace instead of simulating every
-/// instruction: each window of `window` instructions every `stride` is
-/// simulated behind `warmup` instructions of cold-start warmup, and the
-/// aggregate SimStats are extrapolated from the measured windows. Such
-/// stats are clearly marked (`Sampled == true`, `"sampled": true` in
-/// bench reports) and must never feed golden/figure paths.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef FPINT_TIMING_SIMULATOR_H
@@ -65,7 +57,6 @@
 
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 namespace fpint {
@@ -94,14 +85,6 @@ struct SimStats {
   /// informational (never compared by the regression gate); feeds the
   /// "sim_wall_ms" / "sim_cycles_per_sec" bench-report fields.
   double SimWallMs = 0.0;
-
-  /// Sampled-simulation provenance (see Simulator::setSampling). When
-  /// Sampled is true the aggregate counters above are extrapolated
-  /// from SampledInstructions retired over SampledCycles measured
-  /// window cycles; Instructions remains the exact trace length.
-  bool Sampled = false;
-  uint64_t SampledInstructions = 0;
-  uint64_t SampledCycles = 0;
 
   double ipc() const {
     return Cycles ? static_cast<double>(Instructions) /
@@ -133,26 +116,6 @@ struct SimStats {
   /// here lets the memoizing run caches serve it alongside the
   /// aggregate counters.
   std::shared_ptr<const stats::StallBreakdown> Telemetry;
-};
-
-/// Sampled-simulation parameters: simulate `Window` instructions every
-/// `Stride`, preceded by `Warmup` instructions that warm the machine
-/// state but are excluded from the measurement. Inactive (full
-/// simulation) unless Window > 0.
-struct SampleSpec {
-  uint64_t Warmup = 0;
-  uint64_t Window = 0;
-  uint64_t Stride = 0;
-
-  bool enabled() const { return Window > 0; }
-
-  /// Parses "warmup:window:stride" (decimal). Returns false (leaving
-  /// \p Out untouched) on malformed input.
-  static bool parse(const std::string &Text, SampleSpec &Out);
-
-  /// The FPINT_SIM_SAMPLE environment spec; disabled when unset or
-  /// malformed (a malformed value warns once on stderr).
-  static SampleSpec fromEnv();
 };
 
 /// Thrown when a simulation exceeds its progress safety limit: the
@@ -204,13 +167,6 @@ public:
   void setFastPath(bool On) { UseFast = On; }
   bool fastPath() const { return UseFast; }
 
-  /// Enables or disables sampled simulation for subsequent runs (an
-  /// empty/disabled spec simulates every instruction). Defaults to
-  /// SampleSpec::fromEnv(). Sampling requires the fast path; the
-  /// reference loop always simulates the full trace.
-  void setSampling(SampleSpec S) { Sample = S; }
-  const SampleSpec &sampling() const { return Sample; }
-
   const MachineConfig &config() const { return Config; }
 
 private:
@@ -220,17 +176,9 @@ private:
   std::unique_ptr<Impl> State;
   stats::EventSink *Sink = nullptr;
   bool UseFast = true;
-  SampleSpec Sample;
 
   SimStats runReference(const std::vector<vm::TraceEntry> &Trace);
   SimStats runFast(const PackedTrace &Trace);
-  SimStats runSampled(const PackedTrace &Trace);
-  /// One fast-loop pass over dynamic instructions [Begin, End). When
-  /// \p WarmupInstrs > 0 and \p WarmupSnap is non-null, *WarmupSnap is
-  /// set to the running stats at the end of the cycle in which the
-  /// WarmupInstrs-th instruction of the segment retired.
-  SimStats runFastRange(const PackedTrace &Trace, size_t Begin, size_t End,
-                        uint64_t WarmupInstrs, SimStats *WarmupSnap);
 };
 
 /// Convenience: VM-trace + simulate in one call. The module must be

@@ -4,7 +4,8 @@
 // event-driven cycle skipping) must be bit-identical to the reference
 // loop: same SimStats, same telemetry breakdown, on every fixture and
 // machine. These tests pin that contract, the PackedTrace round-trip,
-// the typed SimulationOverrun condition, and sampled-mode determinism.
+// the typed SimulationOverrun condition, and that no environment
+// variable makes the simulator approximate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,10 +14,13 @@
 #include "timing/MachineConfig.h"
 #include "timing/PackedTrace.h"
 #include "timing/Simulator.h"
+#include "workloads/Workloads.h"
 
 #include "PaperExamples.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
 
 using namespace fpint;
 using namespace fpint::timing;
@@ -35,13 +39,11 @@ PipelineRun compileSrc(const char *Src, partition::Scheme S) {
   return Run;
 }
 
-/// Runs \p Run on \p M with the given path selection, full simulation,
-/// no environment influence.
+/// Runs \p Run on \p M with the given path selection.
 SimStats runPath(const PipelineRun &Run, const MachineConfig &M, bool Fast,
                  stats::EventSink *Sink = nullptr) {
   Simulator Sim(M, Run.Alloc);
   Sim.setFastPath(Fast);
-  Sim.setSampling({});
   Sim.setEventSink(Sink);
   return Sim.run(Run.refTrace());
 }
@@ -63,7 +65,6 @@ void expectStatsEqual(const SimStats &Ref, const SimStats &Fast,
   EXPECT_EQ(Ref.StoreForwards, Fast.StoreForwards) << Label;
   EXPECT_EQ(Ref.FpBusyCycles, Fast.FpBusyCycles) << Label;
   EXPECT_EQ(Ref.IntIdleFpBusyCycles, Fast.IntIdleFpBusyCycles) << Label;
-  EXPECT_EQ(Ref.Sampled, Fast.Sampled) << Label;
 }
 
 void expectBreakdownsEqual(const stats::StallBreakdown &Ref,
@@ -112,7 +113,6 @@ TEST(FastPath, MatchesReferenceAcrossFixturesAndMachines) {
         // The packed overload must agree with the entry-vector one.
         Simulator Sim(M, Run.Alloc);
         Sim.setFastPath(true);
-        Sim.setSampling({});
         expectStatsEqual(Ref, Sim.run(Run.packedTrace()), Label + "/packed");
       }
     }
@@ -196,69 +196,30 @@ TEST(PackedTraceTest, CachedOnTraceHandleAcrossMachines) {
 }
 
 //===----------------------------------------------------------------------===//
-// (d) Sampled simulation: deterministic for a fixed spec, clearly
-// marked, never silently active.
+// (d) The simulator is exact-only: no environment variable can switch
+// it to an approximate mode behind the caller's back.
 //===----------------------------------------------------------------------===//
 
-TEST(SampledSim, SpecParsing) {
-  SampleSpec S;
-  EXPECT_TRUE(SampleSpec::parse("100:1000:5000", S));
-  EXPECT_EQ(S.Warmup, 100u);
-  EXPECT_EQ(S.Window, 1000u);
-  EXPECT_EQ(S.Stride, 5000u);
-  EXPECT_TRUE(S.enabled());
-
-  EXPECT_TRUE(SampleSpec::parse("0:0:0", S));
-  EXPECT_FALSE(S.enabled()); // Window 0 = disabled.
-
-  for (const char *Bad : {"", "1:2", "1:2:3:4", "a:b:c", "1:2:", "-1:2:3",
-                          "1: 2:3"}) {
-    SampleSpec T;
-    EXPECT_FALSE(SampleSpec::parse(Bad, T)) << "'" << Bad << "'";
-  }
-}
-
-TEST(SampledSim, DeterministicAndMarked) {
-  PipelineRun Run =
-      compileSrc(fixtures::InvalidateForCall, partition::Scheme::Advanced);
+TEST(ExactOnly, SampleEnvironmentVariableHasNoEffect) {
+  workloads::Workload W = workloads::workloadByName("compress");
+  PipelineConfig Cfg;
+  Cfg.Scheme = partition::Scheme::Advanced;
+  Cfg.TrainArgs = W.TrainArgs;
+  Cfg.RefArgs = W.RefArgs;
+  PipelineRun Run = compileAndMeasure(*W.M, Cfg);
+  ASSERT_TRUE(Run.ok());
   const MachineConfig M = MachineConfig::fourWay();
-  SimStats Full = runPath(Run, M, /*Fast=*/true);
 
-  SampleSpec Spec;
-  ASSERT_TRUE(SampleSpec::parse("50:100:400", Spec));
-  auto RunSampled = [&] {
-    Simulator Sim(M, Run.Alloc);
-    Sim.setFastPath(true);
-    Sim.setSampling(Spec);
-    return Sim.run(Run.refTrace());
-  };
-  SimStats A = RunSampled();
-  SimStats B = RunSampled();
+  // The variable that once switched on sampled simulation
+  // (warmup:window:stride) from every Simulator constructor.
+  const char *Var = "FPINT_SIM_SAMPLE";
+  ASSERT_EQ(setenv(Var, "50:100:400", 1), 0);
+  SimStats WithVar = runPath(Run, M, /*Fast=*/true);
+  ASSERT_EQ(unsetenv(Var), 0);
+  SimStats Without = runPath(Run, M, /*Fast=*/true);
 
-  EXPECT_TRUE(A.Sampled);
-  EXPECT_GT(A.SampledInstructions, 0u);
-  EXPECT_LT(A.SampledInstructions, A.Instructions);
-  EXPECT_EQ(A.Instructions, Full.Instructions); // Trace length is exact.
-  EXPECT_FALSE(Full.Sampled);
-
-  // Same spec, same trace -> bit-identical extrapolation.
-  expectStatsEqual(A, B, "sampled determinism");
-  EXPECT_EQ(A.SampledInstructions, B.SampledInstructions);
-  EXPECT_EQ(A.SampledCycles, B.SampledCycles);
-
-  // The extrapolation is in the right ballpark on this steady loop.
-  EXPECT_GT(A.Cycles, Full.Cycles / 2);
-  EXPECT_LT(A.Cycles, Full.Cycles * 2);
-
-  // A warmup longer than every segment degrades to the exact run.
-  SampleSpec Degenerate;
-  ASSERT_TRUE(SampleSpec::parse("1000000:10:2000000", Degenerate));
-  Simulator Sim(M, Run.Alloc);
-  Sim.setFastPath(true);
-  Sim.setSampling(Degenerate);
-  SimStats D = Sim.run(Run.refTrace());
-  EXPECT_FALSE(D.Sampled);
-  EXPECT_EQ(D.Cycles, Full.Cycles);
+  EXPECT_EQ(WithVar.Instructions, Run.RefResult.Steps);
+  expectStatsEqual(Without, WithVar, std::string(Var) + " set vs unset");
 }
 
 //===----------------------------------------------------------------------===//
@@ -273,7 +234,6 @@ TEST(Overrun, PathologicalConfigThrowsTypedError) {
   for (bool Fast : {false, true}) {
     Simulator Sim(Wedged, Run.Alloc);
     Sim.setFastPath(Fast);
-    Sim.setSampling({});
     try {
       Sim.run(Run.refTrace());
       FAIL() << "expected SimulationOverrun (fast=" << Fast << ")";
