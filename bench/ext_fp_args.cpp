@@ -111,7 +111,7 @@ int main(int argc, char **argv) {
     Off.Scheme = partition::Scheme::Advanced;
     bench::RunPtr OffRun = bench::compileModule(*It.M, It.Name, Off);
     core::PipelineConfig On = Off;
-    On.EnableFpArgPassing = true;
+    On.Passes = "opt,profile,partition,fp-arg-passing,regalloc";
     bench::RunPtr OnRun = bench::compileModule(*It.M, It.Name, On);
 
     timing::SimStats SOff = bench::simulateRun(OffRun, Machine);

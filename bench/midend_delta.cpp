@@ -56,10 +56,10 @@ int main(int argc, char **argv) {
 
   const std::vector<PipelineVariant> Variants = {
       {"default", ""},
-      {"gvn", "opt,gvn,profile,partition,fp-arg-passing,regalloc"},
-      {"licm", "opt,licm,profile,partition,fp-arg-passing,regalloc"},
-      {"unroll", "opt,unroll,profile,partition,fp-arg-passing,regalloc"},
-      {"inline", "opt,inline,profile,partition,fp-arg-passing,regalloc"},
+      {"gvn", "opt,gvn,profile,partition,regalloc"},
+      {"licm", "opt,licm,profile,partition,regalloc"},
+      {"unroll", "opt,unroll,profile,partition,regalloc"},
+      {"inline", "opt,inline,profile,partition,regalloc"},
       {"opt2", "opt2"},
   };
 

@@ -55,10 +55,7 @@ int main(int argc, char **argv) {
       Cfg.Scheme = partition::Scheme::Advanced;
       Cfg.TrainArgs = W.TrainArgs;
       Cfg.RefArgs = W.RefArgs;
-      // The default backend keeps RegAllocator empty so its cells
-      // share cache entries (and run ids) with the other figures.
-      if (Allocator != regalloc::defaultAllocatorName())
-        Cfg.RegAllocator = Allocator;
+      Cfg.Passes = "opt,profile,partition," + Allocator;
 
       bench::RunPtr Run = bench::compileModule(*W.M, W.Name, Cfg);
       timing::SimStats S = bench::simulateRun(Run, Machine);

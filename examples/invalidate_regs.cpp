@@ -78,7 +78,7 @@ void show(const char *Title, partition::Scheme S) {
   }
   core::PipelineConfig Cfg;
   Cfg.Scheme = S;
-  Cfg.RunRegisterAllocation = false; // Keep the listing close to Fig 4-6.
+  Cfg.Passes = "opt,profile,partition"; // No regalloc: close to Fig 4-6.
   core::PipelineRun Run = core::compileAndMeasure(*PR.M, Cfg);
   if (!Run.ok()) {
     std::fprintf(stderr, "pipeline failed for %s\n",

@@ -80,7 +80,7 @@ int main() {
 
   core::PipelineConfig Cfg;
   Cfg.Scheme = partition::Scheme::Basic;
-  Cfg.RunRegisterAllocation = false; // Keep virtual registers readable.
+  Cfg.Passes = "opt,profile,partition"; // No regalloc: virtual registers.
   core::PipelineRun Run = core::compileAndMeasure(*PR.M, Cfg);
   if (!Run.ok()) {
     std::fprintf(stderr, "pipeline failed\n");

@@ -89,6 +89,17 @@ crossGrid(const std::vector<unsigned> &Widths, const std::vector<FuMix> &Fus,
   return Grid;
 }
 
+/// The pipeline of one side of a cell: conventional (Scheme::None) or
+/// advanced-partitioned, on the workload's own inputs.
+core::PipelineConfig cellConfig(const workloads::Workload &W,
+                                partition::Scheme S) {
+  core::PipelineConfig Cfg;
+  Cfg.Scheme = S;
+  Cfg.TrainArgs = W.TrainArgs;
+  Cfg.RefArgs = W.RefArgs;
+  return Cfg;
+}
+
 } // namespace
 
 std::vector<MachinePoint> campaign::exploreGrid(const std::string &Grid) {
@@ -153,12 +164,8 @@ json::Value campaign::evaluateExploreCell(const std::string &WorkloadName,
                                           const timing::MachineConfig &M) {
   workloads::Workload W = workloads::workloadByName(WorkloadName);
 
-  core::PipelineConfig Conv;
-  Conv.Scheme = partition::Scheme::None;
-  Conv.TrainArgs = W.TrainArgs;
-  Conv.RefArgs = W.RefArgs;
-  core::PipelineConfig Aug = Conv;
-  Aug.Scheme = partition::Scheme::Advanced;
+  const core::PipelineConfig Conv = cellConfig(W, partition::Scheme::None);
+  const core::PipelineConfig Aug = cellConfig(W, partition::Scheme::Advanced);
 
   // Deliberately core::compileAndMeasure, not RunCache::global(): cells
   // run in forked sandbox children and must not touch shared parent
@@ -196,6 +203,15 @@ json::Value campaign::evaluateExploreCell(const std::string &WorkloadName,
   return Doc;
 }
 
+std::string campaign::explorePipelineKey(const std::string &WorkloadName) {
+  workloads::Workload W = workloads::workloadByName(WorkloadName);
+  return core::RunCache::runKey(WorkloadName,
+                                cellConfig(W, partition::Scheme::None)) +
+         "|" +
+         core::RunCache::runKey(WorkloadName,
+                                cellConfig(W, partition::Scheme::Advanced));
+}
+
 int campaign::runExplore(const ExploreOptions &Opts, Summary *OutSummary) {
   const std::vector<MachinePoint> Grid = exploreGrid(Opts.Grid);
   if (Grid.empty()) {
@@ -224,21 +240,9 @@ int campaign::runExplore(const ExploreOptions &Opts, Summary *OutSummary) {
       }
   }
 
-  // Pipeline identity per workload: the conventional and advanced
-  // RunCache keys (full PipelineConfig serialization), so a compiler
-  // change re-runs every affected cell.
   std::map<std::string, std::string> PipelineKeys;
-  for (const std::string &Name : Workloads) {
-    workloads::Workload W = workloads::workloadByName(Name);
-    core::PipelineConfig Conv;
-    Conv.Scheme = partition::Scheme::None;
-    Conv.TrainArgs = W.TrainArgs;
-    Conv.RefArgs = W.RefArgs;
-    core::PipelineConfig Aug = Conv;
-    Aug.Scheme = partition::Scheme::Advanced;
-    PipelineKeys[Name] = core::RunCache::runKey(Name, Conv) + "|" +
-                         core::RunCache::runKey(Name, Aug);
-  }
+  for (const std::string &Name : Workloads)
+    PipelineKeys[Name] = explorePipelineKey(Name);
 
   // Cells in deterministic (machine-major) order; the campaign key
   // folds every cell key so any change of grid, workload set, compiler

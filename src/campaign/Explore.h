@@ -89,6 +89,12 @@ std::vector<bool> paretoFrontier(const std::vector<uint64_t> &Cost,
 json::Value evaluateExploreCell(const std::string &WorkloadName,
                                 const timing::MachineConfig &M);
 
+/// Pipeline identity of \p WorkloadName's cells: the conventional and
+/// advanced RunCache keys (every PipelineConfig field, with the
+/// resolved pipeline text), so a compiler change re-runs every affected
+/// cell. Exposed for tests.
+std::string explorePipelineKey(const std::string &WorkloadName);
+
 /// Runs the explore campaign end to end: builds the grid and cell
 /// list, runs them through a durable campaign::Runner (resuming from
 /// the state directory), publishes the deterministic frontier report

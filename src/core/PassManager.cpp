@@ -17,29 +17,17 @@ using namespace fpint::core;
 
 namespace {
 
-/// Gated built-in passes consult the pipeline configuration; a null
-/// State.Config (library callers driving a PassManager directly) means
-/// default gates.
-const PipelineConfig &configOf(const PassState &State) {
-  static const PipelineConfig Defaults;
-  return State.Config ? *State.Config : Defaults;
-}
-
 //===----------------------------------------------------------------------===//
 // Built-in passes.
 //===----------------------------------------------------------------------===//
 
-/// The legacy step 0: machine-independent cleanup to a (capped)
-/// fixpoint, gated on RunOptimizations.
+/// Machine-independent cleanup to a (capped) fixpoint.
 class OptPass : public ModulePass {
 public:
   std::string name() const override { return "opt"; }
 
   unsigned run(sir::Module &M, analysis::AnalysisManager &,
                PassState &State) override {
-    LastChanges = 0;
-    if (!configOf(State).RunOptimizations)
-      return 0;
     State.Opt = opt::optimizeModule(M);
     LastChanges = State.Opt.total();
     return LastChanges;
@@ -73,11 +61,11 @@ private:
   unsigned (*Fn)(sir::Function &);
 };
 
-/// The legacy step 1: profile the (not yet partitioned) module on the
-/// training input. A non-deterministic failure is fatal -- there is
-/// nothing meaningful to compile against; a deterministic trap leaves
-/// a valid prefix profile (the compiled program must reproduce the
-/// trap, which compileAndMeasure checks).
+/// Profiles the (not yet partitioned) module on the training input. A
+/// non-deterministic failure is fatal -- there is nothing meaningful to
+/// compile against; a deterministic trap leaves a valid prefix profile
+/// (the compiled program must reproduce the trap, which
+/// compileAndMeasure checks).
 class ProfilePass : public ModulePass {
 public:
   std::string name() const override { return "profile"; }
@@ -87,7 +75,7 @@ public:
     vm::VM::Options Opts;
     Opts.CollectProfile = true;
     vm::VM Trainer(M, Opts);
-    auto Result = Trainer.run(configOf(State).TrainArgs);
+    auto Result = Trainer.run(State.Config.TrainArgs);
     if (!Result.Ok && !vm::isDeterministicTrap(Result.Trap.Kind)) {
       State.Errors.push_back("training run failed: " + Result.Error);
       State.Fatal = true;
@@ -103,38 +91,18 @@ public:
   }
 };
 
-/// The legacy step 2: partitioning. "partition" dispatches on
-/// Config.Scheme (including None: no-op); "partition-basic" /
-/// "partition-advanced" force a scheme regardless of configuration.
+/// Partitions with Config.Scheme (None: no-op).
 class PartitionPass : public ModulePass {
 public:
-  enum class Mode { FromConfig, Basic, Advanced };
-
-  explicit PartitionPass(Mode Which) : Which(Which) {}
-
-  std::string name() const override {
-    switch (Which) {
-    case Mode::FromConfig:
-      return "partition";
-    case Mode::Basic:
-      return "partition-basic";
-    case Mode::Advanced:
-      return "partition-advanced";
-    }
-    return "partition";
-  }
+  std::string name() const override { return "partition"; }
 
   unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
                PassState &State) override {
-    const PipelineConfig &Config = configOf(State);
-    partition::Scheme S = Which == Mode::FromConfig ? Config.Scheme
-                          : Which == Mode::Basic
-                              ? partition::Scheme::Basic
-                              : partition::Scheme::Advanced;
+    const PipelineConfig &Config = State.Config;
     State.Rewrite = partition::partitionModule(
-        M, S, State.HaveProfile ? &State.Profile : nullptr, Config.Costs,
-        &AM);
-    State.RanScheme = S;
+        M, Config.Scheme, State.HaveProfile ? &State.Profile : nullptr,
+        Config.Costs, &AM);
+    State.RanScheme = Config.Scheme;
     for (const std::string &E : State.Rewrite.Errors)
       State.Errors.push_back("partition: " + E);
     Mutated = !State.Rewrite.Reports.empty();
@@ -152,13 +120,12 @@ public:
   }
 
 private:
-  Mode Which;
   bool Mutated = false;
 };
 
-/// The legacy step 2b: Section 6.6 interprocedural extension, gated on
-/// EnableFpArgPassing and on the advanced scheme actually having run
-/// (its rewrite report is what identifies the removable copies).
+/// Section 6.6 interprocedural extension. It needs an advanced
+/// partition to have run before it (that rewrite report identifies the
+/// removable copies) and is a no-op otherwise.
 class FpArgPassingPass : public ModulePass {
 public:
   std::string name() const override { return "fp-arg-passing"; }
@@ -166,8 +133,7 @@ public:
   unsigned run(sir::Module &M, analysis::AnalysisManager &,
                PassState &State) override {
     LastChanges = 0;
-    if (!configOf(State).EnableFpArgPassing ||
-        State.RanScheme != partition::Scheme::Advanced)
+    if (State.RanScheme != partition::Scheme::Advanced)
       return 0;
     State.FpArgs = partition::passArgsInFpRegisters(M, State.Rewrite);
     LastChanges = State.FpArgs.ArgsConverted +
@@ -185,53 +151,34 @@ private:
   unsigned LastChanges = 0;
 };
 
-/// The legacy step 3: register allocation, gated on
-/// RunRegisterAllocation. The "regalloc" spelling dispatches on
-/// Config.RegAllocator (empty = the incumbent backend); the
-/// "regalloc-linear" spelling forces the linear-scan backend
-/// regardless of the config, mirroring partition-basic/-advanced.
+/// Register allocation with one regalloc::AllocatorRegistry backend;
+/// the backend's name is the pass token.
 class RegAllocPass : public ModulePass {
 public:
-  RegAllocPass() = default;
-  explicit RegAllocPass(std::string Forced) : Forced(std::move(Forced)) {}
+  explicit RegAllocPass(std::string Backend) : Backend(std::move(Backend)) {}
 
-  std::string name() const override {
-    return Forced.empty() ? "regalloc" : Forced;
-  }
+  std::string name() const override { return Backend; }
 
   unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
                PassState &State) override {
-    Ran = false;
-    if (!configOf(State).RunRegisterAllocation)
-      return 0;
-    Ran = true;
-    const std::string &Backend =
-        Forced.empty() ? configOf(State).RegAllocator : Forced;
     State.Alloc = regalloc::allocateModuleWith(Backend, M, &AM);
+    State.Allocated = true;
     for (const std::string &E : State.Alloc.Errors)
       State.Errors.push_back("regalloc: " + E);
     unsigned Changes = static_cast<unsigned>(State.Alloc.Funcs.size());
     for (const auto &KV : State.Alloc.Funcs)
       Changes += KV.second.SpillCode;
+    // Calling-convention lowering rewrites every function even when no
+    // spill code lands, so the default preserved() (none) holds.
     return Changes;
   }
 
-  analysis::PreservedAnalyses preserved() const override {
-    // Calling-convention lowering rewrites every function even when no
-    // spill code lands, so a run is never analysis-preserving.
-    return Ran ? analysis::PreservedAnalyses::none()
-               : analysis::PreservedAnalyses::all();
-  }
-
 private:
-  std::string Forced; ///< Empty: dispatch on Config.RegAllocator.
-  bool Ran = false;
+  std::string Backend;
 };
 
 //===----------------------------------------------------------------------===//
-// Mid-end transform passes (src/transform). All gate on
-// RunOptimizations like "opt", so the -noopt oracle variants and the
-// default pipeline are unaffected by their registration.
+// Mid-end transform passes (src/transform).
 //===----------------------------------------------------------------------===//
 
 /// Dominator-ordered global value numbering.
@@ -242,8 +189,6 @@ public:
   unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
                PassState &State) override {
     LastChanges = 0;
-    if (!configOf(State).RunOptimizations)
-      return 0;
     for (const auto &F : M.functions()) {
       unsigned Changes = transform::runGVN(*F, AM);
       if (Changes)
@@ -273,8 +218,6 @@ public:
   unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
                PassState &State) override {
     LastChanges = 0;
-    if (!configOf(State).RunOptimizations)
-      return 0;
     for (const auto &F : M.functions())
       LastChanges += transform::runLICM(*F, AM);
     if (LastChanges)
@@ -305,8 +248,6 @@ public:
   unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
                PassState &State) override {
     LastChanges = 0;
-    if (!configOf(State).RunOptimizations)
-      return 0;
     transform::UnrollOptions Opts;
     Opts.Factor = Factor;
     for (const auto &F : M.functions()) {
@@ -338,9 +279,6 @@ public:
 
   unsigned run(sir::Module &M, analysis::AnalysisManager &,
                PassState &State) override {
-    LastChanges = 0;
-    if (!configOf(State).RunOptimizations)
-      return 0;
     transform::InlineResult R = transform::runInline(M);
     State.Transform.CallsInlined += R.CallsInlined;
     State.Transform.InlineSkippedRecursive += R.SkippedRecursive;
@@ -476,22 +414,15 @@ PassRegistry &PassRegistry::global() {
                       [] { return std::make_unique<InlinePass>(); });
     Reg->registerPass("profile",
                       [] { return std::make_unique<ProfilePass>(); });
-    Reg->registerPass("partition", [] {
-      return std::make_unique<PartitionPass>(PartitionPass::Mode::FromConfig);
-    });
-    Reg->registerPass("partition-basic", [] {
-      return std::make_unique<PartitionPass>(PartitionPass::Mode::Basic);
-    });
-    Reg->registerPass("partition-advanced", [] {
-      return std::make_unique<PartitionPass>(PartitionPass::Mode::Advanced);
-    });
+    Reg->registerPass("partition",
+                      [] { return std::make_unique<PartitionPass>(); });
     Reg->registerPass("fp-arg-passing",
                       [] { return std::make_unique<FpArgPassingPass>(); });
-    Reg->registerPass("regalloc",
-                      [] { return std::make_unique<RegAllocPass>(); });
-    Reg->registerPass("regalloc-linear", [] {
-      return std::make_unique<RegAllocPass>("regalloc-linear");
-    });
+    for (const std::string &Backend :
+         regalloc::AllocatorRegistry::global().names())
+      Reg->registerPass(Backend, [Backend] {
+        return std::make_unique<RegAllocPass>(Backend);
+      });
     Reg->registerPass("verify",
                       [] { return std::make_unique<VerifyPass>(); });
     return Reg;
@@ -641,15 +572,14 @@ bool core::parsePipeline(const std::string &Text,
 }
 
 const char *core::defaultPipelineText() {
-  return "opt,profile,partition,fp-arg-passing,regalloc";
+  return "opt,profile,partition,regalloc";
 }
 
 const char *core::opt2PipelineText() {
   // The second "opt" cleans up what the mid-end exposes: inlined arg
   // moves copy-propagate away, unrolled counter updates fold, and GVN
   // moves feed DCE.
-  return "opt,gvn,licm,unroll,inline,opt,profile,partition,fp-arg-passing,"
-         "regalloc";
+  return "opt,gvn,licm,unroll,inline,opt,profile,partition,regalloc";
 }
 
 std::string core::effectivePipelineText(const PipelineConfig &Config) {

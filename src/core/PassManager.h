@@ -10,16 +10,14 @@
 /// expressed as a sequence of named ModulePasses driven by a
 /// PassManager:
 ///
-///   opt, profile, partition, fp-arg-passing, regalloc
+///   opt, profile, partition, regalloc
 ///
 /// Every registered stage is available by name (PassRegistry), so the
 /// pipeline is configurable as *pipeline text*: a comma-separated pass
 /// list with a fixpoint(...) combinator, parsed by parsePipeline().
-/// The default text reproduces the historical hard-coded flow exactly
-/// -- each built-in pass internally honors the PipelineConfig gates
-/// (RunOptimizations, Scheme, EnableFpArgPassing,
-/// RunRegisterAllocation), so one text is byte-identical to the legacy
-/// pipeline for every configuration.
+/// The text is the one description of which stages run: a stage runs
+/// exactly when its token is in the text. PipelineConfig supplies only
+/// the data the stages consume (scheme, cost parameters, inputs).
 ///
 /// The manager owns the observability at pass boundaries:
 ///
@@ -57,10 +55,10 @@ namespace fpint {
 namespace core {
 
 /// Mutable state threaded through one compile pipeline: the config the
-/// gated passes consult, the training profile, and every per-stage
-/// report that ends up on the PipelineRun.
+/// passes read their inputs from, the training profile, and every
+/// per-stage report that ends up on the PipelineRun.
 struct PassState {
-  const PipelineConfig *Config = nullptr;
+  PipelineConfig Config;
 
   /// Training profile collected by the "profile" pass. HaveProfile
   /// distinguishes "no profile pass ran" (partitioning falls back to
@@ -73,10 +71,12 @@ struct PassState {
   partition::ModuleRewrite Rewrite;
   partition::FpArgReport FpArgs;
   regalloc::ModuleAlloc Alloc;
-  /// The scheme the most recent partition pass actually invoked (None
-  /// until one runs). fp-arg-passing gates on this rather than on
-  /// Config.Scheme so explicit "partition-advanced" pipelines compose.
+  /// The scheme the most recent partition pass invoked (None until one
+  /// runs). fp-arg-passing needs an advanced partition's rewrite report
+  /// and is a no-op without one.
   partition::Scheme RanScheme = partition::Scheme::None;
+  /// A register-allocation pass ran.
+  bool Allocated = false;
 
   std::vector<std::string> Errors;
   /// A pass declared the pipeline unrecoverable (training run failed,
@@ -175,18 +175,18 @@ private:
 /// Name -> factory map of every available pass. The global() registry
 /// is pre-populated with the built-in stages:
 ///
-///   opt             gated fixpoint optimizer (opt::optimizeModule)
+///   opt             fixpoint optimizer (opt::optimizeModule)
 ///   copy-prop, const-fold, cse, dce
-///                   the individual optimizations, ungated
+///                   the individual optimizations
+///   gvn, licm, unroll, inline
+///                   the mid-end transforms (src/transform)
 ///   profile         training-input profiling run (fatal on failure)
-///   partition       Config.Scheme-dispatched partitioner (gated)
-///   partition-basic, partition-advanced
-///                   explicit scheme selection, ignoring Config.Scheme
-///   fp-arg-passing  Section 6.6 extension (gated)
-///   regalloc        register allocation, backend selected by
-///                   Config.RegAllocator (gated)
-///   regalloc-linear register allocation with the Poletto-Sarkar
-///                   linear-scan backend, ignoring Config.RegAllocator
+///   partition       the Config.Scheme partitioner (None: no-op)
+///   fp-arg-passing  Section 6.6 extension (no-op unless an advanced
+///                   partition ran before it)
+///   regalloc, regalloc-linear, ...
+///                   register allocation, one token per
+///                   regalloc::AllocatorRegistry backend
 ///   verify          structural verification as a pipeline stage
 ///
 /// Tests may registerPass() additional names; re-registering a name
@@ -211,7 +211,7 @@ private:
 /// optional whitespace and the fixpoint(...) combinator, e.g.
 ///
 ///   "opt, profile, partition, regalloc"
-///   "fixpoint(copy-prop,const-fold,cse,dce),profile,partition-basic"
+///   "fixpoint(copy-prop,const-fold,cse,dce),profile,partition"
 ///
 /// into pass instances from \p Registry. Returns false and sets
 /// \p Error (mentioning the offending token) on malformed text or an
@@ -221,20 +221,21 @@ bool parsePipeline(const std::string &Text,
                    std::string &Error,
                    const PassRegistry &Registry = PassRegistry::global());
 
-/// The pipeline text equivalent to the historical hard-coded compile
-/// flow (each stage self-gates on PipelineConfig, so this one text is
-/// correct for every configuration).
+/// The paper's compile flow: "opt,profile,partition,regalloc".
 const char *defaultPipelineText();
 
 /// The "opt2" preset: the local optimizer plus the full mid-end (GVN,
 /// LICM, unroll, inline) and a second local cleanup, ahead of the
-/// default back half. The token "opt2" in pipeline text expands to
-/// this; "unroll<N>" selects a partial-unroll factor for the unroll
-/// pass anywhere in pipeline text.
+/// default back half ("profile,partition,regalloc"). The token "opt2"
+/// in pipeline text expands to this; "unroll<N>" selects a
+/// partial-unroll factor for the unroll pass anywhere in pipeline text.
 const char *opt2PipelineText();
 
 /// The text compileAndMeasure will run for \p Config:
 /// Config.Passes if set, else $FPINT_PASSES if set, else the default.
+/// Every consumer of the pipeline identity -- compileAndMeasure,
+/// RunCache::runKey, stats::runId and stats::pipelineConfigToJson --
+/// resolves the text here.
 std::string effectivePipelineText(const PipelineConfig &Config);
 
 /// Drives a pass sequence over a module with per-pass telemetry and

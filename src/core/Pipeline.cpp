@@ -6,12 +6,17 @@
 #include "sir/Verifier.h"
 #include "support/FaultInject.h"
 
+#include <stdexcept>
+
 using namespace fpint;
 using namespace fpint::core;
 
 PipelineRun core::compileAndMeasure(const sir::Module &Original,
                                     PipelineConfig Config) {
   support::fault::inject("compile");
+  // Resolve the pipeline text once, at entry: the run's config says
+  // exactly which stages ran.
+  Config.Passes = effectivePipelineText(Config);
   PipelineRun Run;
   Run.Config = Config;
   Run.Trace = std::make_shared<TraceHandle>();
@@ -20,19 +25,17 @@ PipelineRun core::compileAndMeasure(const sir::Module &Original,
 
   // Compile side: a pass pipeline over the clone (the clone shares no
   // blocks with the original, so the profile pass trains on the clone
-  // itself before it is rewritten). The default text reproduces the
-  // historical hard-coded flow: opt, profile, partition,
-  // fp-arg-passing, regalloc, each self-gated on Config.
+  // itself before it is rewritten).
   PassManager PM(PassManager::Options::fromEnv());
   std::string ParseError;
-  if (!PM.parse(effectivePipelineText(Config), ParseError)) {
+  if (!PM.parse(Config.Passes, ParseError)) {
     Run.Errors.push_back("pipeline: " + ParseError);
     return Run;
   }
 
   analysis::AnalysisManager AM;
   PassState State;
-  State.Config = &Run.Config;
+  State.Config = Config;
   Run.PassStats = PM.run(M, AM, State);
 
   Run.Opt = State.Opt;
@@ -40,6 +43,7 @@ PipelineRun core::compileAndMeasure(const sir::Module &Original,
   Run.Rewrite = std::move(State.Rewrite);
   Run.FpArgs = State.FpArgs;
   Run.Alloc = std::move(State.Alloc);
+  Run.Allocated = State.Allocated;
   Run.Errors.insert(Run.Errors.end(), State.Errors.begin(),
                     State.Errors.end());
   // A fatal pass (training failure, verify-each corruption) aborts
@@ -125,8 +129,10 @@ timing::SimStats core::simulate(const PipelineRun &Run,
                                 const timing::MachineConfig &Machine) {
   support::fault::inject("simulate");
   assert(Run.ok() && "simulating a failed pipeline run");
-  assert(Run.Config.RunRegisterAllocation &&
-         "timing simulation needs register-allocated code");
+  if (!Run.Allocated)
+    throw std::invalid_argument(
+        "timing simulation needs register-allocated code; pipeline '" +
+        Run.Config.Passes + "' has no register-allocation pass");
   // Replay the cached ref-input trace: the dynamic instruction stream
   // depends only on the compiled module and ref args, never on the
   // machine configuration, so one capture -- and one packed decode --

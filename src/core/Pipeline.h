@@ -47,26 +47,14 @@ struct PipelineConfig {
   partition::CostParams Costs;
   std::vector<int32_t> TrainArgs; ///< main() args for the profiling run.
   std::vector<int32_t> RefArgs;   ///< main() args for measurement runs.
-  bool RunRegisterAllocation = true;
-  /// Section 6.6 interprocedural extension: pass integer arguments in
-  /// FP registers where that removes copy round-trips (advanced scheme
-  /// only).
-  bool EnableFpArgPassing = false;
-  /// Run the machine-independent optimizer before profiling and
-  /// partitioning (the paper partitions after "-O3"-level cleanup).
-  bool RunOptimizations = true;
-  /// Pipeline text overriding the default pass sequence (see
-  /// core/PassManager.h). Empty means: use $FPINT_PASSES if set, else
-  /// the default text, which reproduces the historical flow exactly.
-  /// A non-empty value becomes part of the run cache key.
+  /// Pipeline text naming the stages to run (see core/PassManager.h):
+  /// e.g. "opt,profile,partition,fp-arg-passing,regalloc" adds the
+  /// Section 6.6 extension, dropping "opt" skips the optimizer,
+  /// dropping "regalloc" stops before allocation, and
+  /// "regalloc-linear" picks that backend. Empty means: $FPINT_PASSES
+  /// if set, else the default text. effectivePipelineText() resolves
+  /// it; run ids, cache keys and reports all carry the resolved text.
   std::string Passes;
-  /// Register-allocation backend for the "regalloc" pipeline stage
-  /// (regalloc::AllocatorRegistry name). Empty means the default
-  /// incumbent ("regalloc"); a non-empty value becomes part of the
-  /// run cache key so compiled artifacts never alias across
-  /// backends. The explicit "regalloc-linear" pipeline token
-  /// overrides this field, mirroring partition-basic/-advanced.
-  std::string RegAllocator;
 };
 
 /// Per-pass boundary telemetry, one row per executed pass. Flows into
@@ -111,12 +99,15 @@ struct PipelineRun {
   std::unique_ptr<sir::Module> Compiled;
   regalloc::ModuleAlloc Alloc;
   partition::ModuleRewrite Rewrite;
-  partition::FpArgReport FpArgs; ///< 6.6 extension results (if enabled).
+  partition::FpArgReport FpArgs; ///< 6.6 extension results (if run).
   opt::OptReport Opt;            ///< Pre-partitioning cleanup results.
   transform::MidEndReport Transform; ///< Mid-end pass results (if run).
   partition::DynStats Stats;  ///< Dynamic accounting on the ref input.
   vm::VM::Result RefResult;   ///< Functional run on the ref input.
   bool OutputsMatchOriginal = false;
+  /// A register-allocation pass ran, so the compiled code uses
+  /// architectural registers. Timing simulation requires it.
+  bool Allocated = false;
   std::vector<std::string> Errors;
   PipelineConfig Config;
   /// Per-pass telemetry from the compile pipeline, in execution order.
@@ -145,8 +136,10 @@ PipelineRun compileAndMeasure(const sir::Module &Original,
                               PipelineConfig Config);
 
 /// Traces the compiled program on the ref input and simulates it on
-/// \p Machine. When stats::telemetryEnabled(), a StallBreakdown sink
-/// is attached for the run and returned via SimStats::Telemetry.
+/// \p Machine. Throws std::invalid_argument when \p Run was compiled
+/// without a register-allocation pass. When stats::telemetryEnabled(),
+/// a StallBreakdown sink is attached for the run and returned via
+/// SimStats::Telemetry.
 timing::SimStats simulate(const PipelineRun &Run,
                           const timing::MachineConfig &Machine);
 

@@ -2,6 +2,8 @@
 
 #include "core/RunCache.h"
 
+#include "core/PassManager.h"
+
 #include <cstdio>
 
 using namespace fpint;
@@ -44,24 +46,7 @@ std::string RunCache::runKey(const std::string &ModuleName,
   Key += '|';
   appendArgs(Key, Config.RefArgs);
   Key += '|';
-  Key += Config.RunRegisterAllocation ? '1' : '0';
-  Key += Config.EnableFpArgPassing ? '1' : '0';
-  Key += Config.RunOptimizations ? '1' : '0';
-  // An explicit pipeline override compiles different code, so it must
-  // key separately; the empty default is omitted to keep every
-  // historical key (and the golden run ids derived from it) stable.
-  if (!Config.Passes.empty()) {
-    Key += '|';
-    Key += Config.Passes;
-  }
-  // Same story for a non-default register-allocation backend: it
-  // compiles different code, so it must key separately, and the empty
-  // default is omitted so historical keys (and golden run ids) stay
-  // stable.
-  if (!Config.RegAllocator.empty()) {
-    Key += "|regalloc=";
-    Key += Config.RegAllocator;
-  }
+  Key += effectivePipelineText(Config);
   return Key;
 }
 

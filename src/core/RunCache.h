@@ -64,7 +64,8 @@ public:
                             const timing::MachineConfig &Machine);
 
   /// Canonical compile-cache key: every Config field, serialized
-  /// exactly (doubles in hex-float form). Exposed for tests.
+  /// exactly (doubles in hex-float form), with the pipeline text
+  /// resolved by effectivePipelineText(). Exposed for tests.
   static std::string runKey(const std::string &ModuleName,
                             const PipelineConfig &Config);
 

@@ -25,10 +25,9 @@
 ///
 /// Backends register by name in the AllocatorRegistry; the incumbent
 /// is "regalloc" (and remains the default), the Poletto-Sarkar
-/// linear-scan backend is "regalloc-linear". Selection flows from
-/// pipeline text / PipelineConfig::RegAllocator (see
-/// core/PassManager.h); a non-default name is folded into every cache
-/// key so compiled artifacts never alias across backends.
+/// linear-scan backend is "regalloc-linear". Each name is also a
+/// pipeline-text token (see core/PassManager.h), so the text selects
+/// the backend and every cache key and run id carries it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,6 +2,7 @@
 
 #include "stats/Report.h"
 
+#include "core/PassManager.h"
 #include "core/RunCache.h"
 #include "support/Hash.h"
 
@@ -81,11 +82,7 @@ Value stats::pipelineConfigToJson(const core::PipelineConfig &C) {
   V.set("costs", std::move(Costs));
   V.set("train_args", argsToJson(C.TrainArgs));
   V.set("ref_args", argsToJson(C.RefArgs));
-  V.set("run_register_allocation", C.RunRegisterAllocation);
-  V.set("enable_fp_arg_passing", C.EnableFpArgPassing);
-  V.set("run_optimizations", C.RunOptimizations);
-  V.set("passes", C.Passes); // Explicit pipeline override ("" = default).
-  V.set("regalloc", C.RegAllocator); // Backend override ("" = incumbent).
+  V.set("passes", core::effectivePipelineText(C));
   return V;
 }
 

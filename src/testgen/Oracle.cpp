@@ -17,22 +17,23 @@ using namespace fpint::testgen;
 
 std::vector<VariantSpec> testgen::defaultVariants() {
   std::vector<VariantSpec> Variants;
-  auto Add = [&](const char *Name, partition::Scheme S, bool FpArgs,
-                 bool Optimize) {
+  auto Add = [&](const char *Name, partition::Scheme S,
+                 const char *Passes) {
     VariantSpec V;
     V.Name = Name;
     V.Config.Scheme = S;
-    V.Config.EnableFpArgPassing = FpArgs;
-    V.Config.RunOptimizations = Optimize;
-    V.Config.RunRegisterAllocation = true;
+    V.Config.Passes = Passes;
     Variants.push_back(std::move(V));
   };
-  Add("none", partition::Scheme::None, false, true);
-  Add("basic", partition::Scheme::Basic, false, true);
-  Add("advanced", partition::Scheme::Advanced, false, true);
-  Add("advanced+fpargs", partition::Scheme::Advanced, true, true);
-  Add("basic-noopt", partition::Scheme::Basic, false, false);
-  Add("advanced-noopt", partition::Scheme::Advanced, false, false);
+  // An empty text is the default pipeline (or $FPINT_PASSES).
+  Add("none", partition::Scheme::None, "");
+  Add("basic", partition::Scheme::Basic, "");
+  Add("advanced", partition::Scheme::Advanced, "");
+  Add("advanced+fpargs", partition::Scheme::Advanced,
+      "opt,profile,partition,fp-arg-passing,regalloc");
+  Add("basic-noopt", partition::Scheme::Basic, "profile,partition,regalloc");
+  Add("advanced-noopt", partition::Scheme::Advanced,
+      "profile,partition,regalloc");
   return Variants;
 }
 
@@ -43,15 +44,14 @@ std::vector<VariantSpec> testgen::midendVariants() {
     V.Name = "passes:" + Passes;
     V.Config.Passes = Passes;
     V.Config.Scheme = partition::Scheme::Advanced;
-    V.Config.EnableFpArgPassing = true;
-    V.Config.RunOptimizations = true;
-    V.Config.RunRegisterAllocation = true;
     Variants.push_back(std::move(V));
   };
   for (const char *Pass : {"gvn", "licm", "unroll", "unroll<4>", "inline"})
     Add(std::string("opt,") + Pass +
         ",profile,partition,fp-arg-passing,regalloc");
-  Add("opt2");
+  // The opt2 preset's mid-end with the Section 6.6 extension added.
+  Add("opt,gvn,licm,unroll,inline,opt,profile,partition,fp-arg-passing,"
+      "regalloc");
   return Variants;
 }
 
@@ -60,11 +60,11 @@ std::vector<VariantSpec> testgen::regallocVariants() {
   auto Add = [&](const std::string &Allocator, partition::Scheme S) {
     VariantSpec V;
     V.Name = Allocator + ":" + partition::schemeName(S);
-    V.Config.RegAllocator = Allocator;
     V.Config.Scheme = S;
-    V.Config.EnableFpArgPassing = S == partition::Scheme::Advanced;
-    V.Config.RunOptimizations = true;
-    V.Config.RunRegisterAllocation = true;
+    V.Config.Passes = S == partition::Scheme::Advanced
+                          ? "opt,profile,partition,fp-arg-passing,"
+                          : "opt,profile,partition,";
+    V.Config.Passes += Allocator;
     Variants.push_back(std::move(V));
   };
   for (const char *Allocator : {"regalloc", "regalloc-linear"})
@@ -183,8 +183,7 @@ private:
     if (Report.BaselineTrap != vm::TrapKind::None)
       return; // Stats/timing invariants assume a completed execution.
     crossCheckStats(V.Name, Run, Trace);
-    if (Opts.CheckTiming && Config.RunRegisterAllocation &&
-        Run.Alloc.Errors.empty())
+    if (Opts.CheckTiming && Run.Allocated && Run.Alloc.Errors.empty())
       crossCheckTiming(V.Name, Run, Trace);
   }
 

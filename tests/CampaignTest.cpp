@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <csignal>
 #include <ctime>
 #include <filesystem>
@@ -259,6 +260,18 @@ TEST(CellKey, IsSensitiveToEveryComponent) {
   EXPECT_NE(cellKey("w", "p", "m2"), Base);
   // Separators prevent concatenation collisions.
   EXPECT_NE(cellKey("wp", "", "m"), cellKey("w", "p", "m"));
+}
+
+TEST(CellKey, ExplorePipelineKeyFollowsEnvOverride) {
+  // A resumed explore campaign must not replay cells compiled by a
+  // different pipeline: $FPINT_PASSES is part of each cell's key.
+  const std::string Default =
+      cellKey("compress", explorePipelineKey("compress"), "m");
+  setenv("FPINT_PASSES", "opt2", 1);
+  const std::string Opt2 =
+      cellKey("compress", explorePipelineKey("compress"), "m");
+  unsetenv("FPINT_PASSES");
+  EXPECT_NE(Default, Opt2);
 }
 
 //===----------------------------------------------------------------------===//

@@ -125,7 +125,7 @@ TEST(CorpusTest, TransformCorpusShowsMidendDeltas) {
 
     core::PipelineConfig Base;
     Base.Scheme = partition::Scheme::Advanced;
-    Base.EnableFpArgPassing = true;
+    Base.Passes = "opt,profile,partition,fp-arg-passing,regalloc";
     core::PipelineRun Default = core::compileAndMeasure(*PR.M, Base);
     ASSERT_TRUE(Default.ok()) << (Default.Errors.empty()
                                       ? "output mismatch"

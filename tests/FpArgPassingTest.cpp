@@ -58,12 +58,16 @@ loop:
 }
 )";
 
+/// The default pipeline with the Section 6.6 extension added.
+const char *const WithFpArgs = "opt,profile,partition,fp-arg-passing,regalloc";
+
 PipelineRun runWith(const char *Src, bool Extension) {
   sir::ParseResult PR = sir::parseModule(Src);
   EXPECT_TRUE(PR.ok()) << PR.Error;
   PipelineConfig Cfg;
   Cfg.Scheme = partition::Scheme::Advanced;
-  Cfg.EnableFpArgPassing = Extension;
+  if (Extension)
+    Cfg.Passes = WithFpArgs;
   PipelineRun Run = compileAndMeasure(*PR.M, Cfg);
   EXPECT_TRUE(Run.ok()) << (Run.Errors.empty() ? "output mismatch"
                                                : Run.Errors[0]);
@@ -102,7 +106,7 @@ TEST(FpArgPassing, MixedCallSitesBlockConversion) {
   ASSERT_TRUE(PR.ok()) << PR.Error;
   PipelineConfig Cfg;
   Cfg.Scheme = partition::Scheme::Advanced;
-  Cfg.EnableFpArgPassing = true;
+  Cfg.Passes = WithFpArgs;
   PipelineRun Run = compileAndMeasure(*PR.M, Cfg);
   ASSERT_TRUE(Run.ok()) << (Run.Errors.empty() ? "?" : Run.Errors[0]);
   EXPECT_EQ(Run.FpArgs.ArgsConverted, 0u);
@@ -117,7 +121,7 @@ TEST(FpArgPassing, NoOpOnBasicAndConventional) {
     ASSERT_TRUE(PR.ok());
     PipelineConfig Cfg;
     Cfg.Scheme = S;
-    Cfg.EnableFpArgPassing = true; // Ignored outside the advanced scheme.
+    Cfg.Passes = WithFpArgs; // No-op without an advanced partition.
     PipelineRun Run = compileAndMeasure(*PR.M, Cfg);
     ASSERT_TRUE(Run.ok());
     EXPECT_EQ(Run.FpArgs.ArgsConverted, 0u);
@@ -130,7 +134,7 @@ TEST(FpArgPassing, WorksAcrossTheWorkloadSuite) {
     workloads::Workload W = workloads::workloadByName(Name);
     PipelineConfig Cfg;
     Cfg.Scheme = partition::Scheme::Advanced;
-    Cfg.EnableFpArgPassing = true;
+    Cfg.Passes = WithFpArgs;
     Cfg.TrainArgs = W.TrainArgs;
     Cfg.RefArgs = W.RefArgs;
     PipelineRun Run = compileAndMeasure(*W.M, Cfg);

@@ -101,7 +101,7 @@ TEST(IntegrationSweep, ICacheCapacityMisses) {
     EXPECT_TRUE(PR.ok()) << PR.Error;
     PipelineConfig Cfg;
     Cfg.Scheme = partition::Scheme::None;
-    Cfg.RunOptimizations = false; // Keep the giant body intact.
+    Cfg.Passes = "profile,partition,regalloc"; // Keep the giant body intact.
     PipelineRun Run = compileAndMeasure(*PR.M, Cfg);
     EXPECT_TRUE(Run.ok());
     return Run;

@@ -3,18 +3,20 @@
 // Covers the pass-manager pipeline: pipeline-text parsing and
 // round-tripping, analysis-manager caching / preserved-set /
 // dependency invalidation, verify-each-pass attribution, the opt
-// fixpoint cap telemetry, and -- most importantly -- that the default
-// pipeline compiles byte-identical code to the historical hard-coded
-// flow.
+// fixpoint cap telemetry, and -- most importantly -- that pipeline
+// text compiles byte-identical code to the historical hard-coded flow
+// for every combination of its stages.
 
 #include "core/PassManager.h"
 #include "core/Pipeline.h"
 #include "core/RunCache.h"
 #include "opt/Passes.h"
+#include "regalloc/Allocator.h"
 #include "regalloc/Liveness.h"
 #include "regalloc/RegAlloc.h"
 #include "sir/Parser.h"
 #include "sir/Printer.h"
+#include "stats/Report.h"
 #include "vm/VM.h"
 
 #include "PaperExamples.h"
@@ -58,10 +60,10 @@ TEST(PipelineText, WhitespaceAndFixpointRoundTrip) {
   PassManager PM;
   std::string Error;
   ASSERT_TRUE(PM.parse("  fixpoint( copy-prop ,dce ) , profile,  "
-                       "partition-basic ",
+                       "partition ",
                        Error))
       << Error;
-  EXPECT_EQ(PM.text(), "fixpoint(copy-prop,dce),profile,partition-basic");
+  EXPECT_EQ(PM.text(), "fixpoint(copy-prop,dce),profile,partition");
 
   // The round-tripped text parses back to the same shape.
   PassManager PM2;
@@ -83,6 +85,7 @@ TEST(PipelineText, RejectsUnknownAndMalformed) {
 
 TEST(PipelineText, EffectiveTextPrecedence) {
   PipelineConfig Config;
+  EXPECT_STREQ(defaultPipelineText(), "opt,profile,partition,regalloc");
   EXPECT_EQ(effectivePipelineText(Config), defaultPipelineText());
   {
     ScopedEnv Env("FPINT_PASSES", "opt,profile,partition");
@@ -93,15 +96,48 @@ TEST(PipelineText, EffectiveTextPrecedence) {
 }
 
 TEST(PipelineText, RunCacheKeyStableForDefault) {
+  // The key always carries the resolved text, so spelling out the
+  // default keys the same as leaving it implicit, and any other text
+  // keys separately.
+  PipelineConfig Implicit;
+  const std::string Key = RunCache::runKey("w", Implicit);
+  EXPECT_NE(Key.find(defaultPipelineText()), std::string::npos) << Key;
+  PipelineConfig Explicit;
+  Explicit.Passes = defaultPipelineText();
+  EXPECT_EQ(RunCache::runKey("w", Explicit), Key);
+  PipelineConfig Custom;
+  Custom.Passes = "profile,partition,regalloc";
+  EXPECT_NE(RunCache::runKey("w", Custom), Key);
+}
+
+TEST(PipelineText, IdentityFollowsEnvOverride) {
+  // An $FPINT_PASSES override compiles different code, so the run key,
+  // the run id and the report must all name the text that ran.
   PipelineConfig Config;
-  const std::string Legacy = RunCache::runKey("w", Config);
-  // An empty override must not perturb historical keys (golden run ids
-  // are derived from them); a real override must key separately.
-  EXPECT_EQ(Legacy.find("opt,"), std::string::npos);
-  Config.Passes = "profile,partition,regalloc";
-  const std::string Custom = RunCache::runKey("w", Config);
-  EXPECT_NE(Legacy, Custom);
-  EXPECT_NE(Custom.find("profile,partition,regalloc"), std::string::npos);
+  const timing::MachineConfig Machine = timing::MachineConfig::fourWay();
+  const std::string Key = RunCache::runKey("w", Config);
+  const std::string Id = stats::runId("w", Config, Machine);
+  EXPECT_EQ(stats::pipelineConfigToJson(Config).strOr("passes", ""),
+            defaultPipelineText());
+  ScopedEnv Env("FPINT_PASSES", "opt2");
+  EXPECT_NE(RunCache::runKey("w", Config), Key);
+  EXPECT_NE(stats::runId("w", Config, Machine), Id);
+  EXPECT_EQ(stats::pipelineConfigToJson(Config).strOr("passes", ""), "opt2");
+}
+
+TEST(PipelineText, OneRegallocTokenPerBackend) {
+  for (const std::string &Backend :
+       regalloc::AllocatorRegistry::global().names())
+    EXPECT_TRUE(PassRegistry::global().contains(Backend)) << Backend;
+
+  auto M = parse(fixtures::InvalidateForCall);
+  PipelineConfig Config;
+  Config.Passes = "opt,profile,partition,regalloc-linear";
+  PipelineRun Run = compileAndMeasure(*M, Config);
+  ASSERT_TRUE(Run.ok()) << (Run.Errors.empty() ? "?" : Run.Errors[0]);
+  EXPECT_TRUE(Run.Allocated);
+  EXPECT_EQ(Run.Alloc.AllocatorName, "regalloc-linear");
+  EXPECT_EQ(Run.PassStats.back().Name, "regalloc-linear");
 }
 
 //===----------------------------------------------------------------------===//
@@ -213,26 +249,26 @@ TEST(AnalysisManagerTest, LivenessWrapperSharesCfg) {
 //===----------------------------------------------------------------------===//
 
 /// Hand-rolled replica of the pre-pass-manager compile sequence.
-std::string legacyCompile(const sir::Module &Original,
-                          const PipelineConfig &Config) {
+std::string legacyCompile(const sir::Module &Original, partition::Scheme S,
+                          bool Opt, bool FpArgs, bool RegAlloc) {
   std::unique_ptr<sir::Module> M = Original.clone();
-  if (Config.RunOptimizations)
+  if (Opt)
     opt::optimizeModule(*M);
   vm::VM::Options ProfOpts;
   ProfOpts.CollectProfile = true;
   vm::VM Trainer(*M, ProfOpts);
-  Trainer.run(Config.TrainArgs);
+  Trainer.run({});
   partition::ModuleRewrite RW = partition::partitionModule(
-      *M, Config.Scheme, &Trainer.profile(), Config.Costs);
-  if (Config.EnableFpArgPassing &&
-      Config.Scheme == partition::Scheme::Advanced)
+      *M, S, &Trainer.profile(), partition::CostParams());
+  if (FpArgs && S == partition::Scheme::Advanced)
     partition::passArgsInFpRegisters(*M, RW);
-  if (Config.RunRegisterAllocation)
+  if (RegAlloc)
     regalloc::allocateModule(*M);
   return sir::toString(*M);
 }
 
 TEST(PassPipeline, DefaultMatchesLegacyFlow) {
+  // Every (scheme, fpargs, opt, regalloc) flow, stated as pipeline text.
   const char *Sources[] = {fixtures::IntVectorSum,
                            fixtures::InvalidateForCall,
                            fixtures::MemoryFreeRand};
@@ -241,18 +277,26 @@ TEST(PassPipeline, DefaultMatchesLegacyFlow) {
                                        partition::Scheme::Advanced};
   for (const char *Src : Sources) {
     auto M = parse(Src);
-    for (partition::Scheme S : Schemes) {
-      for (bool FpArgs : {false, true}) {
-        PipelineConfig Config;
-        Config.Scheme = S;
-        Config.EnableFpArgPassing = FpArgs;
-        PipelineRun Run = compileAndMeasure(*M, Config);
-        ASSERT_TRUE(Run.Errors.empty())
-            << Run.Errors.front() << " scheme " << static_cast<int>(S);
-        EXPECT_EQ(sir::toString(*Run.Compiled), legacyCompile(*M, Config))
-            << "scheme " << static_cast<int>(S) << " fpargs " << FpArgs;
-      }
-    }
+    for (partition::Scheme S : Schemes)
+      for (bool FpArgs : {false, true})
+        for (bool Opt : {false, true})
+          for (bool RegAlloc : {false, true}) {
+            PipelineConfig Config;
+            Config.Scheme = S;
+            Config.Passes = Opt ? "opt,profile,partition" : "profile,partition";
+            if (FpArgs)
+              Config.Passes += ",fp-arg-passing";
+            if (RegAlloc)
+              Config.Passes += ",regalloc";
+            PipelineRun Run = compileAndMeasure(*M, Config);
+            ASSERT_TRUE(Run.Errors.empty())
+                << Run.Errors.front() << " text " << Config.Passes;
+            EXPECT_EQ(Run.Allocated, RegAlloc);
+            EXPECT_EQ(sir::toString(*Run.Compiled),
+                      legacyCompile(*M, S, Opt, FpArgs, RegAlloc))
+                << "scheme " << static_cast<int>(S) << " text "
+                << Config.Passes;
+          }
   }
 }
 
@@ -272,7 +316,6 @@ TEST(PassPipeline, EnvOverrideIsHonored) {
   auto M = parse(fixtures::MemoryFreeRand);
   ScopedEnv Env("FPINT_PASSES", "profile,partition");
   PipelineConfig Config;
-  Config.RunRegisterAllocation = false; // Text never allocates.
   PipelineRun Run = compileAndMeasure(*M, Config);
   ASSERT_TRUE(Run.ok()) << (Run.Errors.empty() ? "?" : Run.Errors[0]);
   ASSERT_EQ(Run.PassStats.size(), 2u);
@@ -296,10 +339,10 @@ TEST(PassPipeline, PerPassTelemetryIsRecorded) {
   PipelineConfig Config; // Advanced scheme default.
   PipelineRun Run = compileAndMeasure(*M, Config);
   ASSERT_TRUE(Run.ok());
-  ASSERT_EQ(Run.PassStats.size(), 5u);
+  ASSERT_EQ(Run.PassStats.size(), 4u);
   EXPECT_EQ(Run.PassStats[0].Name, "opt");
   EXPECT_EQ(Run.PassStats[2].Name, "partition");
-  EXPECT_EQ(Run.PassStats[4].Name, "regalloc");
+  EXPECT_EQ(Run.PassStats[3].Name, "regalloc");
   // The partitioner rewrote at least one function and consulted
   // manager-cached analyses while doing it.
   EXPECT_GT(Run.PassStats[2].Changes, 0u);
@@ -307,7 +350,7 @@ TEST(PassPipeline, PerPassTelemetryIsRecorded) {
   EXPECT_GT(Run.PassStats[2].AnalysisHits, 0u);
   // Regalloc shares the manager: its CFG fetch for each function it
   // lowers is a fresh miss (the IR changed), never a stale reuse.
-  EXPECT_GT(Run.PassStats[4].AnalysisMisses, 0u);
+  EXPECT_GT(Run.PassStats[3].AnalysisMisses, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <stdexcept>
+#include <sys/wait.h>
+
 using namespace fpint;
 using namespace fpint::core;
 
@@ -126,10 +130,35 @@ TEST(Pipeline, SkippingAllocationKeepsVirtualRegisters) {
   auto M = parseOrDie(fixtures::IntVectorSum);
   PipelineConfig Cfg;
   Cfg.Scheme = partition::Scheme::Basic;
-  Cfg.RunRegisterAllocation = false;
+  Cfg.Passes = "opt,profile,partition";
   PipelineRun Run = compileAndMeasure(*M, Cfg);
   ASSERT_TRUE(Run.ok());
+  EXPECT_FALSE(Run.Allocated);
   EXPECT_FALSE(Run.Compiled->functionByName("main")->isAllocated());
+}
+
+TEST(Pipeline, SimulatingUnallocatedCodeIsTypedError) {
+  auto M = parseOrDie(fixtures::IntVectorSum);
+  PipelineConfig Cfg;
+  Cfg.Passes = "profile,partition";
+  PipelineRun Run = compileAndMeasure(*M, Cfg);
+  ASSERT_TRUE(Run.ok());
+  EXPECT_THROW(simulate(Run, timing::MachineConfig::fourWay()),
+               std::invalid_argument);
+}
+
+TEST(Pipeline, FpintcSimulateWithoutRegallocExitsCleanly) {
+  // A message and exit status 1, never an abort.
+  std::FILE *P = popen(FPINTC_PATH " @compress --passes=profile,partition"
+                                   " --simulate=4way 2>&1",
+                       "r");
+  ASSERT_NE(P, nullptr);
+  std::string Out;
+  for (int C; (C = std::fgetc(P)) != EOF;)
+    Out += static_cast<char>(C);
+  const int Status = pclose(P);
+  EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 1) << Out;
+  EXPECT_NE(Out.find("register-allocated"), std::string::npos) << Out;
 }
 
 TEST(Pipeline, SpeedupHelper) {

@@ -77,7 +77,7 @@ TEST(RunCache, DifferingCostParamsMiss) {
             RunCache::runKey("kernel", Other));
   // The key covers every config field, not just costs.
   PipelineConfig Fp = Cfg;
-  Fp.EnableFpArgPassing = true;
+  Fp.Passes = "opt,profile,partition,fp-arg-passing,regalloc";
   EXPECT_NE(RunCache::runKey("kernel", Cfg), RunCache::runKey("kernel", Fp));
 }
 

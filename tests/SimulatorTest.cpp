@@ -33,7 +33,7 @@ PipelineRun compileSrc(const char *Src, partition::Scheme S) {
   EXPECT_TRUE(PR.ok()) << PR.Error;
   PipelineConfig Cfg;
   Cfg.Scheme = S;
-  Cfg.RunOptimizations = false;
+  Cfg.Passes = "profile,partition,regalloc";
   PipelineRun Run = compileAndMeasure(*PR.M, Cfg);
   EXPECT_TRUE(Run.ok()) << (Run.Errors.empty() ? "?" : Run.Errors[0]);
   return Run;

@@ -33,7 +33,7 @@ PipelineRun compileSrc(const std::string &Src, partition::Scheme S) {
   PipelineConfig Cfg;
   Cfg.Scheme = S;
   // Hand-shaped dependence kernels; the optimizer would fold them.
-  Cfg.RunOptimizations = false;
+  Cfg.Passes = "profile,partition,regalloc";
   PipelineRun Run = compileAndMeasure(*PR.M, Cfg);
   EXPECT_TRUE(Run.ok()) << (Run.Errors.empty() ? "?" : Run.Errors[0]);
   return Run;

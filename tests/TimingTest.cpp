@@ -135,7 +135,7 @@ PipelineRun compileSrc(const char *Src, partition::Scheme S) {
   Cfg.Scheme = S;
   // These kernels probe the simulator with hand-shaped dependence
   // patterns; the optimizer would constant-fold them away.
-  Cfg.RunOptimizations = false;
+  Cfg.Passes = "profile,partition,regalloc";
   PipelineRun Run = compileAndMeasure(*PR.M, Cfg);
   EXPECT_TRUE(Run.ok()) << (Run.Errors.empty() ? "?" : Run.Errors[0]);
   return Run;

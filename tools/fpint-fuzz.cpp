@@ -417,14 +417,7 @@ int main(int argc, char **argv) {
     testgen::VariantSpec V;
     V.Name = "passes:" + Text;
     V.Config.Passes = Text;
-    // The gated built-ins honor the config: advanced partitioning for
-    // the generic "partition" name, and register allocation (plus the
-    // oracle's timing cross-check) only when the text allocates.
     V.Config.Scheme = partition::Scheme::Advanced;
-    V.Config.RunRegisterAllocation =
-        Text.find("regalloc") != std::string::npos;
-    V.Config.EnableFpArgPassing =
-        Text.find("fp-arg-passing") != std::string::npos;
     OracleOpts.Variants.push_back(std::move(V));
   }
   if (Midend) {

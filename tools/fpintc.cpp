@@ -25,7 +25,6 @@
 #include "partition/AdvancedPartitioner.h"
 #include "partition/BasicPartitioner.h"
 #include "partition/DotExport.h"
-#include "regalloc/Allocator.h"
 #include "sir/Parser.h"
 #include "sir/Printer.h"
 #include "support/Table.h"
@@ -36,6 +35,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,16 +58,14 @@ void usage() {
       "  --ocopy=N            copy overhead o_copy (default 4.0)\n"
       "  --odupl=N            duplication overhead o_dupl (default 2.5)\n"
       "  --fpa-cap=F          load-balance cap on the FPa share (6.6)\n"
-      "  --no-regalloc        stop before register allocation\n"
-      "  --regalloc=NAME      register-allocator backend (regalloc |\n"
-      "                       regalloc-linear; default regalloc)\n"
       "  --args=a,b           main() arguments for measurement runs\n"
       "  --train-args=a,b     main() arguments for the profiling run\n"
       "  --passes=TEXT        explicit pass pipeline (comma-separated\n"
       "                       names, fixpoint(...) combinator, the opt2\n"
       "                       mid-end preset, unroll<N> partial-unroll\n"
       "                       factors; see docs/PASSES.md and\n"
-      "                       docs/TRANSFORMS.md; overrides $FPINT_PASSES)\n"
+      "                       docs/TRANSFORMS.md; overrides $FPINT_PASSES;\n"
+      "                       default opt,profile,partition,regalloc)\n"
       "\n"
       "outputs:\n"
       "  --print              partitioned assembly\n"
@@ -108,10 +106,10 @@ int main(int argc, char **argv) {
   std::string Input;
   partition::Scheme Scheme = partition::Scheme::Advanced;
   partition::CostParams Costs;
-  bool DoPrint = false, DoRun = false, DoStats = false, RegAlloc = true;
+  bool DoPrint = false, DoRun = false, DoStats = false;
   bool TimePasses = false;
   unsigned TraceCount = 0;
-  std::string DotFunc, SimMachine, Passes, PrintAfter, RegAllocator;
+  std::string DotFunc, SimMachine, Passes, PrintAfter;
   std::vector<int32_t> Args, TrainArgs;
   bool TrainArgsSet = false;
 
@@ -133,8 +131,6 @@ int main(int argc, char **argv) {
       DoRun = true;
     } else if (Arg == "--stats") {
       DoStats = true;
-    } else if (Arg == "--no-regalloc") {
-      RegAlloc = false;
     } else if (Arg == "--time-passes") {
       TimePasses = true;
     } else if (const char *V = Value("--scheme=")) {
@@ -156,17 +152,6 @@ int main(int argc, char **argv) {
       Costs.FpaShareCap = std::atof(V);
     } else if (const char *V = Value("--passes=")) {
       Passes = V;
-    } else if (const char *V = Value("--regalloc=")) {
-      if (!regalloc::AllocatorRegistry::global().contains(V)) {
-        std::fprintf(stderr, "fpintc: unknown register allocator '%s'", V);
-        std::fprintf(stderr, " (known:");
-        for (const std::string &Name :
-             regalloc::AllocatorRegistry::global().names())
-          std::fprintf(stderr, " %s", Name.c_str());
-        std::fprintf(stderr, ")\n");
-        return 2;
-      }
-      RegAllocator = V;
     } else if (const char *V = Value("--print-after=")) {
       PrintAfter = V;
     } else if (const char *V = Value("--dot=")) {
@@ -258,8 +243,6 @@ int main(int argc, char **argv) {
   Cfg.Costs = Costs;
   Cfg.TrainArgs = TrainArgs;
   Cfg.RefArgs = Args;
-  Cfg.RunRegisterAllocation = RegAlloc;
-  Cfg.RegAllocator = RegAllocator;
   if (!Passes.empty()) {
     // Validate up front for a friendly diagnostic; compileAndMeasure
     // re-parses the same text.
@@ -342,17 +325,18 @@ int main(int argc, char **argv) {
     std::printf("... (%zu entries total)\n", Machine.trace().size());
   }
   if (!SimMachine.empty()) {
-    if (!RegAlloc) {
-      std::fprintf(stderr,
-                   "fpintc: --simulate requires register allocation\n");
-      return 1;
-    }
     timing::MachineConfig Machine = SimMachine == "8way"
                                         ? timing::MachineConfig::eightWay()
                                         : timing::MachineConfig::fourWay();
     if (Scheme == partition::Scheme::None)
       Machine.FpaEnabled = false;
-    timing::SimStats S = core::simulate(Run, Machine);
+    timing::SimStats S;
+    try {
+      S = core::simulate(Run, Machine);
+    } catch (const std::invalid_argument &E) {
+      std::fprintf(stderr, "fpintc: error: %s\n", E.what());
+      return 1;
+    }
     std::printf("machine:           %s%s\n", Machine.Name,
                 Machine.FpaEnabled ? " (augmented)" : " (conventional)");
     std::printf("cycles:            %llu\n",
