@@ -48,10 +48,13 @@ for b in "$BUILD_DIR"/bench/*; do
 done
 
 if [ "$UPDATE" = 1 ]; then
-  # The golden set is the paper's headline figures; keep it small so
+  # The golden set is the paper's headline figures plus the two tables
+  # that drive the advanced partitioner through swept copy/duplicate
+  # costs (Section 6.1) and the Section 6.6 share cap; keep it small so
   # the committed baseline stays reviewable.
   mkdir -p "$GOLDEN_DIR"
-  for name in fig9_speedup_4way fig10_speedup_8way; do
+  for name in fig9_speedup_4way fig10_speedup_8way sec61_cost_sweep \
+              sec66_load_balance; do
     cp "$OUT_DIR/$name.json" "$GOLDEN_DIR/$name.json"
   done
   echo "check_regression: refreshed $GOLDEN_DIR from $OUT_DIR"

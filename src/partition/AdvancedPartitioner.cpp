@@ -53,14 +53,21 @@ private:
   void markCopyBacks();
   void computeCopyDupSets();
 
-  double lossOfMoving(const std::vector<unsigned> &P,
-                      const std::vector<bool> &InP);
+  void collectFpaSlice(unsigned U);
+  double lossOfMoving();
   void pushFpaChildren(unsigned N, std::deque<unsigned> &Queue,
                        std::vector<bool> &Queued);
 
   const RDG &G;
   Assignment A;
   CostModel Cost;
+
+  // Phase 1 scratch, sized once per function. Each worklist item sets
+  // and then clears only the entries it touches, so an item costs time
+  // proportional to its backward slice, not to the whole graph.
+  std::vector<bool> InSlice, InP, Seen;
+  std::vector<unsigned> SliceNodes, SeenNodes;
+  std::vector<unsigned> P; ///< FPa nodes of the current slice, ascending.
 };
 
 void AdvancedImpl::initialAssignment() {
@@ -87,8 +94,32 @@ void AdvancedImpl::pushFpaChildren(unsigned N, std::deque<unsigned> &Queue,
     }
 }
 
-double AdvancedImpl::lossOfMoving(const std::vector<unsigned> &P,
-                                  const std::vector<bool> &InP) {
+void AdvancedImpl::collectFpaSlice(unsigned U) {
+  // Walk U's backward slice (the RDG::backwardSlice traversal) and keep
+  // its FPa members. Sorting P ascending fixes the summation order in
+  // lossOfMoving, so the loss is the same double whatever order the
+  // walk visited the slice in.
+  SliceNodes.clear();
+  P.clear();
+  InSlice[U] = true;
+  SliceNodes.push_back(U);
+  for (size_t I = 0; I < SliceNodes.size(); ++I)
+    for (unsigned Q : G.node(SliceNodes[I]).Preds)
+      if (!InSlice[Q]) {
+        InSlice[Q] = true;
+        SliceNodes.push_back(Q);
+      }
+  for (unsigned N : SliceNodes) {
+    InSlice[N] = false;
+    if (A.isFpa(N)) {
+      InP[N] = true;
+      P.push_back(N);
+    }
+  }
+  std::sort(P.begin(), P.end());
+}
+
+double AdvancedImpl::lossOfMoving() {
   double Loss = 0.0;
   for (unsigned V : P) {
     if (G.feedsCallOrRet(V)) {
@@ -110,12 +141,13 @@ double AdvancedImpl::lossOfMoving(const std::vector<unsigned> &P,
 
   // delta(q) over boundary parents of P: a parent whose FPa children all
   // lie inside P no longer needs its copy/duplicate.
-  std::vector<bool> Seen(G.numNodes(), false);
+  SeenNodes.clear();
   for (unsigned V : P) {
     for (unsigned Q : G.node(V).Preds) {
       if (A.isFpa(Q) || Seen[Q])
         continue;
       Seen[Q] = true;
+      SeenNodes.push_back(Q);
       bool AllInsideP = true;
       bool AnyFpaChild = false;
       for (unsigned S : G.node(Q).Succs) {
@@ -129,6 +161,8 @@ double AdvancedImpl::lossOfMoving(const std::vector<unsigned> &P,
         Loss -= Cost.commCost(Q);
     }
   }
+  for (unsigned Q : SeenNodes)
+    Seen[Q] = false;
   return Loss;
 }
 
@@ -153,7 +187,9 @@ void AdvancedImpl::phase1() {
   // re-enqueue nodes, so bound the total work.
   uint64_t Budget = static_cast<uint64_t>(G.numNodes() + 1) * 64;
 
-  std::vector<bool> InP;
+  InSlice.assign(G.numNodes(), false);
+  InP.assign(G.numNodes(), false);
+  Seen.assign(G.numNodes(), false);
   while (!Queue.empty() && Budget-- > 0) {
     unsigned U = Queue.front();
     Queue.pop_front();
@@ -162,17 +198,10 @@ void AdvancedImpl::phase1() {
       continue;
 
     // P = FPa nodes in the backward slice of U.
-    InP.assign(G.numNodes(), false);
-    std::vector<bool> Slice;
-    G.backwardSlice(U, Slice);
-    std::vector<unsigned> P;
-    for (unsigned N = 0; N < G.numNodes(); ++N)
-      if (Slice[N] && A.isFpa(N)) {
-        InP[N] = true;
-        P.push_back(N);
-      }
-
-    double Loss = lossOfMoving(P, InP);
+    collectFpaSlice(U);
+    double Loss = lossOfMoving();
+    for (unsigned N : P)
+      InP[N] = false;
     if (Loss < 0.0) {
       for (unsigned N : P)
         A.NodeSide[N] = Side::Int;

@@ -8,6 +8,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <new>
+
+#include <sys/mman.h>
 
 using namespace fpint;
 using namespace fpint::vm;
@@ -21,8 +24,23 @@ constexpr uint32_t GlobalBase = 0x1000;
 constexpr uint32_t CodeBase = 0x400000; // Synthetic text segment origin.
 } // namespace
 
-VM::VM(const sir::Module &M, Options Opts) : M(M), Opts(Opts) {
-  Mem.assign(Opts.MemBytes, 0);
+VM::GuestMemory::GuestMemory(size_t Bytes) : Bytes(Bytes) {
+  if (Bytes == 0)
+    return; // mmap rejects empty mappings; every access traps anyway.
+  void *P = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (P == MAP_FAILED)
+    throw std::bad_alloc();
+  Base = static_cast<uint8_t *>(P);
+}
+
+VM::GuestMemory::~GuestMemory() {
+  if (Base)
+    munmap(Base, Bytes);
+}
+
+VM::VM(const sir::Module &M, Options Opts)
+    : M(M), Opts(Opts), Mem(Opts.MemBytes) {
   StackTop = Opts.MemBytes;
 
   // Lay out globals from GlobalBase upward, word aligned, and copy in
@@ -34,7 +52,7 @@ VM::VM(const sir::Module &M, Options Opts) : M(M), Opts(Opts) {
     for (size_t W = 0; W < G.Init.size(); ++W) {
       uint32_t A = Next + static_cast<uint32_t>(W) * 4;
       if (A + 4 <= Mem.size())
-        std::memcpy(&Mem[A], &G.Init[W], 4);
+        std::memcpy(Mem.data() + A, &G.Init[W], 4);
     }
     Next += G.SizeWords * 4;
   }
@@ -72,7 +90,7 @@ std::vector<uint8_t> VM::globalImage() const {
   End = std::min(End, static_cast<uint32_t>(Mem.size()));
   if (End <= GlobalBase)
     return {};
-  return std::vector<uint8_t>(Mem.begin() + GlobalBase, Mem.begin() + End);
+  return std::vector<uint8_t>(Mem.data() + GlobalBase, Mem.data() + End);
 }
 
 bool VM::trap(TrapKind Kind, std::string Detail) {
@@ -107,7 +125,7 @@ bool VM::loadWord(uint32_t Addr, int32_t &Out) {
   if (Addr + 4 > Mem.size() || Addr + 4 < Addr) {
     return trap(TrapKind::OobLoad, "load out of bounds at " + std::to_string(Addr));
   }
-  std::memcpy(&Out, &Mem[Addr], 4);
+  std::memcpy(&Out, Mem.data() + Addr, 4);
   return true;
 }
 
@@ -115,7 +133,7 @@ bool VM::storeWord(uint32_t Addr, int32_t Value) {
   if (Addr + 4 > Mem.size() || Addr + 4 < Addr) {
     return trap(TrapKind::OobStore, "store out of bounds at " + std::to_string(Addr));
   }
-  std::memcpy(&Mem[Addr], &Value, 4);
+  std::memcpy(Mem.data() + Addr, &Value, 4);
   return true;
 }
 
@@ -123,7 +141,7 @@ bool VM::loadByte(uint32_t Addr, uint8_t &Out) {
   if (Addr >= Mem.size()) {
     return trap(TrapKind::OobLoad, "load out of bounds at " + std::to_string(Addr));
   }
-  Out = Mem[Addr];
+  Out = Mem.data()[Addr];
   return true;
 }
 
@@ -131,7 +149,7 @@ bool VM::storeByte(uint32_t Addr, uint8_t Value) {
   if (Addr >= Mem.size()) {
     return trap(TrapKind::OobStore, "store out of bounds at " + std::to_string(Addr));
   }
-  Mem[Addr] = Value;
+  Mem.data()[Addr] = Value;
   return true;
 }
 

@@ -23,6 +23,12 @@
 /// byte-addressed little-endian memory with globals placed from 0x1000
 /// upward and frame stacks growing down from the top.
 ///
+/// Memory is lazily mapped: the Options::MemBytes flat space is one
+/// private anonymous mapping that the kernel zero-fills a page at a
+/// time on first touch, so pages a run never touches cost nothing. A
+/// small module touches a few pages of globals and stack, not the
+/// whole space, which keeps constructing many VMs per module cheap.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FPINT_VM_VM_H
@@ -121,6 +127,23 @@ public:
   std::vector<uint8_t> globalImage() const;
 
 private:
+  /// Owns the guest memory mapping (see the file comment); unmaps it on
+  /// destruction. Being non-copyable, it makes the VM non-copyable.
+  class GuestMemory {
+  public:
+    explicit GuestMemory(size_t Bytes);
+    ~GuestMemory();
+    GuestMemory(const GuestMemory &) = delete;
+    GuestMemory &operator=(const GuestMemory &) = delete;
+
+    uint8_t *data() const { return Base; }
+    size_t size() const { return Bytes; }
+
+  private:
+    uint8_t *Base = nullptr;
+    size_t Bytes = 0;
+  };
+
   struct Frame {
     const sir::Function *F = nullptr;
     std::vector<int32_t> IntRegs;
@@ -140,7 +163,7 @@ private:
 
   const sir::Module &M;
   Options Opts;
-  std::vector<uint8_t> Mem;
+  GuestMemory Mem;
   std::unordered_map<std::string, uint32_t> GlobalAddrs;
   std::unordered_map<const sir::Function *, uint32_t> FuncBasePc;
   uint32_t StackTop = 0;

@@ -1,15 +1,20 @@
 //===- tests/PartitionTest.cpp - Basic & advanced partitioning ------------===//
 
 #include "analysis/CFG.h"
+#include "analysis/ExecutionEstimate.h"
 #include "analysis/RDG.h"
+#include "opt/Passes.h"
 #include "partition/AdvancedPartitioner.h"
 #include "partition/BasicPartitioner.h"
 #include "partition/Partitioner.h"
 #include "sir/Parser.h"
 #include "sir/Printer.h"
 #include "sir/Verifier.h"
+#include "support/Hash.h"
 #include "support/Rng.h"
+#include "testgen/Generator.h"
 #include "vm/VM.h"
+#include "workloads/Workloads.h"
 
 #include "PaperExamples.h"
 
@@ -393,6 +398,65 @@ done:
   // Everything runs once; copies cost more than they save, so no copies
   // remain and the branch slice stays INT.
   EXPECT_EQ(RW.StaticCopies + RW.StaticDups, 0u) << toString(*M);
+}
+
+//===----------------------------------------------------------------------===//
+// Decision pin: the advanced scheme's choices over a fixed corpus.
+//===----------------------------------------------------------------------===//
+
+/// Folds the advanced Assignment of every function of \p Src (optimized
+/// and profiled as the default pipeline does) under each of \p Params
+/// into \p H.
+void hashAdvancedDecisions(const Module &Src,
+                           const std::vector<int32_t> &TrainArgs,
+                           const std::vector<CostParams> &Params,
+                           uint64_t &H) {
+  auto M = Src.clone();
+  opt::optimizeModule(*M);
+  vm::VM::Options Opts;
+  Opts.CollectProfile = true;
+  vm::VM Machine(*M, Opts);
+  ASSERT_TRUE(Machine.run(TrainArgs).Ok);
+  analysis::BlockWeights W(*M, &Machine.profile());
+
+  for (const auto &F : M->functions()) {
+    analysis::CFG Cfg(*F);
+    analysis::RDG G(*F, Cfg);
+    for (const CostParams &P : Params) {
+      Assignment A = partitionAdvanced(G, W, P);
+      std::string Bits = F->name() + ":";
+      for (unsigned N = 0; N < G.numNodes(); ++N)
+        Bits += static_cast<char>('0' + (A.isFpa(N) ? 1 : 0) +
+                                  (A.Copy[N] ? 2 : 0) + (A.Dup[N] ? 4 : 0) +
+                                  (A.CopyBack[N] ? 8 : 0));
+      H = support::fnv1a64(Bits, H);
+    }
+  }
+}
+
+TEST(AdvancedScheme, DecisionsArePinned) {
+  // Any change to the advanced heuristic's decisions -- a different
+  // FPa set, copy, duplicate or copy-back on any node -- changes this
+  // digest. The corpus is every built-in workload plus the modules of
+  // the first 200 seed-1 module seeds under every generator preset,
+  // each under the default costs, a swept cost point (Section 6.1) and
+  // the Section 6.6 share cap. A deliberate heuristic change must
+  // re-pin it.
+  const std::vector<CostParams> Params = {
+      CostParams(), CostParams{6.0, 1.5, 1.0}, CostParams{4.0, 2.5, 0.5}};
+  uint64_t H = support::fnv1a64("");
+  for (const std::string &Name : workloads::allWorkloadNames()) {
+    workloads::Workload Wl = workloads::workloadByName(Name);
+    hashAdvancedDecisions(*Wl.M, Wl.TrainArgs, Params, H);
+  }
+  for (const std::string &Preset : testgen::presetNames()) {
+    testgen::GenConfig Config = testgen::presetConfig(Preset);
+    for (uint64_t It = 0; It < 200; ++It) {
+      auto M = testgen::generateModule(Config, testgen::moduleSeed(1, It));
+      hashAdvancedDecisions(*M, {}, Params, H);
+    }
+  }
+  EXPECT_EQ(support::hex64(H), "ff53b47bccd07009");
 }
 
 //===----------------------------------------------------------------------===//

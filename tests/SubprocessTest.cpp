@@ -268,4 +268,33 @@ TEST(Subprocess, SpawnFailureLeaksNoDescriptors) {
   EXPECT_EQ(FdSqueeze::openFdCount(), Before2);
 }
 
+TEST(Subprocess, RunsLeakNoDescriptors) {
+  // Every run opens two pipes and a child-exit descriptor; all of them
+  // must be closed again, whether the child exits by itself or the
+  // watchdog has to kill it.
+  SandboxLimits Kill;
+  Kill.WallMs = 50;
+  Kill.KillGraceMs = 50;
+  const size_t Before = FdSqueeze::openFdCount();
+  for (int I = 0; I < 10; ++I) {
+    TaskResult Clean = Subprocess::run(
+        [](int Fd) {
+          Subprocess::writeAll(Fd, "ok");
+          return 0;
+        },
+        quickLimits());
+    EXPECT_TRUE(Clean.ok()) << Clean.describe();
+    TaskResult Hung = Subprocess::run(
+        [](int) {
+          std::signal(SIGTERM, SIG_IGN);
+          for (;;)
+            sleepMs(50);
+          return 0;
+        },
+        Kill);
+    EXPECT_TRUE(Hung.Killed) << Hung.describe();
+  }
+  EXPECT_EQ(FdSqueeze::openFdCount(), Before);
+}
+
 } // namespace

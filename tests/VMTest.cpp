@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <type_traits>
 
 using namespace fpint;
 using namespace fpint::sir;
@@ -440,6 +442,108 @@ entry:
   auto R = Machine.run();
   EXPECT_FALSE(R.Ok);
   EXPECT_NE(R.Error.find("depth"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Lazily mapped memory: same address map, bounds and traps as a flat
+// zero-filled array of Options::MemBytes bytes.
+//===----------------------------------------------------------------------===//
+
+static_assert(!std::is_copy_constructible_v<VM>,
+              "a VM owns its memory mapping");
+static_assert(!std::is_copy_assignable_v<VM>,
+              "a VM owns its memory mapping");
+
+const uint32_t MemTop = VM::Options().MemBytes;
+
+/// Runs a main that applies \p Body to the address %p = \p Addr.
+VM::Result runAt(uint32_t Addr, const std::string &Body) {
+  auto M = parseOrDie(("func main() {\nentry:\n  li %p, " +
+                       std::to_string(Addr) + "\n" + Body + "  ret\n}\n")
+                          .c_str());
+  return runModule(*M);
+}
+
+TEST(VMMemory, WordAccessAtTopOfMemory) {
+  auto R = runAt(MemTop - 4, "  li %v, 77\n  sw %v, 0(%p)\n"
+                             "  lw %w, 0(%p)\n  out %w\n");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, (std::vector<int32_t>{77}));
+
+  const std::string Past = std::to_string(MemTop - 3);
+  auto St = runAt(MemTop - 3, "  li %v, 1\n  sw %v, 0(%p)\n");
+  EXPECT_EQ(St.Trap.Kind, TrapKind::OobStore);
+  EXPECT_EQ(St.Error, "store out of bounds at " + Past);
+  auto Ld = runAt(MemTop - 3, "  lw %w, 0(%p)\n  out %w\n");
+  EXPECT_EQ(Ld.Trap.Kind, TrapKind::OobLoad);
+  EXPECT_EQ(Ld.Error, "load out of bounds at " + Past);
+}
+
+TEST(VMMemory, ByteAccessAtTopOfMemory) {
+  auto R = runAt(MemTop - 1, "  li %v, 200\n  sb %v, 0(%p)\n"
+                             "  lbu %w, 0(%p)\n  out %w\n");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, (std::vector<int32_t>{200}));
+
+  const std::string Past = std::to_string(MemTop);
+  auto St = runAt(MemTop, "  li %v, 1\n  sb %v, 0(%p)\n");
+  EXPECT_EQ(St.Trap.Kind, TrapKind::OobStore);
+  EXPECT_EQ(St.Error, "store out of bounds at " + Past);
+  auto Ld = runAt(MemTop, "  lbu %w, 0(%p)\n  out %w\n");
+  EXPECT_EQ(Ld.Trap.Kind, TrapKind::OobLoad);
+  EXPECT_EQ(Ld.Error, "load out of bounds at " + Past);
+}
+
+TEST(VMMemory, UntouchedPagesReadZero) {
+  // One word per 1 MiB, none ever written.
+  std::string Body;
+  for (uint32_t Mb = 1; Mb < MemTop >> 20; ++Mb) {
+    std::string R = "%w" + std::to_string(Mb);
+    Body += "  lw " + R + ", " + std::to_string(Mb << 20) + "(%p)\n";
+    Body += "  out " + R + "\n";
+  }
+  auto R = runAt(0, Body);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, std::vector<int32_t>((MemTop >> 20) - 1, 0));
+}
+
+TEST(VMMemory, GlobalImageIsInitializersThenZeros) {
+  auto M = parseOrDie(R"(
+global a 4 = 1 -2
+global b 3 = 5
+
+func main() {
+entry:
+  ret
+}
+)");
+  VM Machine(*M);
+  ASSERT_TRUE(Machine.run().Ok);
+  std::vector<int32_t> Words = {1, -2, 0, 0, 5, 0, 0};
+  std::vector<uint8_t> Expected(Words.size() * 4);
+  std::memcpy(Expected.data(), Words.data(), Expected.size());
+  EXPECT_EQ(Machine.globalImage(), Expected);
+}
+
+TEST(VMMemory, SeparateVMsDoNotShareMemory) {
+  // Each run reads the global and a far stack-area word, then writes
+  // both; a second VM of the same module must still see the initial
+  // values.
+  auto M = parseOrDie(("global g 1 = 40\n\nfunc main() {\nentry:\n"
+                       "  li %p, " +
+                       std::to_string(MemTop - 64) +
+                       "\n"
+                       "  lw %a, g\n  out %a\n  lw %b, 0(%p)\n  out %b\n"
+                       "  addi %c, %a, 1\n  sw %c, g\n"
+                       "  li %d, 9\n  sw %d, 0(%p)\n  ret\n}\n")
+                          .c_str());
+  const std::vector<int32_t> Fresh = {40, 0};
+  VM First(*M);
+  ASSERT_EQ(First.run().Output, Fresh);
+  VM Second(*M);
+  EXPECT_EQ(Second.run().Output, Fresh);
+  EXPECT_EQ(First.globalImage(), (std::vector<uint8_t>{41, 0, 0, 0}));
+  EXPECT_EQ(Second.globalImage(), (std::vector<uint8_t>{41, 0, 0, 0}));
 }
 
 } // namespace
