@@ -22,6 +22,49 @@ std::vector<vm::TraceEntry> PackedTrace::entries() const {
   return Out;
 }
 
+PackedOp timing::decodeOp(const vm::TraceEntry &TE,
+                          const regalloc::ModuleAlloc &Alloc) {
+  const Instruction &I = *TE.I;
+  const sir::Function *F = I.parent()->parent();
+  PackedOp Op;
+  Op.I = &I;
+  Op.Pc = TE.Pc;
+  ExecClass Class = sir::execClass(I.op());
+  Op.Class = static_cast<uint8_t>(Class);
+  Op.Latency = static_cast<uint8_t>(sir::execLatency(Class));
+  if (sir::isFpOpcode(I.op()) || I.inFpa())
+    Op.Flags |= PackedOp::FpSubsystem;
+  if (I.isLoad())
+    Op.Flags |= PackedOp::IsLoad;
+  if (I.isStore())
+    Op.Flags |= PackedOp::IsStore;
+  if (I.isCondBranch())
+    Op.Flags |= PackedOp::IsCondBranch;
+  if (Class == ExecClass::IntDiv || Class == ExecClass::FpDiv)
+    Op.Flags |= PackedOp::Unpipelined;
+  if (I.op() == Opcode::Jump || I.op() == Opcode::Call ||
+      I.op() == Opcode::Ret)
+    Op.Flags |= PackedOp::UncondTransfer;
+  if (I.inFpa())
+    Op.Flags |= PackedOp::InFpa;
+  if (I.def().isValid()) {
+    Op.Flags |= PackedOp::HasDef;
+    bool Fp = F->regClass(I.def()) == RegClass::Fp;
+    unsigned Arch = Alloc.archIndexOf(F, I.def());
+    assert(Arch < regalloc::ArchLayout::FileSize);
+    Op.Def = static_cast<uint8_t>((Fp ? PackedOp::FileBit : 0) | Arch);
+  }
+  I.forEachUse([&](sir::Reg R, sir::UseKind) {
+    assert(Op.NumUses < 4 && "too many operands");
+    bool Fp = F->regClass(R) == RegClass::Fp;
+    unsigned Arch = Alloc.archIndexOf(F, R);
+    assert(Arch < regalloc::ArchLayout::FileSize);
+    Op.Uses[Op.NumUses++] =
+        static_cast<uint8_t>((Fp ? PackedOp::FileBit : 0) | Arch);
+  });
+  return Op;
+}
+
 PackedTrace PackedTrace::build(const std::vector<vm::TraceEntry> &Trace,
                                const regalloc::ModuleAlloc &Alloc) {
   PackedTrace PT;
@@ -29,9 +72,6 @@ PackedTrace PackedTrace::build(const std::vector<vm::TraceEntry> &Trace,
   PT.MemAddr.reserve(Trace.size());
   PT.Taken.reserve(Trace.size());
 
-  // The decode below mirrors the reference simulator's InfoOf helper
-  // field for field; the two must stay in lockstep (the fuzz oracle's
-  // fast-vs-reference differential would catch a drift).
   std::unordered_map<const Instruction *, uint32_t> Index;
   Index.reserve(1024);
 
@@ -41,49 +81,12 @@ PackedTrace PackedTrace::build(const std::vector<vm::TraceEntry> &Trace,
     if (It != Index.end()) {
       Idx = It->second;
     } else {
-      const Instruction &I = *TE.I;
-      const sir::Function *F = I.parent()->parent();
-      PackedOp Op;
-      Op.I = &I;
-      Op.Pc = TE.Pc;
-      ExecClass Class = sir::execClass(I.op());
-      Op.Class = static_cast<uint8_t>(Class);
-      Op.Latency = static_cast<uint8_t>(sir::execLatency(Class));
-      if (sir::isFpOpcode(I.op()) || I.inFpa())
-        Op.Flags |= PackedOp::FpSubsystem;
-      if (I.isLoad())
-        Op.Flags |= PackedOp::IsLoad;
-      if (I.isStore())
-        Op.Flags |= PackedOp::IsStore;
-      if (I.isCondBranch())
-        Op.Flags |= PackedOp::IsCondBranch;
-      if (Class == ExecClass::IntDiv || Class == ExecClass::FpDiv)
-        Op.Flags |= PackedOp::Unpipelined;
-      if (I.op() == Opcode::Jump || I.op() == Opcode::Call ||
-          I.op() == Opcode::Ret)
-        Op.Flags |= PackedOp::UncondTransfer;
-      if (I.inFpa()) {
-        Op.Flags |= PackedOp::InFpa;
+      PackedOp Op = decodeOp(TE, Alloc);
+      if (Op.is(PackedOp::InFpa))
         PT.HasFpa = true;
-      }
-      if (I.def().isValid()) {
-        Op.Flags |= PackedOp::HasDef;
-        bool Fp = F->regClass(I.def()) == RegClass::Fp;
-        unsigned Arch = Alloc.archIndexOf(F, I.def());
-        assert(Arch < regalloc::ArchLayout::FileSize);
-        Op.Def = static_cast<uint8_t>((Fp ? PackedOp::FileBit : 0) | Arch);
-      }
-      I.forEachUse([&](sir::Reg R, sir::UseKind) {
-        assert(Op.NumUses < 4 && "too many operands");
-        bool Fp = F->regClass(R) == RegClass::Fp;
-        unsigned Arch = Alloc.archIndexOf(F, R);
-        assert(Arch < regalloc::ArchLayout::FileSize);
-        Op.Uses[Op.NumUses++] =
-            static_cast<uint8_t>((Fp ? PackedOp::FileBit : 0) | Arch);
-      });
       Idx = static_cast<uint32_t>(PT.Ops.size());
       PT.Ops.push_back(Op);
-      Index.emplace(&I, Idx);
+      Index.emplace(TE.I, Idx);
     }
     PT.OpIdx.push_back(Idx);
     PT.MemAddr.push_back(TE.MemAddr);

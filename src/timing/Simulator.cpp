@@ -3,12 +3,16 @@
 // Two implementations of the same machine live here (see Simulator.h):
 //
 //  * runReference -- the original cycle loop over vm::TraceEntry
-//    vectors, kept deliberately simple; it is the differential oracle
+//    entries, kept deliberately simple; it is the differential oracle
 //    for the fast path (FPINT_SIM_FAST=0, fpint-fuzz cross-check).
 //  * runFast -- the packed fast path: pre-decoded PackedOp records,
 //    one dense seq-indexed ring holding every in-flight instruction
 //    (wakeup scoreboard included), incremental window occupancy
 //    counters, and event-driven idle-cycle skipping.
+//
+// Both loops read the trace through a source (an in-memory trace, or a
+// runStreamed window fed by another thread), so each loop has one body
+// for both kinds of input.
 //
 // The fast path is cycle-exact with respect to the reference loop: all
 // SimStats counters and (with a sink attached) every CycleEvent are
@@ -18,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "timing/Simulator.h"
+#include "timing/TraceStream.h"
 
 #include <algorithm>
 #include <cassert>
@@ -25,6 +30,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <exception>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -89,6 +96,77 @@ struct FastEntry {
   bool Issued = false;
   bool Mispredicted = false;
   bool MissedLoad = false; ///< Sink-only: issued load that missed.
+};
+
+/// Instructions in flight at once: the ROB plus the fetch queue (which
+/// holds fewer than 3 * FetchWidth entries). Both loops touch trace
+/// entries no older than this behind the fetch position.
+uint64_t maxLive(const MachineConfig &Config) {
+  return static_cast<uint64_t>(Config.MaxInFlight) +
+         3ULL * Config.FetchWidth + 2;
+}
+
+// Trace sources for the cycle loops, passed by value so the loops keep
+// their fields in registers. has(I) says whether dynamic instruction I
+// exists; size() is the trace length the overrun limit is based on.
+
+/// A whole entry vector, for runReference.
+struct EntrySource {
+  const std::vector<TraceEntry> &Trace;
+  bool has(size_t I) const { return I < Trace.size(); }
+  const TraceEntry &operator[](size_t I) const { return Trace[I]; }
+  size_t size() const { return Trace.size(); }
+};
+
+/// A whole packed trace, for runFast.
+struct PackedSource {
+  const PackedTrace &Trace;
+  size_t End;
+  explicit PackedSource(const PackedTrace &T) : Trace(T), End(T.size()) {}
+  bool has(size_t I) const { return I < End; }
+  const PackedOp &op(size_t I) const { return Trace.op(I); }
+  uint32_t memAddr(size_t I) const { return Trace.MemAddr[I]; }
+  bool taken(size_t I) const { return Trace.Taken[I] != 0; }
+  size_t size() const { return End; }
+  bool hasFpa() const { return Trace.HasFpa; }
+};
+
+/// A TraceStream window, for runReference. Entry references stay valid
+/// while their instruction is in flight.
+struct StreamEntrySource {
+  TraceStream *Stream;
+  size_t Size;
+  size_t Avail = 0; ///< Entries known written.
+  bool has(size_t I) { return I < Avail || (Avail = Stream->waitFor(I)) > I; }
+  const TraceEntry &operator[](size_t I) const { return Stream->at(I); }
+  size_t size() const { return Size; }
+};
+
+/// A TraceStream window, for runFast: each static instruction is
+/// decoded on first fetch into a node-based table, so the PackedOp
+/// pointers the in-flight ring keeps stay valid.
+struct StreamPackedSource {
+  TraceStream *Stream;
+  size_t Size;
+  const regalloc::ModuleAlloc *Alloc;
+  std::unordered_map<const Instruction *, PackedOp> *Ops;
+  bool FpaEnabled;
+  size_t Avail = 0;
+  bool has(size_t I) { return I < Avail || (Avail = Stream->waitFor(I)) > I; }
+  const PackedOp &op(size_t I) {
+    const TraceEntry &TE = Stream->at(I);
+    auto [It, New] = Ops->try_emplace(TE.I);
+    if (New) {
+      It->second = decodeOp(TE, *Alloc);
+      assert((FpaEnabled || !It->second.is(PackedOp::InFpa)) &&
+             "partitioned binary on a conventional (non-FPa) machine");
+    }
+    return It->second;
+  }
+  uint32_t memAddr(size_t I) const { return Stream->at(I).MemAddr; }
+  bool taken(size_t I) const { return Stream->at(I).Taken; }
+  size_t size() const { return Size; }
+  bool hasFpa() const { return false; } ///< Checked per op above.
 };
 
 bool fastPathFromEnv() {
@@ -160,9 +238,10 @@ SimStats Simulator::run(const std::vector<TraceEntry> &Trace) {
   auto T0 = std::chrono::steady_clock::now();
   SimStats Stats;
   if (UseFast) {
-    Stats = runFast(PackedTrace::build(Trace, Alloc));
+    PackedTrace PT = PackedTrace::build(Trace, Alloc);
+    Stats = runFast(PackedSource(PT));
   } else {
-    Stats = runReference(Trace);
+    Stats = runReference(EntrySource{Trace});
   }
   Stats.SimWallMs = msSince(T0);
   return Stats;
@@ -172,11 +251,48 @@ SimStats Simulator::run(const PackedTrace &Trace) {
   auto T0 = std::chrono::steady_clock::now();
   SimStats Stats;
   if (UseFast) {
-    Stats = runFast(Trace);
+    Stats = runFast(PackedSource(Trace));
   } else {
     std::vector<TraceEntry> Entries = Trace.entries();
-    Stats = runReference(Entries);
+    Stats = runReference(EntrySource{Entries});
   }
+  Stats.SimWallMs = msSince(T0);
+  return Stats;
+}
+
+SimStats Simulator::runStreamed(
+    const std::function<void(vm::TraceSink &)> &Produce, size_t Size) {
+  auto T0 = std::chrono::steady_clock::now();
+  TraceStream Stream(maxLive(Config));
+  std::unordered_map<const Instruction *, PackedOp> Ops;
+  SimStats Stats;
+  std::exception_ptr Failure;
+  std::thread Reader([&] {
+    try {
+      if (UseFast)
+        Stats = runFast(StreamPackedSource{&Stream, Size, &Alloc, &Ops,
+                                           Config.FpaEnabled});
+      else
+        Stats = runReference(StreamEntrySource{&Stream, Size});
+    } catch (...) {
+      Failure = std::current_exception();
+    }
+    Stream.stopReading();
+  });
+  {
+    // Also on a throwing Produce: end the trace, then wait for the loop.
+    struct Finish {
+      TraceStream &Stream;
+      std::thread &Reader;
+      ~Finish() {
+        Stream.close();
+        Reader.join();
+      }
+    } F{Stream, Reader};
+    Produce(Stream);
+  }
+  if (Failure)
+    std::rethrow_exception(Failure);
   Stats.SimWallMs = msSince(T0);
   return Stats;
 }
@@ -185,7 +301,7 @@ SimStats Simulator::run(const PackedTrace &Trace) {
 // Reference loop (differential oracle; FPINT_SIM_FAST=0)
 //===----------------------------------------------------------------------===//
 
-SimStats Simulator::runReference(const std::vector<TraceEntry> &Trace) {
+template <class Source> SimStats Simulator::runReference(Source Trace) {
   SimStats Stats;
   Impl &S = *State;
   S.reset(Config);
@@ -274,7 +390,7 @@ SimStats Simulator::runReference(const std::vector<TraceEntry> &Trace) {
   const uint64_t SafetyLimit =
       static_cast<uint64_t>(Trace.size() + 1000) * 400 + 100000;
 
-  while (FetchIdx < Trace.size() || !Rob.empty() || !FetchQ.empty()) {
+  while (Trace.has(FetchIdx) || !Rob.empty() || !FetchQ.empty()) {
     // Per-cycle stall attribution (sink-only): the oldest waiting
     // instruction's issue blockage and the first dispatch blockage.
     stats::StallReason IssueBlock = stats::StallReason::None;
@@ -467,7 +583,7 @@ SimStats Simulator::runReference(const std::vector<TraceEntry> &Trace) {
     //===------------------------------------------------------------===//
     if (Cycle >= FetchResumeCycle && PendingBranchSeq == 0 &&
         FetchQ.size() < 2 * Config.FetchWidth) {
-      for (unsigned N = 0; N < Config.FetchWidth && FetchIdx < Trace.size();
+      for (unsigned N = 0; N < Config.FetchWidth && Trace.has(FetchIdx);
            ++N) {
         const TraceEntry &TE = Trace[FetchIdx];
         const InstrInfo *Info = InfoOf(TE);
@@ -563,13 +679,13 @@ SimStats Simulator::runReference(const std::vector<TraceEntry> &Trace) {
 // Fast loop (packed SoA + dense ring + cycle skipping)
 //===----------------------------------------------------------------------===//
 
-SimStats Simulator::runFast(const PackedTrace &PT) {
+template <class Source> SimStats Simulator::runFast(Source PT) {
   SimStats Stats;
   Impl &S = *State;
   S.reset(Config);
 
   if (!Config.FpaEnabled)
-    assert(!PT.HasFpa &&
+    assert(!PT.hasFpa() &&
            "partitioned binary on a conventional (non-FPa) machine");
 
   // The in-flight ring. Live sequence numbers are contiguous:
@@ -577,8 +693,7 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
   //   FetchQ  = [DispatchSeq, NextSeq)     (< 3 * FetchWidth entries)
   // so a power-of-two ring larger than both regions together can never
   // alias a live slot; slots are fully re-initialized at fetch.
-  const uint64_t MaxLive =
-      static_cast<uint64_t>(Config.MaxInFlight) + 3ULL * Config.FetchWidth + 2;
+  const uint64_t MaxLive = maxLive(Config);
   uint64_t Capacity = 1;
   while (Capacity < MaxLive)
     Capacity <<= 1;
@@ -590,7 +705,6 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
   unsigned IntPhysFree = Config.IntPhysRegs - regalloc::ArchLayout::FileSize;
   unsigned FpPhysFree = Config.FpPhysRegs - regalloc::ArchLayout::FileSize;
 
-  const size_t End = PT.size();
   size_t FetchIdx = 0;
   uint64_t RetireSeq = 1, DispatchSeq = 1, NextSeq = 1;
   uint64_t Cycle = 0;
@@ -603,9 +717,9 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
   stats::StallReason ResumeKind = stats::StallReason::None;
 
   const uint64_t SafetyLimit =
-      static_cast<uint64_t>(End + 1000) * 400 + 100000;
+      static_cast<uint64_t>(PT.size() + 1000) * 400 + 100000;
 
-  while (FetchIdx < End || RetireSeq != NextSeq) {
+  while (PT.has(FetchIdx) || RetireSeq != NextSeq) {
     stats::StallReason IssueBlock = stats::StallReason::None;
     stats::StallReason DispatchBlock = stats::StallReason::None;
 
@@ -619,7 +733,7 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
         break;
       const PackedOp &Op = *Head.Op;
       if (Op.is(PackedOp::IsStore))
-        S.DCache->access(PT.MemAddr[Head.Idx], /*Write=*/true);
+        S.DCache->access(PT.memAddr(Head.Idx), /*Write=*/true);
       if (Op.is(PackedOp::HasDef)) {
         if (Op.Def & PackedOp::FileBit)
           ++FpPhysFree;
@@ -686,7 +800,7 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
         if (Op.is(PackedOp::IsLoad)) {
           bool Blocked = false;
           bool Forwarded = false;
-          const uint32_t MyLine = PT.MemAddr[E.Idx] / 4;
+          const uint32_t MyLine = PT.memAddr(E.Idx) / 4;
           for (uint64_t OSq = RetireSeq; OSq != Sq; ++OSq) {
             const FastEntry &Older = Flight[OSq & Mask];
             if (!Older.Op->is(PackedOp::IsStore))
@@ -695,7 +809,7 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
               Blocked = true;
               break;
             }
-            if (PT.MemAddr[Older.Idx] / 4 == MyLine)
+            if (PT.memAddr(Older.Idx) / 4 == MyLine)
               Forwarded = true; // Youngest older match wins.
           }
           if (Blocked) {
@@ -706,7 +820,7 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
           if (Forwarded) {
             ++Stats.StoreForwards;
           } else {
-            unsigned Lat = S.DCache->access(PT.MemAddr[E.Idx], false);
+            unsigned Lat = S.DCache->access(PT.memAddr(E.Idx), false);
             ExtraLatency = Lat - Config.DCache.HitLatency;
             if (ExtraLatency)
               ++Stats.DCacheMisses;
@@ -816,7 +930,7 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
     unsigned Fetched = 0;
     if (Cycle >= FetchResumeCycle && PendingBranchSeq == 0 &&
         NextSeq - DispatchSeq < 2 * Config.FetchWidth) {
-      for (unsigned N = 0; N < Config.FetchWidth && FetchIdx < End; ++N) {
+      for (unsigned N = 0; N < Config.FetchWidth && PT.has(FetchIdx); ++N) {
         const PackedOp &Op = PT.op(FetchIdx);
 
         unsigned ILat = S.ICache->access(Op.Pc, false);
@@ -835,7 +949,7 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
         E.Issued = false;
         E.Mispredicted = false;
         E.MissedLoad = false;
-        const bool Taken = PT.Taken[FetchIdx] != 0;
+        const bool Taken = PT.taken(FetchIdx);
         if (Op.is(PackedOp::IsCondBranch)) {
           ++Stats.CondBranches;
           bool Correct = S.Predictor->predictAndUpdate(Op.Pc, Taken);
@@ -931,7 +1045,8 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
 
     Cycle += Advance;
     if (Cycle > SafetyLimit)
-      throw SimulationOverrun(Cycle, SafetyLimit, Stats.Instructions, End);
+      throw SimulationOverrun(Cycle, SafetyLimit, Stats.Instructions,
+                              PT.size());
   }
 
   Stats.Cycles = Cycle;

@@ -55,6 +55,7 @@
 #include "timing/PackedTrace.h"
 #include "vm/VM.h"
 
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -154,6 +155,17 @@ public:
   /// loop, so both overloads honor both paths.
   SimStats run(const PackedTrace &Trace);
 
+  /// Simulates the trace that \p Produce feeds to the sink it is
+  /// given, typically by running a VM with Options::Sink set to it.
+  /// Produce runs on the calling thread and the cycle loop on a worker
+  /// thread that sees the trace through a bounded window, so memory
+  /// stays flat however long the trace is. \p Size is the trace's
+  /// length, known from an earlier run; it sets the overrun limit as
+  /// the in-memory overloads do. The statistics equal those of run()
+  /// on the materialized trace, on either path.
+  SimStats runStreamed(const std::function<void(vm::TraceSink &)> &Produce,
+                       size_t Size);
+
   /// Attaches \p S to receive one CycleEvent per simulated cycle
   /// (stall attribution + issue occupancy). Null detaches. With no
   /// sink attached the main loop pays a single pointer test per cycle
@@ -177,8 +189,10 @@ private:
   stats::EventSink *Sink = nullptr;
   bool UseFast = true;
 
-  SimStats runReference(const std::vector<vm::TraceEntry> &Trace);
-  SimStats runFast(const PackedTrace &Trace);
+  /// The cycle loops, over a trace source: a whole in-memory trace or
+  /// a runStreamed window (see the sources in Simulator.cpp).
+  template <class Source> SimStats runReference(Source Trace);
+  template <class Source> SimStats runFast(Source Trace);
 };
 
 /// Convenience: VM-trace + simulate in one call. The module must be

@@ -288,8 +288,11 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       TE.Pc = pcOf(I);
     }
     auto Record = [&]() {
-      if (Opts.CollectTrace)
+      if (Opts.CollectTrace) {
         Trace.push_back(TE);
+        if (Opts.Sink && Trace.size() == TraceBatch)
+          flushTrace();
+      }
     };
 
     bool BranchTaken = false;
@@ -619,6 +622,8 @@ VM::Result VM::run(const std::vector<int32_t> &MainArgs) {
 
   int32_t Ret = 0;
   bool Ok = exec(*Main, MainArgs, Ret, 0);
+  if (Opts.Sink)
+    flushTrace();
   R.Ok = Ok;
   R.Trap = CurTrap;
   R.Error = Ok ? std::string() : CurTrap.message();
@@ -626,6 +631,12 @@ VM::Result VM::run(const std::vector<int32_t> &MainArgs) {
   R.ExitValue = Ret;
   R.Output = Output;
   return R;
+}
+
+void VM::flushTrace() {
+  if (!Trace.empty())
+    Opts.Sink->consume(Trace.data(), Trace.size());
+  Trace.clear();
 }
 
 VM::Result vm::runModule(const sir::Module &M,

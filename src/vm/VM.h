@@ -15,7 +15,8 @@
 ///     execution profiles the same way).
 ///  3. Trace generator: the dynamic instruction stream (with branch
 ///     outcomes and effective addresses) drives the cycle-level timing
-///     simulator, mirroring the SimpleScalar-derived methodology.
+///     simulator, mirroring the SimpleScalar-derived methodology. The
+///     VM either keeps the trace or hands it to a TraceSink in batches.
 ///
 /// Semantics: 32-bit two's-complement integer arithmetic with wrapping;
 /// division by zero yields 0 (remainder yields the dividend) so that
@@ -53,6 +54,18 @@ struct TraceEntry {
   bool Taken = false;   ///< Outcome for conditional branches.
 };
 
+/// Receives a run's dynamic trace in program order, a batch at a time
+/// (VM::Options::Sink). A consumer that processes entries as they come
+/// handles traces of any length in bounded memory.
+class TraceSink {
+public:
+  TraceSink() = default;
+  TraceSink(const TraceSink &) = delete;
+  TraceSink &operator=(const TraceSink &) = delete;
+  virtual ~TraceSink() = default;
+  virtual void consume(const TraceEntry *Entries, size_t Count) = 0;
+};
+
 /// Per-module execution profile.
 struct Profile {
   std::unordered_map<const sir::BasicBlock *, uint64_t> BlockCounts;
@@ -82,8 +95,16 @@ public:
     /// host stack.
     size_t MaxNativeStackBytes = 4u << 20;
     bool CollectTrace = false;      ///< Record the dynamic trace.
+    /// With CollectTrace: hand the trace to this sink in batches of
+    /// TraceBatch entries as the run goes, instead of keeping it; the
+    /// last partial batch arrives before run() returns, and trace()
+    /// stays empty.
+    TraceSink *Sink = nullptr;
     bool CollectProfile = false;    ///< Record block execution counts.
   };
+
+  /// Entries per TraceSink::consume call (all but the last).
+  static constexpr size_t TraceBatch = 4096;
 
   struct Result {
     bool Ok = false;
@@ -172,6 +193,9 @@ private:
   /// Records the typed trap that stops the current run (first trap
   /// wins) and returns false so trap sites can `return trap(...)`.
   bool trap(TrapKind Kind, std::string Detail);
+
+  /// Hands the buffered trace entries to Opts.Sink.
+  void flushTrace();
 
   // Run state.
   uint64_t Steps = 0;

@@ -171,6 +171,41 @@ TEST(OracleTest, CatchesInjectedMiscompile) {
       << "oracle accepted a module whose compiled add was flipped to sub";
 }
 
+TEST(OracleTest, StreamsLongTracesThroughTheTimingCheck) {
+  // 120k dynamic instructions: more than the oracle keeps in memory, so
+  // both cycle loops get the trace replayed through a bounded window
+  // and must still retire exactly the counted instructions.
+  sir::ParseResult PR = sir::parseModule(R"(
+global buf 1
+
+func main() {
+entry:
+  li %i, 0
+  li %n, 30000
+  li %s, 0
+  la %p, buf
+loop:
+  add %s, %s, %i
+  addi %i, %i, 1
+  slt %t, %i, %n
+  bne %t, %zero, loop
+  sw %s, 0(%p)
+  out %s
+  ret
+}
+)");
+  ASSERT_TRUE(PR.ok()) << PR.Error;
+  testgen::OracleReport Report = testgen::runOracle(*PR.M);
+  EXPECT_EQ(Report.BaselineDynInstrs, 120007u);
+  EXPECT_TRUE(Report.ok());
+  for (const std::string &Msg : Report.Mismatches)
+    ADD_FAILURE() << Msg;
+
+  testgen::OracleOptions Buggy = fastOracle();
+  Buggy.CompiledMutator = flipFirstAdd;
+  EXPECT_FALSE(testgen::runOracle(*PR.M, Buggy).Mismatches.empty());
+}
+
 TEST(ReducerTest, ShrinksInjectedMiscompileToSmallRepro) {
   // The acceptance gate: a deliberate compiled-side bug must reduce to a
   // repro of at most 20 instructions.

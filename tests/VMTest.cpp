@@ -387,6 +387,59 @@ loop:
   EXPECT_EQ(Machine.trace()[1].Pc, Machine.trace()[0].Pc + 4);
 }
 
+/// Collects what a TraceSink is handed.
+struct CollectingSink final : TraceSink {
+  std::vector<TraceEntry> Entries;
+  std::vector<size_t> Batches;
+  void consume(const TraceEntry *E, size_t Count) override {
+    Entries.insert(Entries.end(), E, E + Count);
+    Batches.push_back(Count);
+  }
+};
+
+TEST(VM, TraceSinkGetsTheWholeTraceInBatches) {
+  // Stops on the step budget, so the last partial batch must also be
+  // handed over when a run ends in a trap.
+  auto M = parseOrDie(R"(
+global g 1
+func main() {
+entry:
+  li %i, 0
+  la %p, g
+spin:
+  addi %i, %i, 1
+  sw %i, 0(%p)
+  slti %t, %i, 100000
+  bne %t, %zero, spin
+  ret
+}
+)");
+  VM::Options Opts;
+  Opts.CollectTrace = true;
+  Opts.MaxSteps = 10000;
+  VM Kept(*M, Opts);
+  VM::Result KeptR = Kept.run();
+  CollectingSink Sink;
+  Opts.Sink = &Sink;
+  VM Streamed(*M, Opts);
+  VM::Result StreamedR = Streamed.run();
+
+  EXPECT_EQ(KeptR.Trap.Kind, TrapKind::FuelExhausted);
+  EXPECT_EQ(StreamedR.Trap.Kind, TrapKind::FuelExhausted);
+  EXPECT_TRUE(Streamed.trace().empty());
+  ASSERT_EQ(Sink.Entries.size(), Kept.trace().size());
+  for (size_t I = 0; I < Sink.Entries.size(); ++I) {
+    const TraceEntry &A = Kept.trace()[I], &B = Sink.Entries[I];
+    ASSERT_TRUE(A.I == B.I && A.Pc == B.Pc && A.MemAddr == B.MemAddr &&
+                A.Taken == B.Taken)
+        << "entry " << I;
+  }
+  ASSERT_EQ(Sink.Batches.size(), 3u); // 4096 + 4096 + the rest.
+  EXPECT_EQ(Sink.Batches[0], VM::TraceBatch);
+  EXPECT_EQ(Sink.Batches[1], VM::TraceBatch);
+  EXPECT_EQ(Sink.Batches[2], Kept.trace().size() - 2 * VM::TraceBatch);
+}
+
 TEST(VM, InfiniteLoopHitsBudget) {
   auto M = parseOrDie(R"(
 func main() {
