@@ -6,9 +6,11 @@
 //    entries, kept deliberately simple; it is the differential oracle
 //    for the fast path (FPINT_SIM_FAST=0, fpint-fuzz cross-check).
 //  * runFast -- the packed fast path: pre-decoded PackedOp records,
-//    one dense seq-indexed ring holding every in-flight instruction
-//    (wakeup scoreboard included), incremental window occupancy
-//    counters, and event-driven idle-cycle skipping.
+//    one dense seq-indexed ring holding every in-flight instruction,
+//    event-driven issue (per-operand consumer lists in the ring, age-
+//    ordered waiting/ready bitsets, an in-flight store FIFO),
+//    incremental window occupancy counters, and event-driven
+//    idle-cycle skipping.
 //
 // Both loops read the trace through a source (an in-memory trace, or a
 // runStreamed window fed by another thread), so each loop has one body
@@ -85,14 +87,30 @@ struct RobEntry {
 
 /// One slot of the fast path's in-flight ring. A slot is (re)initialized
 /// at fetch and is live while its sequence number is in
-/// [RetireSeq, NextSeq); the DoneCycle field doubles as the wakeup
-/// scoreboard the reference loop keeps in the DoneAt map.
+/// [RetireSeq, NextSeq). Issue is event-driven rather than polled: at
+/// rename an entry links one of its operand slots into the consumer
+/// list of each source producer that has not issued yet (Pending counts
+/// those links), and a producer walks its list when it issues, raising
+/// each consumer's ReadyCycle to its own DoneCycle. An entry's operands
+/// are therefore ready exactly when Pending == 0 && ReadyCycle <= Cycle,
+/// the condition the reference loop re-derives every cycle from its
+/// DoneAt map. ProducerSeq and MissedLoad serve only the sink's stall
+/// attribution.
 struct FastEntry {
+  /// A consumer-list link: (ring slot << 2) | operand slot. A linked
+  /// consumer stays live while its producer is un-issued (it is younger
+  /// and retirement is in order), so its slot cannot be recycled.
+  static constexpr uint32_t NoLink = ~0u;
+
   const PackedOp *Op = nullptr;
   uint32_t Idx = 0; ///< Dynamic-instruction index (MemAddr/Taken arrays).
   uint64_t FetchCycle = 0;
   uint64_t DoneCycle = NeverCycle;
+  uint64_t ReadyCycle = 0; ///< Max DoneCycle of the issued producers.
   uint64_t ProducerSeq[4] = {0, 0, 0, 0};
+  uint32_t Consumers = NoLink; ///< Head of this producer's consumer list.
+  uint32_t NextConsumer[4] = {NoLink, NoLink, NoLink, NoLink}; ///< Per use.
+  uint8_t Pending = 0; ///< Producers not yet issued (links to this entry).
   bool Issued = false;
   bool Mispredicted = false;
   bool MissedLoad = false; ///< Sink-only: issued load that missed.
@@ -676,7 +694,7 @@ template <class Source> SimStats Simulator::runReference(Source Trace) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fast loop (packed SoA + dense ring + cycle skipping)
+// Fast loop (packed SoA + dense ring + event-driven issue + cycle skipping)
 //===----------------------------------------------------------------------===//
 
 template <class Source> SimStats Simulator::runFast(Source PT) {
@@ -698,7 +716,55 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
   while (Capacity < MaxLive)
     Capacity <<= 1;
   const uint64_t Mask = Capacity - 1;
+  assert(Capacity <= (1ULL << 30) && "slot << 2 must fit a consumer link");
   std::vector<FastEntry> Flight(Capacity);
+
+  // Issue candidates, as bitsets over ring slots: Waiting holds the
+  // dispatched, un-issued entries; Ready those of them whose producers
+  // have all issued (Pending == 0). Without a sink the issue stage
+  // visits only Ready; with one it visits Waiting, because stall
+  // attribution names the oldest blocked entry, ready or not.
+  const size_t Words = (Capacity + 63) / 64;
+  std::vector<uint64_t> Waiting(Words, 0), Ready(Words, 0);
+  auto SetBit = [](std::vector<uint64_t> &Set, uint64_t Slot) {
+    Set[Slot >> 6] |= 1ULL << (Slot & 63);
+  };
+  auto ClearBit = [](std::vector<uint64_t> &Set, uint64_t Slot) {
+    Set[Slot >> 6] &= ~(1ULL << (Slot & 63));
+  };
+  // Calls Visit(Seq, Entry) for each slot set in \p Set in age order:
+  // from the ROB head's slot upward, wrapping around the ring, until
+  // Visit returns false. Each word is read once, so bits set during
+  // the walk may be missed; only wakeups set bits mid-walk, and a
+  // woken consumer cannot issue before its producer's DoneCycle, which
+  // is at least a cycle away.
+  auto WalkInAgeOrder = [&](const std::vector<uint64_t> &Set,
+                            uint64_t HeadSeq, auto &&Visit) {
+    const uint64_t Head = HeadSeq & Mask;
+    const size_t HeadWord = Head >> 6;
+    const uint64_t FromHead = ~0ULL << (Head & 63);
+    for (size_t K = 0; K <= Words; ++K) {
+      size_t W = HeadWord + K;
+      if (W >= Words)
+        W -= Words;
+      uint64_t Bits = Set[W];
+      if (K == 0)
+        Bits &= FromHead;
+      else if (K == Words)
+        Bits &= ~FromHead;
+      while (Bits) {
+        const uint64_t Slot = W * 64 + __builtin_ctzll(Bits);
+        Bits &= Bits - 1;
+        if (!Visit(HeadSeq + ((Slot - Head) & Mask), Flight[Slot]))
+          return;
+      }
+    }
+  };
+
+  // In-flight stores in program order (pushed at dispatch, popped at
+  // retire), so a load scans only the stores older than itself.
+  std::vector<uint64_t> StoreQ(Capacity);
+  uint64_t StoreHead = 0, StoreTail = 0;
 
   uint64_t RenameTable[2][regalloc::ArchLayout::FileSize] = {};
   unsigned IntWindowUsed = 0, FpWindowUsed = 0;
@@ -732,8 +798,11 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
       if (!Head.Issued || Head.DoneCycle > Cycle)
         break;
       const PackedOp &Op = *Head.Op;
-      if (Op.is(PackedOp::IsStore))
+      if (Op.is(PackedOp::IsStore)) {
         S.DCache->access(PT.memAddr(Head.Idx), /*Write=*/true);
+        assert(StoreQ[StoreHead & Mask] == RetireSeq && "store FIFO order");
+        ++StoreHead;
+      }
       if (Op.is(PackedOp::HasDef)) {
         if (Op.Def & PackedOp::FileBit)
           ++FpPhysFree;
@@ -757,54 +826,54 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
     // StoreForwards / D-cache traffic. These spans are short: they
     // end at a unit-free wakeup, at most an unpipelined divide away.
     bool LoadEvalNoIssue = false;
-    const uint64_t OldestSeq =
-        RetireSeq == DispatchSeq ? NextSeq : RetireSeq;
-    for (uint64_t Sq = RetireSeq; Sq != DispatchSeq; ++Sq) {
-      FastEntry &E = Flight[Sq & Mask];
-      if (E.Issued)
-        continue;
+    // One candidate, with the reference loop's per-entry order of checks
+    // and side effects: subsystem cap, operands, port, store scan and
+    // D-cache probe, free unit. Returns false once both subsystems are
+    // at their cap, after which every younger entry would be skipped.
+    auto TryIssue = [&](uint64_t Sq, FastEntry &E) -> bool {
       const PackedOp &Op = *E.Op;
       const bool Fp = Op.is(PackedOp::FpSubsystem);
       auto &Units = Fp ? FpUnitFree : IntUnitFree;
       unsigned &IssuedNow = Fp ? FpIssuedNow : IntIssuedNow;
       if (IssuedNow >= Units.size())
-        continue;
+        return true;
 
-      // Blocking producer: producers older than the ROB head have
-      // committed; otherwise the producer's ring slot holds its
-      // issue/done state (the dense scoreboard).
-      uint64_t Blocking = 0;
-      for (unsigned U = 0; U < Op.NumUses; ++U) {
-        uint64_t P = E.ProducerSeq[U];
-        if (P == 0 || P < OldestSeq)
-          continue;
-        const FastEntry &Prod = Flight[P & Mask];
-        if (!Prod.Issued || Prod.DoneCycle > Cycle) {
-          Blocking = P;
-          break;
-        }
-      }
-      if (Blocking) {
-        if (Sink && IssueBlock == stats::StallReason::None)
+      if (E.Pending || E.ReadyCycle > Cycle) {
+        if (Sink && IssueBlock == stats::StallReason::None) {
+          // Attribute the wait to the first unready producer, as the
+          // reference loop does. Producers older than the ROB head have
+          // committed; the others' ring slots hold their issue state.
+          uint64_t Blocking = 0;
+          for (unsigned U = 0; U < Op.NumUses && !Blocking; ++U) {
+            uint64_t P = E.ProducerSeq[U];
+            if (P == 0 || P < RetireSeq)
+              continue;
+            const FastEntry &Prod = Flight[P & Mask];
+            if (!Prod.Issued || Prod.DoneCycle > Cycle)
+              Blocking = P;
+          }
+          assert(Blocking && "unready entry without a blocking producer");
           IssueBlock = Flight[Blocking & Mask].MissedLoad
                            ? stats::StallReason::DCacheMissWait
                            : stats::StallReason::OperandWait;
-        continue;
+        }
+        return true;
       }
 
       // Memory constraints (INT subsystem only).
       unsigned ExtraLatency = 0;
       if (Op.is(PackedOp::IsLoad) || Op.is(PackedOp::IsStore)) {
         if (PortsUsed >= Config.LoadStorePorts)
-          continue;
+          return true;
         if (Op.is(PackedOp::IsLoad)) {
           bool Blocked = false;
           bool Forwarded = false;
           const uint32_t MyLine = PT.memAddr(E.Idx) / 4;
-          for (uint64_t OSq = RetireSeq; OSq != Sq; ++OSq) {
+          for (uint64_t I = StoreHead; I != StoreTail; ++I) {
+            const uint64_t OSq = StoreQ[I & Mask];
+            if (OSq >= Sq)
+              break;
             const FastEntry &Older = Flight[OSq & Mask];
-            if (!Older.Op->is(PackedOp::IsStore))
-              continue;
             if (!Older.Issued) {
               Blocked = true;
               break;
@@ -815,7 +884,7 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
           if (Blocked) {
             if (Sink && IssueBlock == stats::StallReason::None)
               IssueBlock = stats::StallReason::LoadBlockedStoreAddr;
-            continue;
+            return true;
           }
           if (Forwarded) {
             ++Stats.StoreForwards;
@@ -840,7 +909,7 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
           LoadEvalNoIssue = true;
         if (Sink && IssueBlock == stats::StallReason::None)
           IssueBlock = stats::StallReason::UnitBusy;
-        continue;
+        return true;
       }
 
       // Issue.
@@ -848,6 +917,19 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
       E.DoneCycle = Cycle + Op.Latency + ExtraLatency;
       Units[Unit] = Op.is(PackedOp::Unpipelined) ? E.DoneCycle : Cycle + 1;
       ++IssuedNow;
+      const uint64_t Slot = Sq & Mask;
+      ClearBit(Waiting, Slot);
+      ClearBit(Ready, Slot);
+      // Wake the consumers. One producer feeding two operand slots of a
+      // consumer is linked, and counted in Pending, once per slot.
+      for (uint32_t L = E.Consumers; L != FastEntry::NoLink;) {
+        const uint32_t CSlot = L >> 2;
+        FastEntry &C = Flight[CSlot];
+        L = C.NextConsumer[L & 3];
+        C.ReadyCycle = std::max(C.ReadyCycle, E.DoneCycle);
+        if (--C.Pending == 0)
+          SetBit(Ready, CSlot);
+      }
       if (Sink && Op.is(PackedOp::IsLoad) && ExtraLatency)
         E.MissedLoad = true;
       if (Op.is(PackedOp::IsLoad) || Op.is(PackedOp::IsStore))
@@ -860,7 +942,10 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
         if (PendingBranchSeq == Sq)
           PendingBranchSeq = 0;
       }
-    }
+      return IntIssuedNow < IntUnitFree.size() ||
+             FpIssuedNow < FpUnitFree.size();
+    };
+    WalkInAgeOrder(Sink ? Waiting : Ready, RetireSeq, TryIssue);
     Stats.IntIssued += IntIssuedNow;
     Stats.FpIssued += FpIssuedNow;
     if (FpIssuedNow > 0) {
@@ -903,14 +988,34 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
         --Free;
       }
 
-      // Rename: record operand producers, claim the destination.
-      for (unsigned U = 0; U < Op.NumUses; ++U)
-        E.ProducerSeq[U] =
+      // Rename: record operand producers, claim the destination. A
+      // retired producer is ready; an issued one bounds ReadyCycle; an
+      // un-issued one gets this operand slot on its consumer list.
+      const uint64_t Slot = DispatchSeq & Mask;
+      for (unsigned U = 0; U < Op.NumUses; ++U) {
+        const uint64_t P =
             RenameTable[(Op.Uses[U] & PackedOp::FileBit) ? 1 : 0]
                        [Op.Uses[U] & PackedOp::ArchMask];
+        E.ProducerSeq[U] = P;
+        if (P == 0 || P < RetireSeq)
+          continue;
+        FastEntry &Prod = Flight[P & Mask];
+        if (Prod.Issued) {
+          E.ReadyCycle = std::max(E.ReadyCycle, Prod.DoneCycle);
+        } else {
+          E.NextConsumer[U] = Prod.Consumers;
+          Prod.Consumers = static_cast<uint32_t>(Slot << 2 | U);
+          ++E.Pending;
+        }
+      }
       if (Op.is(PackedOp::HasDef))
         RenameTable[(Op.Def & PackedOp::FileBit) ? 1 : 0]
                    [Op.Def & PackedOp::ArchMask] = DispatchSeq;
+      SetBit(Waiting, Slot);
+      if (E.Pending == 0)
+        SetBit(Ready, Slot);
+      if (Op.is(PackedOp::IsStore))
+        StoreQ[StoreTail++ & Mask] = DispatchSeq;
 
       ++Window;
       ++DispatchSeq;
@@ -946,6 +1051,9 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
         E.Idx = static_cast<uint32_t>(FetchIdx);
         E.FetchCycle = Cycle;
         E.DoneCycle = NeverCycle;
+        E.ReadyCycle = 0;
+        E.Consumers = FastEntry::NoLink;
+        E.Pending = 0;
         E.Issued = false;
         E.Mispredicted = false;
         E.MissedLoad = false;

@@ -35,8 +35,10 @@
 ///    iteration races the two);
 ///  * the *fast loop* (default) -- runs over a pre-decoded
 ///    timing::PackedTrace, keeps all in-flight state in one dense
-///    seq-indexed ring (the wakeup scoreboard included), and jumps the
-///    cycle counter over provably idle spans instead of ticking through
+///    seq-indexed ring, issues event-driven (producers wake their
+///    consumers when they issue, and the issue stage visits only
+///    entries whose producers have all issued), and jumps the cycle
+///    counter over provably idle spans instead of ticking through
 ///    them. It is cycle-exact: SimStats and, with a sink attached, the
 ///    full stall-attribution telemetry are bit-identical to the
 ///    reference loop.

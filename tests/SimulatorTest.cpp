@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "campaign/Explore.h"
 #include "core/Pipeline.h"
 #include "sir/Parser.h"
 #include "timing/MachineConfig.h"
@@ -157,6 +158,94 @@ TEST(FastPath, TelemetryIdenticalWithCycleSkipping) {
       EXPECT_TRUE(Fast.partitionHolds()) << Label;
       EXPECT_EQ(Fast.Cycles, FS.Cycles) << Label;
       expectBreakdownsEqual(Ref, Fast, Label);
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// (b2) The fast loop's event-driven issue structures -- per-operand
+// consumer lists, the ready/waiting bitsets, the in-flight store FIFO --
+// under shapes that stress each of them, on every swept machine.
+//===----------------------------------------------------------------------===//
+
+/// Each iteration: two back-to-back divides that hold the INT units
+/// while an independent load is ready (a load that evaluates memory
+/// but finds no free unit); a store whose address waits on a third
+/// divide, with a load of the same word (forwarded) and one of another
+/// word queued behind it; instructions reading one register in two
+/// operand slots; and a second store/load pair to a fixed word. The
+/// multiplies ahead of each store keep it in flight after it issues,
+/// so the loads behind it find it in the store queue.
+const char *StressShapes = R"(
+global buf 64
+global other 16 = 5 6 7 8
+
+func main() {
+entry:
+  li %i, 0
+  li %v, 7
+  li %d, 3
+  la %b, buf
+  la %o, other
+loop:
+  div %q1, %v, %d
+  div %q2, %v, %d
+  lw %z, 12(%o)
+  div %q3, %q1, %d
+  mul %slow, %q3, %q3
+  andi %off, %q3, 60
+  add %ea, %b, %off
+  sw %v, 0(%ea)
+  lw %w, 0(%ea)
+  lw %x, 4(%o)
+  add %s, %w, %w
+  mul %m, %x, %x
+  add %v2, %s, %m
+  add %v2, %v2, %q2
+  add %v2, %v2, %z
+  mul %slow2, %v2, %slow
+  sw %v2, 8(%o)
+  lw %y, 8(%o)
+  xor %v, %slow2, %y
+  andi %v, %v, 1023
+  addi %v, %v, 5
+  addi %i, %i, 1
+  slti %t, %i, 60
+  bne %t, %zero, loop
+  out %v
+  ret
+}
+)";
+
+TEST(FastPath, MatchesReferenceOnStressShapes) {
+  std::vector<campaign::MachinePoint> Machines = {
+      {"4-way", MachineConfig::fourWay()},
+      {"8-way", MachineConfig::eightWay()}};
+  for (const campaign::MachinePoint &P : campaign::exploreGrid("full"))
+    Machines.push_back(P);
+  MachineConfig Narrow = MachineConfig::fourWay();
+  Narrow.IntUnits = 1;
+  Narrow.LoadStorePorts = 1;
+  Narrow.MaxInFlight = 8;
+  Narrow.FetchBreaksOnTaken = true;
+  Machines.push_back({"narrow", Narrow});
+
+  for (partition::Scheme S :
+       {partition::Scheme::None, partition::Scheme::Advanced}) {
+    PipelineRun Run = compileSrc(StressShapes, S);
+    for (const campaign::MachinePoint &P : Machines) {
+      const MachineConfig &M = P.M;
+      std::string Label = std::string(partition::schemeName(S)) + "/" + P.Label;
+      SimStats Ref = runPath(Run, M, /*Fast=*/false);
+      expectStatsEqual(Ref, runPath(Run, M, /*Fast=*/true), Label);
+      EXPECT_GT(Ref.StoreForwards, 0u) << Label;
+
+      stats::StallBreakdown RefB, FastB;
+      SimStats RefS = runPath(Run, M, /*Fast=*/false, &RefB);
+      SimStats FastS = runPath(Run, M, /*Fast=*/true, &FastB);
+      expectStatsEqual(Ref, RefS, Label + "/sink");
+      expectStatsEqual(RefS, FastS, Label + "/sink");
+      expectBreakdownsEqual(RefB, FastB, Label + "/sink");
     }
   }
 }
