@@ -17,8 +17,9 @@
 ///    support::ThreadPool and append the resulting Table rows in
 ///    deterministic item order, so the emitted tables are
 ///    byte-identical to a serial evaluation.
-///  * ScopedBenchReport: per-binary wall-clock / cache footer on
-///    stderr (stdout stays reserved for the reproduced tables).
+///  * ScopedBenchReport: per-binary wall-clock / cache / peak-RSS
+///    footer on stderr (stdout stays reserved for the reproduced
+///    tables).
 ///
 /// Threading contract: each matrix item is evaluated by exactly one
 /// pool task, so a row function may freely use its own item (including
@@ -64,6 +65,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 namespace fpint {
 namespace bench {
@@ -397,14 +400,18 @@ public:
                       steady_clock::now() - Start)
                       .count();
     core::RunCache::Stats S = core::RunCache::global().stats();
+    struct rusage Usage;
+    getrusage(RUSAGE_SELF, &Usage);
     std::fprintf(stderr,
                  "[bench] %s: wall %.2fs, jobs %u, compiles %llu "
-                 "(%llu cached), sims %llu (%llu cached)\n",
+                 "(%llu cached), sims %llu (%llu cached), peak RSS "
+                 "%.1f MiB\n",
                  Name, Secs, support::ThreadPool::global().threadCount(),
                  static_cast<unsigned long long>(S.CompileMisses),
                  static_cast<unsigned long long>(S.CompileHits),
                  static_cast<unsigned long long>(S.SimMisses),
-                 static_cast<unsigned long long>(S.SimHits));
+                 static_cast<unsigned long long>(S.SimHits),
+                 static_cast<double>(Usage.ru_maxrss) / 1024.0);
 
     {
       HarnessState &H = HarnessState::global();

@@ -96,12 +96,14 @@ PipelineRun core::compileAndMeasure(const sir::Module &Original,
   return Run;
 }
 
-const std::vector<vm::TraceEntry> &PipelineRun::refTrace() const {
+const timing::PackedTrace &PipelineRun::packedTrace() const {
   assert(ok() && "tracing a failed pipeline run");
   assert(Trace && "run was not produced by compileAndMeasure");
   std::call_once(Trace->Once, [this] {
+    timing::PackedTraceBuilder Builder(Alloc, RefResult.Steps);
     vm::VM::Options Opts;
     Opts.CollectTrace = true;
+    Opts.Sink = &Builder;
     vm::VM Machine(*Compiled, Opts);
     auto R = Machine.run(Config.RefArgs);
     // ok() already proved this module/input pair executes cleanly --
@@ -110,19 +112,10 @@ const std::vector<vm::TraceEntry> &PipelineRun::refTrace() const {
     assert((R.Ok || R.Trap.Kind == RefResult.Trap.Kind) &&
            "trace generation failed");
     (void)R;
-    Trace->Entries = Machine.takeTrace();
+    Trace->Packed = Builder.take();
     Trace->Captures = 1;
   });
-  return Trace->Entries;
-}
-
-const timing::PackedTrace &PipelineRun::packedTrace() const {
-  assert(Trace && "run was not produced by compileAndMeasure");
-  std::call_once(Trace->PackedOnce, [this] {
-    Trace->Packed = std::make_shared<const timing::PackedTrace>(
-        timing::PackedTrace::build(refTrace(), Alloc));
-  });
-  return *Trace->Packed;
+  return Trace->Packed;
 }
 
 timing::SimStats core::simulate(const PipelineRun &Run,
@@ -135,12 +128,18 @@ timing::SimStats core::simulate(const PipelineRun &Run,
         Run.Config.Passes + "' has no register-allocation pass");
   // Replay the cached ref-input trace: the dynamic instruction stream
   // depends only on the compiled module and ref args, never on the
-  // machine configuration, so one capture -- and one packed decode --
-  // serves every machine.
+  // machine configuration, so one packed capture serves every machine.
+  // The reference loop instead reads a fresh run's own entries, which
+  // keeps it independent of the packer.
   timing::Simulator Sim(Machine, Run.Alloc);
   auto RunOnce = [&]() -> timing::SimStats {
-    return Sim.fastPath() ? Sim.run(Run.packedTrace())
-                          : Sim.run(Run.refTrace());
+    if (Sim.fastPath())
+      return Sim.run(Run.packedTrace());
+    vm::VM::Options Opts;
+    Opts.CollectTrace = true;
+    vm::VM Tracer(*Run.Compiled, Opts);
+    Tracer.run(Run.Config.RefArgs);
+    return Sim.run(Tracer.trace());
   };
   if (!stats::telemetryEnabled())
     return RunOnce();

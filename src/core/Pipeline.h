@@ -71,24 +71,19 @@ struct PassStat {
 };
 
 /// Lazily captured dynamic trace of a compiled module on the ref
-/// input. The trace is a pure function of (compiled module, ref args)
-/// -- it does not depend on any timing::MachineConfig -- so one
-/// capture can be replayed against any number of machine
-/// configurations. Thread-safe: concurrent first requests race only
-/// on the call_once.
+/// input, packed (timing::PackedTrace) by the VM run that produces it;
+/// no entry vector is kept. The trace is a pure function of (compiled
+/// module, ref args) -- it does not depend on any
+/// timing::MachineConfig -- so one capture can be replayed against any
+/// number of machine configurations. Thread-safe: concurrent first
+/// requests race only on the call_once.
 struct TraceHandle {
   std::once_flag Once;
-  std::vector<vm::TraceEntry> Entries;
+  timing::PackedTrace Packed;
 
   /// Number of VM executions performed to fill this handle (0 until
-  /// the first refTrace() call, 1 after; never more).
+  /// the first packedTrace() call, 1 after; never more).
   unsigned Captures = 0;
-
-  /// Packed SoA decode of Entries for the simulator fast path, built
-  /// at most once per module (like the entries themselves) and shared
-  /// by every machine sweep. Same thread-safety story as Once.
-  std::once_flag PackedOnce;
-  std::shared_ptr<const timing::PackedTrace> Packed;
 };
 
 /// A compiled (partitioned + allocated) program with its measurements.
@@ -114,20 +109,22 @@ struct PipelineRun {
   std::vector<PassStat> PassStats;
 
   /// Cached ref-input trace (set by compileAndMeasure; shared so that
-  /// moving the run keeps the handle stable). TraceEntry values point
-  /// into *Compiled, so the trace is valid only while this run lives.
+  /// moving the run keeps the handle stable). PackedOp::I points into
+  /// *Compiled, so the trace is valid only while this run lives.
   std::shared_ptr<TraceHandle> Trace;
 
   bool ok() const { return Errors.empty() && OutputsMatchOriginal; }
 
-  /// The ref-input dynamic trace, captured on first use and replayed
-  /// thereafter. Requires ok() and register-allocated code.
-  const std::vector<vm::TraceEntry> &refTrace() const;
-
-  /// The packed SoA decode of refTrace() (machine-independent, like
-  /// the trace itself), built on first use and reused across every
-  /// MachineConfig. Requires ok() and register-allocated code.
+  /// The ref-input dynamic trace (machine-independent), packed while
+  /// one VM run produces it on first use and reused across every
+  /// MachineConfig. A trapping run's trace is the prefix up to the
+  /// trap. Requires ok() and register-allocated code.
   const timing::PackedTrace &packedTrace() const;
+
+  /// Alias of packedTrace(), kept for callers that only need the trace
+  /// length. It never rebuilds an entry vector; packedTrace().entries()
+  /// does, for callers that need entries.
+  const timing::PackedTrace &refTrace() const { return packedTrace(); }
 };
 
 /// Compiles \p Original per \p Config and measures it functionally.
@@ -135,9 +132,12 @@ struct PipelineRun {
 PipelineRun compileAndMeasure(const sir::Module &Original,
                               PipelineConfig Config);
 
-/// Traces the compiled program on the ref input and simulates it on
-/// \p Machine. Throws std::invalid_argument when \p Run was compiled
-/// without a register-allocation pass. When stats::telemetryEnabled(),
+/// Simulates the compiled program's ref-input trace on \p Machine: the
+/// cached packedTrace() on the fast path; with the fast path off
+/// (FPINT_SIM_FAST=0) the reference loop reads the entries of a fresh
+/// VM run instead, so a reference-vs-fast comparison also checks the
+/// packer against the VM's own stream. Throws std::invalid_argument
+/// when \p Run was compiled without a register-allocation pass. When stats::telemetryEnabled(),
 /// a StallBreakdown sink is attached for the run and returned via
 /// SimStats::Telemetry.
 timing::SimStats simulate(const PipelineRun &Run,

@@ -17,9 +17,9 @@
 ///    per process; all callers share one immutable PipelineRun.
 ///  * simulate(): memoizes core::simulate keyed by (run identity,
 ///    MachineConfig::canonicalKey()). Together with the run's cached
-///    ref-input trace (PipelineRun::refTrace), the functional VM
-///    executes at most once per compiled module no matter how many
-///    machines it is simulated on.
+///    packed ref-input trace (PipelineRun::packedTrace), the trace run
+///    of the functional VM happens at most once per compiled module no
+///    matter how many machines it is simulated on.
 ///
 /// Thread-safety: both layers are safe to call from thread-pool
 /// workers. A second request for an in-flight key blocks on the

@@ -5,7 +5,6 @@
 #include "sir/Opcode.h"
 
 #include <cassert>
-#include <unordered_map>
 
 using namespace fpint;
 using namespace fpint::timing;
@@ -67,30 +66,44 @@ PackedOp timing::decodeOp(const vm::TraceEntry &TE,
 
 PackedTrace PackedTrace::build(const std::vector<vm::TraceEntry> &Trace,
                                const regalloc::ModuleAlloc &Alloc) {
-  PackedTrace PT;
-  PT.OpIdx.reserve(Trace.size());
-  PT.MemAddr.reserve(Trace.size());
-  PT.Taken.reserve(Trace.size());
+  PackedTraceBuilder Builder(Alloc, Trace.size());
+  Builder.consume(Trace.data(), Trace.size());
+  return Builder.take();
+}
 
-  std::unordered_map<const Instruction *, uint32_t> Index;
-  Index.reserve(1024);
+PackedTraceBuilder::PackedTraceBuilder(const regalloc::ModuleAlloc &Alloc,
+                                       size_t ExpectedSize)
+    : Alloc(Alloc) {
+  PT.OpIdx.reserve(ExpectedSize);
+  PT.MemAddr.reserve(ExpectedSize);
+  PT.Taken.reserve(ExpectedSize);
+}
 
-  for (const vm::TraceEntry &TE : Trace) {
-    auto It = Index.find(TE.I);
-    uint32_t Idx;
-    if (It != Index.end()) {
-      Idx = It->second;
-    } else {
+void PackedTraceBuilder::consume(const vm::TraceEntry *Entries,
+                                 size_t Count) {
+  for (size_t K = 0; K < Count; ++K) {
+    const vm::TraceEntry &TE = Entries[K];
+    const uint32_t Slot = vm::VM::codeSlot(TE.Pc);
+    if (Slot >= OpOfSlot.size())
+      OpOfSlot.resize(Slot + 1, Unseen);
+    uint32_t &Idx = OpOfSlot[Slot];
+    if (Idx == Unseen) {
       PackedOp Op = decodeOp(TE, Alloc);
       if (Op.is(PackedOp::InFpa))
         PT.HasFpa = true;
       Idx = static_cast<uint32_t>(PT.Ops.size());
       PT.Ops.push_back(Op);
-      Index.emplace(TE.I, Idx);
     }
+    assert(PT.Ops[Idx].I == TE.I && "two instructions share a code slot");
     PT.OpIdx.push_back(Idx);
     PT.MemAddr.push_back(TE.MemAddr);
     PT.Taken.push_back(TE.Taken ? 1 : 0);
   }
-  return PT;
+}
+
+PackedTrace PackedTraceBuilder::take() {
+  PackedTrace Out = std::move(PT);
+  PT = PackedTrace();
+  OpOfSlot.clear();
+  return Out;
 }

@@ -23,11 +23,17 @@
 ///    of its PackedOp, its effective memory address, and its
 ///    branch-taken bit.
 ///
-/// Like the entry vector it is derived from, a PackedTrace is a pure
-/// function of (compiled module, ref input) -- it is independent of any
-/// timing::MachineConfig, so one build serves every machine sweep. It
-/// is cached on core::TraceHandle beside the entries (built at most
-/// once per module) and borrowed by every simulation.
+/// A PackedTraceBuilder packs the trace while the VM runs (it is the
+/// run's vm::TraceSink), so the 24-byte entries are never held: the
+/// packed form costs 9 bytes per dynamic instruction. Static
+/// instructions are keyed by their dense code slot (vm::VM::codeSlot),
+/// so packing an entry is one array lookup.
+///
+/// A PackedTrace is a pure function of (compiled module, ref input) --
+/// it is independent of any timing::MachineConfig, so one build serves
+/// every machine sweep. It is the only trace core::TraceHandle keeps
+/// (built at most once per module) and is borrowed by every
+/// simulation.
 ///
 /// The encoding is lossless: entry(i) reconstructs the exact
 /// vm::TraceEntry the packer consumed (asserted field-for-field by
@@ -123,11 +129,33 @@ struct PackedTrace {
   /// round-trip tests).
   std::vector<vm::TraceEntry> entries() const;
 
-  /// Decodes \p Trace once against \p Alloc's architectural register
-  /// map. The trace must come from a register-allocated module (every
-  /// operand of every traced instruction has an ArchIndex mapping).
+  /// Packs \p Trace with a PackedTraceBuilder against \p Alloc.
   static PackedTrace build(const std::vector<vm::TraceEntry> &Trace,
                            const regalloc::ModuleAlloc &Alloc);
+};
+
+/// Packs a VM trace as it arrives (see the file comment). The trace
+/// must come from a register-allocated module (every operand of every
+/// traced instruction has an ArchIndex mapping in \p Alloc).
+class PackedTraceBuilder final : public vm::TraceSink {
+public:
+  /// \p ExpectedSize: the trace length when known (a previous run's
+  /// VM::Result::Steps). The per-dynamic arrays are reserved to it, so
+  /// a trace of that length never reallocates.
+  explicit PackedTraceBuilder(const regalloc::ModuleAlloc &Alloc,
+                              size_t ExpectedSize = 0);
+
+  void consume(const vm::TraceEntry *Entries, size_t Count) override;
+
+  /// The trace packed so far; the builder is empty afterwards.
+  PackedTrace take();
+
+private:
+  static constexpr uint32_t Unseen = ~0u;
+
+  const regalloc::ModuleAlloc &Alloc;
+  PackedTrace PT;
+  std::vector<uint32_t> OpOfSlot; ///< PT.Ops index by code slot.
 };
 
 } // namespace timing

@@ -1169,12 +1169,14 @@ SimStats timing::simulateModule(const sir::Module &M,
                                 const regalloc::ModuleAlloc &Alloc,
                                 const MachineConfig &Config,
                                 const std::vector<int32_t> &MainArgs) {
+  PackedTraceBuilder Builder(Alloc);
   vm::VM::Options Opts;
   Opts.CollectTrace = true;
+  Opts.Sink = &Builder;
   vm::VM Machine(M, Opts);
-  auto R = Machine.run(MainArgs);
-  assert(R.Ok && "trace generation failed");
-  (void)R;
+  vm::VM::Result R = Machine.run(MainArgs);
+  if (!R.Ok)
+    throw std::runtime_error(R.Error);
   Simulator Sim(Config, Alloc);
-  return Sim.run(Machine.trace());
+  return Sim.run(Builder.take());
 }

@@ -147,8 +147,8 @@ public:
   /// Runs \p Trace to completion and returns the statistics. Packs the
   /// trace on the fly when the fast path is active; callers that
   /// simulate one module on many machines should pack once and use the
-  /// PackedTrace overload instead (core::simulate does, via the
-  /// TraceHandle cache). Throws SimulationOverrun if the machine
+  /// PackedTrace overload instead (core::simulate does, via
+  /// PipelineRun::packedTrace). Throws SimulationOverrun if the machine
   /// cannot drain the trace.
   SimStats run(const std::vector<vm::TraceEntry> &Trace);
 
@@ -197,8 +197,9 @@ private:
   template <class Source> SimStats runFast(Source Trace);
 };
 
-/// Convenience: VM-trace + simulate in one call. The module must be
-/// register-allocated and produce a successful VM run.
+/// Convenience: VM-trace + simulate in one call, packing the trace as
+/// the VM runs. The module must be register-allocated. Throws
+/// std::runtime_error carrying the trap message if the run traps.
 SimStats simulateModule(const sir::Module &M,
                         const regalloc::ModuleAlloc &Alloc,
                         const MachineConfig &Config,

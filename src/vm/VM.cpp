@@ -5,10 +5,12 @@
 #include "sir/Printer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <new>
+#include <unordered_map>
 
 #include <sys/mman.h>
 
@@ -21,7 +23,15 @@ using sir::RegClass;
 
 namespace {
 constexpr uint32_t GlobalBase = 0x1000;
-constexpr uint32_t CodeBase = 0x400000; // Synthetic text segment origin.
+
+/// Index of \p R in a frame's register array (VM::StaticInstr). An
+/// absent or out-of-range register maps to slot 0, the unused slot of
+/// the invalid register id.
+uint32_t dataSlot(const sir::Function &F, Reg R) {
+  if (!R.isValid() || R.id() >= F.numRegs())
+    return 0;
+  return F.regClass(R) == RegClass::Fp ? F.numRegs() + R.id() : R.id();
+}
 } // namespace
 
 VM::GuestMemory::GuestMemory(size_t Bytes) : Bytes(Bytes) {
@@ -47,8 +57,9 @@ VM::VM(const sir::Module &M, Options Opts)
   // initializers. The layout depends only on declaration order, so the
   // original and partitioned variants of a program agree on addresses.
   uint32_t Next = GlobalBase;
+  GlobalAddrs.reserve(M.globals().size());
   for (const sir::Global &G : M.globals()) {
-    GlobalAddrs[G.Name] = Next;
+    GlobalAddrs.push_back(Next);
     for (size_t W = 0; W < G.Init.size(); ++W) {
       uint32_t A = Next + static_cast<uint32_t>(W) * 4;
       if (A + 4 <= Mem.size())
@@ -57,36 +68,60 @@ VM::VM(const sir::Module &M, Options Opts)
     Next += G.SizeWords * 4;
   }
 
-  // Assign a synthetic text address to every function (4 bytes per
-  // instruction, 64-byte alignment between functions) for the branch
-  // predictor and instruction cache.
-  uint32_t Pc = CodeBase;
-  for (const auto &F : M.functions()) {
-    FuncBasePc[F.get()] = Pc;
-    Pc += F->numInstrIds() * 4;
-    Pc = (Pc + 63u) & ~63u;
+  // Resolve every static instruction once: its code slot and text
+  // address (for the branch predictor and instruction cache), the
+  // address of the global it names, its callee, and its block number.
+  // Names that resolve to nothing trap only if the instruction runs.
+  std::unordered_map<const sir::Function *, uint32_t> FuncIdx;
+  for (const auto &F : M.functions())
+    FuncIdx.emplace(F.get(), static_cast<uint32_t>(FuncIdx.size()));
+  if (const sir::Function *Main = M.functionByName("main"))
+    MainIdx = FuncIdx.at(Main);
+  Funcs.resize(M.functions().size());
+  uint32_t Slot = 0;
+  for (size_t K = 0; K < Funcs.size(); ++K) {
+    FuncInfo &FI = Funcs[K];
+    FI.F = M.functions()[K].get();
+    for (const auto &BB : FI.F->blocks()) {
+      // Branches find their target's slot by block index, so two
+      // blocks sharing an index would run with each other's operands.
+      assert(BB->index() == FI.BlockSlot.size() &&
+             "VM needs a renumbered module");
+      FI.BlockSlot.push_back(Slot);
+      const uint32_t Block = static_cast<uint32_t>(Blocks.size());
+      Blocks.push_back(BB.get());
+      for (const auto &I : BB->instructions()) {
+        StaticInstr SI;
+        SI.Pc = CodeBase + Slot++ * 4;
+        SI.Block = Block;
+        SI.Def = dataSlot(*FI.F, I->def());
+        for (size_t U = 0; U < 2 && U < I->uses().size(); ++U)
+          SI.Use[U] = dataSlot(*FI.F, I->uses()[U]);
+        const sir::MemOperand &Mem = I->mem();
+        if (!Mem.IsFrame && !Mem.Symbol.empty()) {
+          const sir::Global *G = M.globalByName(Mem.Symbol);
+          SI.Global = G ? GlobalAddrs[G - M.globals().data()] : Unresolved;
+        }
+        if (I->op() == Opcode::Call)
+          if (const sir::Function *Callee = M.functionByName(I->callee()))
+            SI.Callee = FuncIdx.at(Callee);
+        Static.push_back(SI);
+      }
+    }
+    Slot = (Slot + 15u) & ~15u;
+    Static.resize(Slot);
   }
 }
 
-uint32_t VM::pcOf(const Instruction &I) const {
-  const sir::Function *F = I.parent()->parent();
-  auto It = FuncBasePc.find(F);
-  assert(It != FuncBasePc.end() && "instruction from foreign module");
-  return It->second + I.id() * 4;
-}
-
 uint32_t VM::globalAddress(const std::string &Name) const {
-  auto It = GlobalAddrs.find(Name);
-  return It == GlobalAddrs.end() ? 0 : It->second;
+  const sir::Global *G = M.globalByName(Name);
+  return G ? GlobalAddrs[G - M.globals().data()] : 0;
 }
 
 std::vector<uint8_t> VM::globalImage() const {
   uint32_t End = GlobalBase;
-  for (const sir::Global &G : M.globals()) {
-    auto It = GlobalAddrs.find(G.Name);
-    if (It != GlobalAddrs.end())
-      End = std::max(End, It->second + G.SizeWords * 4);
-  }
+  for (size_t K = 0; K < GlobalAddrs.size(); ++K)
+    End = std::max(End, GlobalAddrs[K] + M.globals()[K].SizeWords * 4);
   End = std::min(End, static_cast<uint32_t>(Mem.size()));
   if (End <= GlobalBase)
     return {};
@@ -102,19 +137,17 @@ bool VM::trap(TrapKind Kind, std::string Detail) {
 }
 
 uint32_t VM::effectiveAddress(const Frame &Fr, const sir::MemOperand &Mem,
-                              bool &OkFlag) {
+                              const StaticInstr &SI, bool &OkFlag) {
   OkFlag = true;
   int64_t Addr = Mem.Offset;
   if (Mem.IsFrame) {
     Addr += Fr.FramePtr;
-  } else if (!Mem.Symbol.empty()) {
-    auto It = GlobalAddrs.find(Mem.Symbol);
-    if (It == GlobalAddrs.end()) {
-      trap(TrapKind::UnknownGlobal, "unknown global '" + Mem.Symbol + "'");
-      OkFlag = false;
-      return 0;
-    }
-    Addr += It->second;
+  } else if (SI.Global == Unresolved) {
+    trap(TrapKind::UnknownGlobal, "unknown global '" + Mem.Symbol + "'");
+    OkFlag = false;
+    return 0;
+  } else {
+    Addr += SI.Global;
   }
   if (Mem.Base.isValid())
     Addr += static_cast<uint32_t>(Fr.IntRegs[Mem.Base.id()]);
@@ -153,8 +186,10 @@ bool VM::storeByte(uint32_t Addr, uint8_t Value) {
   return true;
 }
 
-bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
+bool VM::exec(uint32_t FnIdx, const std::vector<int32_t> &Args,
               int32_t &RetValue, unsigned Depth) {
+  const FuncInfo &FI = Funcs[FnIdx];
+  const sir::Function &F = *FI.F;
   // Native-stack headroom backstop for the depth guard: the byte cost
   // of one exec() frame varies several-fold between builds (sanitizer
   // redzones), so measure actual consumption from the outermost frame.
@@ -173,10 +208,16 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
     return trap(TrapKind::CallDepthExceeded,
                 "call depth limit exceeded in '" + F.name() + "'");
 
+  // Both register files in one array: INT register R at R, FP
+  // register R at NumRegs + R (see StaticInstr's data slots).
+  const uint32_t NumRegs = F.numRegs();
+  std::vector<int32_t> RegFile(2 * static_cast<size_t>(NumRegs), 0);
   Frame Fr;
-  Fr.F = &F;
-  Fr.IntRegs.assign(F.numRegs(), 0);
-  Fr.FpRegs.assign(F.numRegs(), 0.0f);
+  Fr.IntRegs = RegFile.data();
+  // FPa-assigned ALU instructions read/write the FP register file but
+  // perform integer arithmetic on the 32-bit pattern, so the FP file
+  // holds raw bits; float operations bit-cast on access.
+  int32_t *const FpBits = Fr.IntRegs + NumRegs;
 
   // Reachable from unverified modules (a call site whose argument list
   // does not match the callee); a trap, not an assert, so malformed
@@ -191,9 +232,7 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
     if (F.regClass(Formal) == RegClass::Fp) {
       // FP-passed integer argument (Section 6.6 extension): the value
       // travels as raw bits in the FP file.
-      float Raw;
-      std::memcpy(&Raw, &Args[A], 4);
-      Fr.FpRegs[Formal.id()] = Raw;
+      FpBits[Formal.id()] = Args[A];
     } else {
       Fr.IntRegs[Formal.id()] = Args[A];
     }
@@ -209,39 +248,21 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
   auto IntUse = [&](const Instruction &I, unsigned Idx) {
     return Fr.IntRegs[I.uses()[Idx].id()];
   };
-  auto FpUse = [&](const Instruction &I, unsigned Idx) {
-    return Fr.FpRegs[I.uses()[Idx].id()];
-  };
-  // FPa-assigned ALU instructions read/write the FP register file but
-  // perform integer arithmetic on the 32-bit pattern. We model FP
-  // registers of FPa values as exact integer-valued floats is NOT safe;
-  // instead FP registers store raw bits for FPa data. To keep one
-  // representation, integer data held in the FP file is stored via
-  // bit-punned int32 inside the float array.
   auto FpBitsUse = [&](const Instruction &I, unsigned Idx) {
-    int32_t V;
-    float Raw = Fr.FpRegs[I.uses()[Idx].id()];
-    std::memcpy(&V, &Raw, 4);
+    return FpBits[I.uses()[Idx].id()];
+  };
+  auto SetFpBits = [&](Reg R, int32_t V) { FpBits[R.id()] = V; };
+  auto FpUse = [&](const Instruction &I, unsigned Idx) {
+    float V;
+    std::memcpy(&V, &FpBits[I.uses()[Idx].id()], 4);
     return V;
   };
-  auto SetFpBits = [&](Reg R, int32_t V) {
-    float Raw;
-    std::memcpy(&Raw, &V, 4);
-    Fr.FpRegs[R.id()] = Raw;
-  };
-  const sir::Function &Fn = F;
-  auto DataUse = [&](const Instruction &I, unsigned Idx) -> int32_t {
-    Reg R = I.uses()[Idx];
-    if (Fn.regClass(R) == RegClass::Fp)
-      return FpBitsUse(I, Idx);
-    return Fr.IntRegs[R.id()];
-  };
-  auto SetData = [&](Reg R, int32_t V) {
-    if (Fn.regClass(R) == RegClass::Fp)
-      SetFpBits(R, V);
-    else
-      Fr.IntRegs[R.id()] = V;
-  };
+  auto SetFp = [&](Reg R, float V) { std::memcpy(&FpBits[R.id()], &V, 4); };
+  // Operands in the file their register class names, through the data
+  // slots decoded at construction.
+  const StaticInstr *SI = nullptr;
+  auto DataUse = [&](unsigned Idx) { return Fr.IntRegs[SI->Use[Idx]]; };
+  auto SetData = [&](int32_t V) { Fr.IntRegs[SI->Def] = V; };
 
   auto Bail = [&]() {
     StackTop += FrameBytes;
@@ -255,37 +276,38 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
     return Bail();
   }
 
-  bool CountedBlock = false;
+  bool EnteredBlock = false;
+  uint32_t BlockSlot = 0; // Code slot of BB's first instruction.
   for (;;) {
     // Advance across empty blocks / block ends by falling through.
     while (BB && Idx >= BB->instructions().size()) {
       BB = BB->fallthrough();
       Idx = 0;
-      CountedBlock = false;
+      EnteredBlock = false;
     }
     if (!BB) {
       trap(TrapKind::ControlFellOffEnd,
            "control fell off the end of '" + F.name() + "'");
       return Bail();
     }
-    if (Idx == 0 && !CountedBlock) {
+    if (Idx == 0 && !EnteredBlock) {
+      BlockSlot = FI.BlockSlot[BB->index()];
       if (Opts.CollectProfile)
-        ++Prof.BlockCounts[BB];
-      CountedBlock = true;
+        ++BlockHits[Static[BlockSlot].Block];
+      EnteredBlock = true;
     }
 
     const Instruction &I = *BB->instructions()[Idx];
+    SI = &Static[BlockSlot + Idx];
     if (++Steps > Opts.MaxSteps) {
       trap(TrapKind::FuelExhausted, "dynamic instruction budget exceeded");
       return Bail();
     }
-    if (Opts.CollectProfile)
-      ++Prof.DynInstrs;
 
     TraceEntry TE;
     if (Opts.CollectTrace) {
       TE.I = &I;
-      TE.Pc = pcOf(I);
+      TE.Pc = SI->Pc;
     }
     auto Record = [&]() {
       if (Opts.CollectTrace) {
@@ -299,106 +321,102 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
     const Opcode Op = I.op();
     switch (Op) {
     case Opcode::Add:
-      SetData(I.def(), static_cast<int32_t>(
-                           static_cast<uint32_t>(DataUse(I, 0)) +
-                           static_cast<uint32_t>(DataUse(I, 1))));
+      SetData(static_cast<int32_t>(static_cast<uint32_t>(DataUse(0)) +
+                                   static_cast<uint32_t>(DataUse(1))));
       break;
     case Opcode::Sub:
-      SetData(I.def(), static_cast<int32_t>(
-                           static_cast<uint32_t>(DataUse(I, 0)) -
-                           static_cast<uint32_t>(DataUse(I, 1))));
+      SetData(static_cast<int32_t>(static_cast<uint32_t>(DataUse(0)) -
+                                   static_cast<uint32_t>(DataUse(1))));
       break;
     case Opcode::AddI:
-      SetData(I.def(), static_cast<int32_t>(
-                           static_cast<uint32_t>(DataUse(I, 0)) +
-                           static_cast<uint32_t>(I.imm())));
+      SetData(static_cast<int32_t>(static_cast<uint32_t>(DataUse(0)) +
+                                   static_cast<uint32_t>(I.imm())));
       break;
     case Opcode::And:
-      SetData(I.def(), DataUse(I, 0) & DataUse(I, 1));
+      SetData(DataUse(0) & DataUse(1));
       break;
     case Opcode::AndI:
-      SetData(I.def(), DataUse(I, 0) & static_cast<int32_t>(I.imm()));
+      SetData(DataUse(0) & static_cast<int32_t>(I.imm()));
       break;
     case Opcode::Or:
-      SetData(I.def(), DataUse(I, 0) | DataUse(I, 1));
+      SetData(DataUse(0) | DataUse(1));
       break;
     case Opcode::OrI:
-      SetData(I.def(), DataUse(I, 0) | static_cast<int32_t>(I.imm()));
+      SetData(DataUse(0) | static_cast<int32_t>(I.imm()));
       break;
     case Opcode::Xor:
-      SetData(I.def(), DataUse(I, 0) ^ DataUse(I, 1));
+      SetData(DataUse(0) ^ DataUse(1));
       break;
     case Opcode::XorI:
-      SetData(I.def(), DataUse(I, 0) ^ static_cast<int32_t>(I.imm()));
+      SetData(DataUse(0) ^ static_cast<int32_t>(I.imm()));
       break;
     case Opcode::Sll:
-      SetData(I.def(), static_cast<int32_t>(static_cast<uint32_t>(DataUse(I, 0))
-                                            << (I.imm() & 31)));
+      SetData(static_cast<int32_t>(static_cast<uint32_t>(DataUse(0))
+                                   << (I.imm() & 31)));
       break;
     case Opcode::Srl:
-      SetData(I.def(), static_cast<int32_t>(static_cast<uint32_t>(DataUse(I, 0)) >>
-                                            (I.imm() & 31)));
+      SetData(static_cast<int32_t>(static_cast<uint32_t>(DataUse(0)) >>
+                                   (I.imm() & 31)));
       break;
     case Opcode::Sra:
-      SetData(I.def(), DataUse(I, 0) >> (I.imm() & 31));
+      SetData(DataUse(0) >> (I.imm() & 31));
       break;
     case Opcode::Slt:
-      SetData(I.def(), DataUse(I, 0) < DataUse(I, 1) ? 1 : 0);
+      SetData(DataUse(0) < DataUse(1) ? 1 : 0);
       break;
     case Opcode::SltU:
-      SetData(I.def(), static_cast<uint32_t>(DataUse(I, 0)) <
-                               static_cast<uint32_t>(DataUse(I, 1))
-                           ? 1
-                           : 0);
+      SetData(static_cast<uint32_t>(DataUse(0)) <
+                      static_cast<uint32_t>(DataUse(1))
+                  ? 1
+                  : 0);
       break;
     case Opcode::SltI:
-      SetData(I.def(), DataUse(I, 0) < static_cast<int32_t>(I.imm()) ? 1 : 0);
+      SetData(DataUse(0) < static_cast<int32_t>(I.imm()) ? 1 : 0);
       break;
     case Opcode::Li:
-      SetData(I.def(), static_cast<int32_t>(I.imm()));
+      SetData(static_cast<int32_t>(I.imm()));
       break;
     case Opcode::Move:
-      SetData(I.def(), DataUse(I, 0));
+      SetData(DataUse(0));
       break;
 
     case Opcode::Mul:
-      SetData(I.def(), static_cast<int32_t>(
-                           static_cast<uint32_t>(DataUse(I, 0)) *
-                           static_cast<uint32_t>(DataUse(I, 1))));
+      SetData(static_cast<int32_t>(static_cast<uint32_t>(DataUse(0)) *
+                                   static_cast<uint32_t>(DataUse(1))));
       break;
     case Opcode::Div: {
-      int32_t A = DataUse(I, 0), B = DataUse(I, 1);
+      int32_t A = DataUse(0), B = DataUse(1);
       int32_t R = 0;
       if (B != 0 && !(A == INT32_MIN && B == -1))
         R = A / B;
-      SetData(I.def(), R);
+      SetData(R);
       break;
     }
     case Opcode::Rem: {
-      int32_t A = DataUse(I, 0), B = DataUse(I, 1);
+      int32_t A = DataUse(0), B = DataUse(1);
       int32_t R = A;
       if (B != 0 && !(A == INT32_MIN && B == -1))
         R = A % B;
-      SetData(I.def(), R);
+      SetData(R);
       break;
     }
     case Opcode::SllV:
-      SetData(I.def(), static_cast<int32_t>(static_cast<uint32_t>(DataUse(I, 0))
-                                            << (DataUse(I, 1) & 31)));
+      SetData(static_cast<int32_t>(static_cast<uint32_t>(DataUse(0))
+                                   << (DataUse(1) & 31)));
       break;
     case Opcode::SrlV:
-      SetData(I.def(), static_cast<int32_t>(static_cast<uint32_t>(DataUse(I, 0)) >>
-                                            (DataUse(I, 1) & 31)));
+      SetData(static_cast<int32_t>(static_cast<uint32_t>(DataUse(0)) >>
+                                   (DataUse(1) & 31)));
       break;
     case Opcode::SraV:
-      SetData(I.def(), DataUse(I, 0) >> (DataUse(I, 1) & 31));
+      SetData(DataUse(0) >> (DataUse(1) & 31));
       break;
     case Opcode::Nor:
-      SetData(I.def(), ~(DataUse(I, 0) | DataUse(I, 1)));
+      SetData(~(DataUse(0) | DataUse(1)));
       break;
     case Opcode::La: {
       bool AddrOk = true;
-      uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
+      uint32_t A = effectiveAddress(Fr, I.mem(), *SI, AddrOk);
       if (!AddrOk)
         return Bail();
       Fr.IntRegs[I.def().id()] = static_cast<int32_t>(A);
@@ -407,20 +425,20 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
 
     case Opcode::Lw: {
       bool AddrOk = true;
-      uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
+      uint32_t A = effectiveAddress(Fr, I.mem(), *SI, AddrOk);
       if (!AddrOk)
         return Bail();
       TE.MemAddr = A;
       int32_t V;
       if (!loadWord(A, V))
         return Bail();
-      SetData(I.def(), V);
+      SetData(V);
       break;
     }
     case Opcode::Lb:
     case Opcode::Lbu: {
       bool AddrOk = true;
-      uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
+      uint32_t A = effectiveAddress(Fr, I.mem(), *SI, AddrOk);
       if (!AddrOk)
         return Bail();
       TE.MemAddr = A;
@@ -434,39 +452,39 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
     }
     case Opcode::Sw: {
       bool AddrOk = true;
-      uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
+      uint32_t A = effectiveAddress(Fr, I.mem(), *SI, AddrOk);
       if (!AddrOk)
         return Bail();
       TE.MemAddr = A;
-      if (!storeWord(A, DataUse(I, 0)))
+      if (!storeWord(A, DataUse(0)))
         return Bail();
       break;
     }
     case Opcode::Sb: {
       bool AddrOk = true;
-      uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
+      uint32_t A = effectiveAddress(Fr, I.mem(), *SI, AddrOk);
       if (!AddrOk)
         return Bail();
       TE.MemAddr = A;
-      if (!storeByte(A, static_cast<uint8_t>(DataUse(I, 0) & 0xFF)))
+      if (!storeByte(A, static_cast<uint8_t>(DataUse(0) & 0xFF)))
         return Bail();
       break;
     }
 
     case Opcode::Beq:
-      BranchTaken = DataUse(I, 0) == DataUse(I, 1);
+      BranchTaken = DataUse(0) == DataUse(1);
       break;
     case Opcode::Bne:
-      BranchTaken = DataUse(I, 0) != DataUse(I, 1);
+      BranchTaken = DataUse(0) != DataUse(1);
       break;
     case Opcode::Blez:
-      BranchTaken = DataUse(I, 0) <= 0;
+      BranchTaken = DataUse(0) <= 0;
       break;
     case Opcode::Bgtz:
-      BranchTaken = DataUse(I, 0) > 0;
+      BranchTaken = DataUse(0) > 0;
       break;
     case Opcode::Bltz:
-      BranchTaken = DataUse(I, 0) < 0;
+      BranchTaken = DataUse(0) < 0;
       break;
     case Opcode::FBnez:
       BranchTaken = FpUse(I, 0) != 0.0f;
@@ -480,12 +498,11 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       Record();
       BB = I.target();
       Idx = 0;
-      CountedBlock = false;
+      EnteredBlock = false;
       continue;
 
     case Opcode::Call: {
-      const sir::Function *Callee = M.functionByName(I.callee());
-      if (!Callee) {
+      if (SI->Callee == Unresolved) {
         trap(TrapKind::UnknownCallee, "unknown callee '" + I.callee() + "'");
         return Bail();
       }
@@ -493,14 +510,14 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       CallArgs.reserve(I.uses().size());
       for (unsigned A = 0; A < I.uses().size(); ++A) {
         Reg ArgReg = I.uses()[A];
-        if (Fn.regClass(ArgReg) == RegClass::Fp)
+        if (F.regClass(ArgReg) == RegClass::Fp)
           CallArgs.push_back(FpBitsUse(I, A)); // FP-passed argument.
         else
           CallArgs.push_back(IntUse(I, A));
       }
       Record();
       int32_t CallRet = 0;
-      if (!exec(*Callee, CallArgs, CallRet, Depth + 1))
+      if (!exec(SI->Callee, CallArgs, CallRet, Depth + 1))
         return Bail();
       if (I.def().isValid())
         Fr.IntRegs[I.def().id()] = CallRet;
@@ -516,39 +533,31 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
     case Opcode::CpToFp:
       SetFpBits(I.def(), Fr.IntRegs[I.uses()[0].id()]);
       break;
-    case Opcode::CpToInt: {
-      int32_t V;
-      float Raw = Fr.FpRegs[I.uses()[0].id()];
-      std::memcpy(&V, &Raw, 4);
-      Fr.IntRegs[I.def().id()] = V;
+    case Opcode::CpToInt:
+      Fr.IntRegs[I.def().id()] = FpBitsUse(I, 0);
       break;
-    }
 
     case Opcode::FAdd:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) + FpUse(I, 1);
+      SetFp(I.def(), FpUse(I, 0) + FpUse(I, 1));
       break;
     case Opcode::FSub:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) - FpUse(I, 1);
+      SetFp(I.def(), FpUse(I, 0) - FpUse(I, 1));
       break;
     case Opcode::FMul:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) * FpUse(I, 1);
+      SetFp(I.def(), FpUse(I, 0) * FpUse(I, 1));
       break;
     case Opcode::FDiv:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) / FpUse(I, 1);
+      SetFp(I.def(), FpUse(I, 0) / FpUse(I, 1));
       break;
     case Opcode::FLi:
-      Fr.FpRegs[I.def().id()] = I.fimm();
+      SetFp(I.def(), I.fimm());
       break;
     case Opcode::FMove:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0);
+      SetFp(I.def(), FpUse(I, 0));
       break;
-    case Opcode::FCvtIF: {
-      int32_t V;
-      float Raw = FpUse(I, 0);
-      std::memcpy(&V, &Raw, 4);
-      Fr.FpRegs[I.def().id()] = static_cast<float>(V);
+    case Opcode::FCvtIF:
+      SetFp(I.def(), static_cast<float>(FpBitsUse(I, 0)));
       break;
-    }
     case Opcode::FCvtFI: {
       // trunc.w.s semantics: NaN, infinities, and values outside the
       // int32 range produce INT32_MAX, as on MIPS. The plain cast is
@@ -564,17 +573,17 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       break;
     }
     case Opcode::FCmpLt:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) < FpUse(I, 1) ? 1.0f : 0.0f;
+      SetFp(I.def(), FpUse(I, 0) < FpUse(I, 1) ? 1.0f : 0.0f);
       break;
     case Opcode::FCmpLe:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) <= FpUse(I, 1) ? 1.0f : 0.0f;
+      SetFp(I.def(), FpUse(I, 0) <= FpUse(I, 1) ? 1.0f : 0.0f);
       break;
     case Opcode::FCmpEq:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) == FpUse(I, 1) ? 1.0f : 0.0f;
+      SetFp(I.def(), FpUse(I, 0) == FpUse(I, 1) ? 1.0f : 0.0f);
       break;
 
     case Opcode::Out:
-      Output.push_back(DataUse(I, 0));
+      Output.push_back(DataUse(0));
       break;
     }
 
@@ -584,7 +593,7 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       if (BranchTaken) {
         BB = I.target();
         Idx = 0;
-        CountedBlock = false;
+        EnteredBlock = false;
       } else {
         ++Idx;
       }
@@ -619,11 +628,19 @@ VM::Result VM::run(const std::vector<int32_t> &MainArgs) {
   Output.clear();
   Trace.clear();
   Prof = Profile();
+  BlockHits.assign(Opts.CollectProfile ? Blocks.size() : 0, 0);
 
   int32_t Ret = 0;
-  bool Ok = exec(*Main, MainArgs, Ret, 0);
+  bool Ok = exec(MainIdx, MainArgs, Ret, 0);
   if (Opts.Sink)
     flushTrace();
+  if (Opts.CollectProfile) {
+    // Every step that passed the fuel check executed.
+    Prof.DynInstrs = std::min(Steps, Opts.MaxSteps);
+    for (size_t B = 0; B < BlockHits.size(); ++B)
+      if (BlockHits[B])
+        Prof.BlockCounts.emplace(Blocks[B], BlockHits[B]);
+  }
   R.Ok = Ok;
   R.Trap = CurTrap;
   R.Error = Ok ? std::string() : CurTrap.message();

@@ -66,7 +66,9 @@ public:
   virtual void consume(const TraceEntry *Entries, size_t Count) = 0;
 };
 
-/// Per-module execution profile.
+/// Per-module execution profile. The VM counts blocks in a dense array
+/// while it runs and fills BlockCounts (executed blocks only) once, when
+/// the run ends.
 struct Profile {
   std::unordered_map<const sir::BasicBlock *, uint64_t> BlockCounts;
   uint64_t DynInstrs = 0;
@@ -77,7 +79,11 @@ struct Profile {
   }
 };
 
-/// Interprets a module starting from "main".
+/// Interprets a module starting from "main". The VM resolves the
+/// module's static instructions when it is constructed, so the module
+/// must not change while the VM lives, and its blocks must be
+/// renumbered (Module::renumber(): each block's index() equal to its
+/// position in its function).
 class VM {
 public:
   struct Options {
@@ -106,6 +112,15 @@ public:
   /// Entries per TraceSink::consume call (all but the last).
   static constexpr size_t TraceBatch = 4096;
 
+  /// Origin of the synthetic text segment. A module's instructions get
+  /// consecutive code slots in layout order, each function starting on
+  /// a 16-slot (64-byte) boundary, and instruction address
+  /// CodeBase + 4 * slot. On a renumbered module an instruction's slot
+  /// is its function's first slot plus sir::Instruction::id(). Slots
+  /// are dense, so per-static-instruction tables index by codeSlot().
+  static constexpr uint32_t CodeBase = 0x400000;
+  static uint32_t codeSlot(uint32_t Pc) { return (Pc - CodeBase) >> 2; }
+
   struct Result {
     bool Ok = false;
     /// Typed cause of an abnormal stop (Kind == None iff Ok). The
@@ -132,9 +147,6 @@ public:
   /// it beyond the VM's lifetime without copying).
   std::vector<TraceEntry> takeTrace() { return std::move(Trace); }
   const Profile &profile() const { return Prof; }
-
-  /// Static code address of \p I (valid after construction).
-  uint32_t pcOf(const sir::Instruction &I) const;
 
   /// Data address of global \p Name; 0 if unknown.
   uint32_t globalAddress(const std::string &Name) const;
@@ -166,16 +178,41 @@ private:
   };
 
   struct Frame {
-    const sir::Function *F = nullptr;
-    std::vector<int32_t> IntRegs;
-    std::vector<float> FpRegs;
+    /// The frame's registers: the INT file, then the FP file.
+    int32_t *IntRegs = nullptr;
     uint32_t FramePtr = 0;
   };
 
-  bool exec(const sir::Function &F, const std::vector<int32_t> &Args,
+  /// Marks a symbol or callee that names nothing in the module. It
+  /// traps only when the instruction executes.
+  static constexpr uint32_t Unresolved = ~0u;
+
+  /// One static instruction, resolved once at construction. Static is
+  /// indexed by code slot.
+  struct StaticInstr {
+    uint32_t Pc = 0;
+    /// Address of the memory operand's global (0 without a symbol, or
+    /// Unresolved).
+    uint32_t Global = 0;
+    uint32_t Callee = Unresolved; ///< Funcs index of a call's callee.
+    uint32_t Block = 0;           ///< Module-wide block number.
+    /// Data slots of the def and the first two uses: the register's
+    /// index in the file its class names, where a frame holds the INT
+    /// file at [0, numRegs) and the FP file (raw bits) above it.
+    uint32_t Def = 0;
+    uint32_t Use[2] = {0, 0};
+  };
+
+  struct FuncInfo {
+    const sir::Function *F = nullptr;
+    /// Code slot of each block's first instruction, by block index().
+    std::vector<uint32_t> BlockSlot;
+  };
+
+  bool exec(uint32_t FnIdx, const std::vector<int32_t> &Args,
             int32_t &RetValue, unsigned Depth);
   uint32_t effectiveAddress(const Frame &Fr, const sir::MemOperand &Mem,
-                            bool &OkFlag);
+                            const StaticInstr &SI, bool &OkFlag);
 
   bool loadWord(uint32_t Addr, int32_t &Out);
   bool storeWord(uint32_t Addr, int32_t Value);
@@ -185,8 +222,11 @@ private:
   const sir::Module &M;
   Options Opts;
   GuestMemory Mem;
-  std::unordered_map<std::string, uint32_t> GlobalAddrs;
-  std::unordered_map<const sir::Function *, uint32_t> FuncBasePc;
+  std::vector<uint32_t> GlobalAddrs; ///< By M.globals() position.
+  std::vector<FuncInfo> Funcs;       ///< By M.functions() position.
+  std::vector<StaticInstr> Static;
+  std::vector<const sir::BasicBlock *> Blocks; ///< By block number.
+  uint32_t MainIdx = Unresolved;
   uint32_t StackTop = 0;
   uintptr_t NativeStackBase = 0;
 
@@ -202,6 +242,7 @@ private:
   Trap CurTrap;
   std::vector<int32_t> Output;
   std::vector<TraceEntry> Trace;
+  std::vector<uint64_t> BlockHits; ///< By block number (CollectProfile).
   Profile Prof;
 };
 

@@ -45,13 +45,60 @@ PipelineRun compileSrc(const char *Src, partition::Scheme S) {
   return Run;
 }
 
-/// Runs \p Run on \p M with the given path selection.
+/// The ref-input trace as a fresh VM run hands it out, kept as entries
+/// (independent of the packer).
+std::vector<vm::TraceEntry> vmEntries(const PipelineRun &Run) {
+  vm::VM::Options Opts;
+  Opts.CollectTrace = true;
+  vm::VM Machine(*Run.Compiled, Opts);
+  Machine.run(Run.Config.RefArgs);
+  return Machine.takeTrace();
+}
+
+/// Runs \p Run on \p M with the given path selection, over the VM's own
+/// entries: the reference loop reads them directly and the fast loop
+/// packs them, so a packer bug shows as a divergence.
 SimStats runPath(const PipelineRun &Run, const MachineConfig &M, bool Fast,
                  stats::EventSink *Sink = nullptr) {
   Simulator Sim(M, Run.Alloc);
   Sim.setFastPath(Fast);
   Sim.setEventSink(Sink);
-  return Sim.run(Run.refTrace());
+  return Sim.run(vmEntries(Run));
+}
+
+/// The trace fields a VM entry carries, entry by entry.
+void expectEntriesEqual(const std::vector<vm::TraceEntry> &Got,
+                        const std::vector<vm::TraceEntry> &Want,
+                        const std::string &Label) {
+  ASSERT_EQ(Got.size(), Want.size()) << Label;
+  for (size_t K = 0; K < Got.size(); ++K) {
+    ASSERT_EQ(Got[K].I, Want[K].I) << Label << " entry " << K;
+    ASSERT_EQ(Got[K].Pc, Want[K].Pc) << Label << " entry " << K;
+    ASSERT_EQ(Got[K].MemAddr, Want[K].MemAddr) << Label << " entry " << K;
+    ASSERT_EQ(Got[K].Taken, Want[K].Taken) << Label << " entry " << K;
+  }
+}
+
+/// Every PackedTrace field, static table and dynamic arrays.
+void expectPackedEqual(const PackedTrace &A, const PackedTrace &B,
+                       const std::string &Label) {
+  ASSERT_EQ(A.Ops.size(), B.Ops.size()) << Label;
+  for (size_t K = 0; K < A.Ops.size(); ++K) {
+    const PackedOp &X = A.Ops[K], &Y = B.Ops[K];
+    EXPECT_EQ(X.I, Y.I) << Label << " op " << K;
+    EXPECT_EQ(X.Pc, Y.Pc) << Label << " op " << K;
+    EXPECT_EQ(X.Class, Y.Class) << Label << " op " << K;
+    EXPECT_EQ(X.Latency, Y.Latency) << Label << " op " << K;
+    EXPECT_EQ(X.Flags, Y.Flags) << Label << " op " << K;
+    EXPECT_EQ(X.Def, Y.Def) << Label << " op " << K;
+    ASSERT_EQ(X.NumUses, Y.NumUses) << Label << " op " << K;
+    for (unsigned U = 0; U < X.NumUses; ++U)
+      EXPECT_EQ(X.Uses[U], Y.Uses[U]) << Label << " op " << K;
+  }
+  EXPECT_EQ(A.OpIdx, B.OpIdx) << Label;
+  EXPECT_EQ(A.MemAddr, B.MemAddr) << Label;
+  EXPECT_EQ(A.Taken, B.Taken) << Label;
+  EXPECT_EQ(A.HasFpa, B.HasFpa) << Label;
 }
 
 /// Every deterministic SimStats field (wall time and telemetry
@@ -259,7 +306,7 @@ TEST(PackedTraceTest, RoundTripsEveryEntryField) {
        {fixtures::IntVectorSum, fixtures::InvalidateForCall,
         fixtures::MemoryFreeRand}) {
     PipelineRun Run = compileSrc(Src, partition::Scheme::Advanced);
-    const std::vector<vm::TraceEntry> &Trace = Run.refTrace();
+    const std::vector<vm::TraceEntry> Trace = vmEntries(Run);
     PackedTrace PT = PackedTrace::build(Trace, Run.Alloc);
     ASSERT_EQ(PT.size(), Trace.size());
     for (size_t I = 0; I < Trace.size(); ++I) {
@@ -285,8 +332,97 @@ TEST(PackedTraceTest, CachedOnTraceHandleAcrossMachines) {
   const PackedTrace &A = Run.packedTrace();
   const PackedTrace &B = Run.packedTrace();
   EXPECT_EQ(&A, &B); // Built once, shared by every machine sweep.
-  EXPECT_EQ(A.size(), Run.refTrace().size());
+  EXPECT_EQ(&Run.refTrace(), &A); // An alias, never a rebuild.
   EXPECT_EQ(Run.Trace->Captures, 1u);
+}
+
+// A trace that traps after a loop: the packed trace is the prefix.
+const char *TrapsAfterLoop = R"(
+global acc 4
+
+func main() {
+entry:
+  li %i, 0
+  li %n, 50
+  li %s, 0
+loop:
+  addi %i, %i, 1
+  add %s, %s, %i
+  andi %j, %i, 3
+  sll %j, %j, 2
+  la %b, acc
+  add %q, %b, %j
+  lw %v, 0(%q)
+  add %v, %v, %s
+  sw %v, 0(%q)
+  slt %t, %i, %n
+  bne %t, %zero, loop
+  out %s
+  li %p, -4096
+  lw %w, 0(%p)
+  out %w
+  ret
+}
+)";
+
+// The trace packed while the VM runs unpacks to the VM's own entry
+// vector, field for field, and equals the packer run over that vector
+// in one batch, on every figure program and a trapping fixture; one VM
+// run fills it, and a complete trace fits its reserved arrays exactly.
+TEST(PackedTraceTest, PackedWhileTracingEqualsPackingTheVmEntries) {
+  std::vector<workloads::Workload> Ws = workloads::intWorkloads();
+  Ws.push_back(workloads::workloadByName("ear"));
+  Ws.push_back(workloads::workloadByName("swim"));
+  for (const workloads::Workload &W : Ws)
+    for (partition::Scheme S :
+         {partition::Scheme::None, partition::Scheme::Advanced}) {
+      const std::string Label = W.Name + "/" + partition::schemeName(S);
+      PipelineConfig Cfg;
+      Cfg.Scheme = S;
+      Cfg.TrainArgs = W.TrainArgs;
+      Cfg.RefArgs = W.RefArgs;
+      PipelineRun Run = compileAndMeasure(*W.M, Cfg);
+      ASSERT_TRUE(Run.ok()) << Label;
+      const PackedTrace &PT = Run.packedTrace();
+      EXPECT_EQ(Run.Trace->Captures, 1u) << Label;
+      EXPECT_EQ(PT.size(), Run.RefResult.Steps) << Label;
+      EXPECT_EQ(PT.OpIdx.capacity(), PT.size()) << Label;
+      EXPECT_EQ(PT.MemAddr.capacity(), PT.size()) << Label;
+      EXPECT_EQ(PT.Taken.capacity(), PT.size()) << Label;
+      const std::vector<vm::TraceEntry> Entries = vmEntries(Run);
+      expectEntriesEqual(PT.entries(), Entries, Label);
+      expectPackedEqual(PT, PackedTrace::build(Entries, Run.Alloc), Label);
+    }
+
+  PipelineRun Run = compileSrc(TrapsAfterLoop, partition::Scheme::Advanced);
+  ASSERT_EQ(Run.RefResult.Trap.Kind, vm::TrapKind::OobLoad);
+  const std::vector<vm::TraceEntry> Prefix = vmEntries(Run);
+  ASSERT_GT(Prefix.size(), 400u);
+  expectEntriesEqual(Run.packedTrace().entries(), Prefix, "trapping");
+  expectPackedEqual(Run.packedTrace(), PackedTrace::build(Prefix, Run.Alloc),
+                    "trapping");
+  EXPECT_EQ(Run.Trace->Captures, 1u);
+}
+
+// simulateModule packs while tracing and reports a trapping run as a
+// typed error carrying the trap message.
+TEST(PackedTraceTest, SimulateModuleThrowsOnATrap) {
+  PipelineRun Ok =
+      compileSrc(fixtures::IntVectorSum, partition::Scheme::Advanced);
+  const MachineConfig Four = MachineConfig::fourWay();
+  expectStatsEqual(runPath(Ok, Four, /*Fast=*/true),
+                   simulateModule(*Ok.Compiled, Ok.Alloc, Four,
+                                  Ok.Config.RefArgs),
+                   "complete");
+
+  PipelineRun Trapping =
+      compileSrc(TrapsAfterLoop, partition::Scheme::Advanced);
+  try {
+    simulateModule(*Trapping.Compiled, Trapping.Alloc, Four);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error &E) {
+    EXPECT_EQ(std::string(E.what()), Trapping.RefResult.Error);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -366,7 +502,7 @@ even:
 
 TEST(Streamed, MatchesInMemoryRunOnBothPaths) {
   PipelineRun Run = compileSrc(LongLoop, partition::Scheme::Advanced);
-  const std::vector<vm::TraceEntry> &Trace = Run.refTrace();
+  const std::vector<vm::TraceEntry> Trace = Run.packedTrace().entries();
   ASSERT_GT(Trace.size(), 200000u);
   ASSERT_GT(Run.Stats.Fpa, 0u);
 
@@ -438,7 +574,7 @@ TEST(Streamed, WriterNeverOverwritesTheReadersWindow) {
 TEST(Streamed, FailuresOnEitherSideReachTheCaller) {
   PipelineRun Run =
       compileSrc(fixtures::IntVectorSum, partition::Scheme::None);
-  const std::vector<vm::TraceEntry> &Trace = Run.refTrace();
+  const std::vector<vm::TraceEntry> Trace = Run.packedTrace().entries();
   auto Feed = [&](vm::TraceSink &Sink) {
     Sink.consume(Trace.data(), Trace.size());
   };
@@ -482,11 +618,11 @@ TEST(Overrun, PathologicalConfigThrowsTypedError) {
     Simulator Sim(Wedged, Run.Alloc);
     Sim.setFastPath(Fast);
     try {
-      Sim.run(Run.refTrace());
+      Sim.run(Run.packedTrace());
       FAIL() << "expected SimulationOverrun (fast=" << Fast << ")";
     } catch (const SimulationOverrun &O) {
       EXPECT_GT(O.Cycle, O.Limit);
-      EXPECT_EQ(O.TraceSize, Run.refTrace().size());
+      EXPECT_EQ(O.TraceSize, Run.packedTrace().size());
       EXPECT_LT(O.Retired, O.TraceSize);
       EXPECT_NE(std::string(O.what()).find("overrun"), std::string::npos);
     }

@@ -79,7 +79,7 @@ stats::StallBreakdown simulateWithSink(const PipelineRun &Run,
   stats::StallBreakdown B;
   Simulator Sim(M, Run.Alloc);
   Sim.setEventSink(&B);
-  SimStats S = Sim.run(Run.refTrace());
+  SimStats S = Sim.run(Run.packedTrace());
   EXPECT_EQ(B.Cycles, S.Cycles);
   return B;
 }
@@ -124,7 +124,7 @@ TEST(Stats, PartitionInvariantOnHandBuiltKernels) {
       Simulator Sim(M, Run.Alloc);
       stats::StallBreakdown B;
       Sim.setEventSink(&B);
-      SimStats S = Sim.run(Run.refTrace());
+      SimStats S = Sim.run(Run.packedTrace());
       expectInvariants(B, S);
       EXPECT_GT(B.NonIssuingCycles, 0u);
     }
@@ -193,12 +193,12 @@ TEST(Stats, TelemetryOffMatchesTelemetryOnStats) {
   M.FpaEnabled = false;
 
   Simulator Plain(M, Run.Alloc);
-  SimStats Off = Plain.run(Run.refTrace());
+  SimStats Off = Plain.run(Run.packedTrace());
 
   stats::StallBreakdown B;
   Simulator Instrumented(M, Run.Alloc);
   Instrumented.setEventSink(&B);
-  SimStats On = Instrumented.run(Run.refTrace());
+  SimStats On = Instrumented.run(Run.packedTrace());
 
   EXPECT_EQ(Off.Cycles, On.Cycles);
   EXPECT_EQ(Off.Instructions, On.Instructions);
@@ -309,7 +309,7 @@ void fillRegistry(stats::StatsRegistry &Reg, const PipelineRun &Run,
     stats::StallBreakdown B;
     Simulator Sim(M, Run.Alloc);
     Sim.setEventSink(&B);
-    SimStats S = Sim.run(Run.refTrace());
+    SimStats S = Sim.run(Run.packedTrace());
     S.Telemetry = std::make_shared<stats::StallBreakdown>(B);
     // Wall time is nondeterministic; pin it so report dumps (and the
     // derived cycles-per-second) compare byte-for-byte across calls,

@@ -135,6 +135,52 @@ entry:
   EXPECT_EQ(R.Trap.Kind, TrapKind::UnknownCallee);
 }
 
+// The VM resolves globals and callees once, when it is constructed. A
+// name that resolves to nothing must still trap only when its
+// instruction runs, with the kind and message of an execution-time
+// lookup.
+TEST(Trap, UnresolvedNamesTrapOnlyWhenExecuted) {
+  const std::string Body = R"(
+func main(%go) {
+entry:
+  li %a, 1
+  out %a
+  bne %go, %zero, BRANCH
+  ret
+globaluse:
+  lw %v, nosuch+4
+  out %v
+  ret
+calluse:
+  call %r, nofunc(%a)
+  out %r
+  ret
+}
+)";
+  const struct {
+    const char *Branch;
+    TrapKind Kind;
+    const char *Message;
+  } Cases[] = {
+      {"globaluse", TrapKind::UnknownGlobal, "unknown global 'nosuch'"},
+      {"calluse", TrapKind::UnknownCallee, "unknown callee 'nofunc'"},
+  };
+  for (const auto &C : Cases) {
+    std::string Src = Body;
+    Src.replace(Src.find("BRANCH"), 6, C.Branch);
+    auto M = parseOrDie(Src.c_str());
+    VM::Result Skipped = runModule(*M, {0});
+    EXPECT_TRUE(Skipped.Ok) << C.Branch << ": " << Skipped.Error;
+    EXPECT_EQ(Skipped.Output, std::vector<int32_t>{1}) << C.Branch;
+
+    VM::Result Taken = runModule(*M, {1});
+    EXPECT_FALSE(Taken.Ok) << C.Branch;
+    EXPECT_EQ(Taken.Trap.Kind, C.Kind) << C.Branch;
+    EXPECT_EQ(Taken.Error, C.Message) << C.Branch;
+    EXPECT_EQ(Taken.Output, std::vector<int32_t>{1}) << C.Branch;
+  }
+}
+
 TEST(Trap, MainArityIsSetupErrorNotProgramTrap) {
   auto M = parseOrDie(R"(
 func main(%n) {
