@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Delta study for the mid-end transform passes (GVN, LICM, unroll,
-/// inline, and the combined "opt2" preset): for every SPECint95-style
+/// Delta study for the mid-end transform passes (LICM, inline, and the
+/// combined "opt2" preset): for every SPECint95-style
 /// workload and every pipeline variant, the Figure 8 metric (FPa share
 /// of dynamic instructions) and the Figure 9 metric (speedup of the
 /// partitioned binary on the augmented 4-way machine over the
@@ -56,9 +56,7 @@ int main(int argc, char **argv) {
 
   const std::vector<PipelineVariant> Variants = {
       {"default", ""},
-      {"gvn", "opt,gvn,profile,partition,regalloc"},
       {"licm", "opt,licm,profile,partition,regalloc"},
-      {"unroll", "opt,unroll,profile,partition,regalloc"},
       {"inline", "opt,inline,profile,partition,regalloc"},
       {"opt2", "opt2"},
   };

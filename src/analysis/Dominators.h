@@ -10,9 +10,8 @@
 /// analysis::CFG answers point queries (idom, dominates), this analysis
 /// materializes the tree itself -- children lists, a DFS pre-order with
 /// entry/exit stamps for O(1) dominance queries, and per-block
-/// dominance frontiers -- which is what the dominator-ordered mid-end
-/// transforms (GVN's extended-region walk, LICM's exit-domination
-/// check) traverse.
+/// dominance frontiers. LICM's exit-domination check and LoopInfo's
+/// back-edge discovery consume it.
 ///
 /// Registered in the AnalysisManager as "domtree"; computing it
 /// consults "cfg", so invalidating the CFG transitively drops the tree

@@ -9,8 +9,8 @@
 /// back edges. For every loop we record the header, the member blocks,
 /// the latches (back-edge sources), the nesting (parent loop and
 /// depth), the preheader when one exists, and the exiting/exit block
-/// sets -- exactly the structure LICM (hoist target + exit domination)
-/// and the unroller (trip counting, latch rewriting) consume.
+/// sets -- the structure LICM consumes (hoist target + exit
+/// domination).
 ///
 /// Back edges whose source is not dominated by the target (the
 /// irreducible-looking case) do not form a natural loop and are

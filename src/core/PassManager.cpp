@@ -3,7 +3,7 @@
 #include "core/PassManager.h"
 
 #include "opt/Passes.h"
-#include "regalloc/Allocator.h"
+#include "regalloc/RegAlloc.h"
 #include "sir/Printer.h"
 #include "sir/Verifier.h"
 #include "transform/Transforms.h"
@@ -151,17 +151,14 @@ private:
   unsigned LastChanges = 0;
 };
 
-/// Register allocation with one regalloc::AllocatorRegistry backend;
-/// the backend's name is the pass token.
+/// Register allocation (regalloc::allocateModule).
 class RegAllocPass : public ModulePass {
 public:
-  explicit RegAllocPass(std::string Backend) : Backend(std::move(Backend)) {}
-
-  std::string name() const override { return Backend; }
+  std::string name() const override { return "regalloc"; }
 
   unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
                PassState &State) override {
-    State.Alloc = regalloc::allocateModuleWith(Backend, M, &AM);
+    State.Alloc = regalloc::allocateModule(M, &AM);
     State.Allocated = true;
     for (const std::string &E : State.Alloc.Errors)
       State.Errors.push_back("regalloc: " + E);
@@ -172,43 +169,11 @@ public:
     // spill code lands, so the default preserved() (none) holds.
     return Changes;
   }
-
-private:
-  std::string Backend;
 };
 
 //===----------------------------------------------------------------------===//
 // Mid-end transform passes (src/transform).
 //===----------------------------------------------------------------------===//
-
-/// Dominator-ordered global value numbering.
-class GvnPass : public ModulePass {
-public:
-  std::string name() const override { return "gvn"; }
-
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override {
-    LastChanges = 0;
-    for (const auto &F : M.functions()) {
-      unsigned Changes = transform::runGVN(*F, AM);
-      if (Changes)
-        AM.invalidateFunction(*F);
-      LastChanges += Changes;
-    }
-    if (LastChanges)
-      M.renumber();
-    State.Transform.GvnReplaced += LastChanges;
-    return LastChanges;
-  }
-
-  analysis::PreservedAnalyses preserved() const override {
-    return LastChanges == 0 ? analysis::PreservedAnalyses::all()
-                            : analysis::PreservedAnalyses::none();
-  }
-
-private:
-  unsigned LastChanges = 0;
-};
 
 /// Loop-invariant code motion into preheaders.
 class LicmPass : public ModulePass {
@@ -232,43 +197,6 @@ public:
   }
 
 private:
-  unsigned LastChanges = 0;
-};
-
-/// Loop unrolling; Factor 0 is full-unroll only ("unroll"), Factor N
-/// is the "unroll<N>" spelling with partial unrolling by N.
-class UnrollPass : public ModulePass {
-public:
-  explicit UnrollPass(unsigned Factor) : Factor(Factor) {}
-
-  std::string name() const override {
-    return Factor ? "unroll<" + std::to_string(Factor) + ">" : "unroll";
-  }
-
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override {
-    LastChanges = 0;
-    transform::UnrollOptions Opts;
-    Opts.Factor = Factor;
-    for (const auto &F : M.functions()) {
-      transform::UnrollResult R = transform::runUnroll(*F, AM, Opts);
-      State.Transform.LoopsFullyUnrolled += R.FullyUnrolled;
-      State.Transform.LoopsPartiallyUnrolled += R.PartiallyUnrolled;
-      State.Transform.UnrollInstrsAdded += R.InstrsAdded;
-      LastChanges += R.FullyUnrolled + R.PartiallyUnrolled;
-    }
-    if (LastChanges)
-      M.renumber();
-    return LastChanges;
-  }
-
-  analysis::PreservedAnalyses preserved() const override {
-    return LastChanges == 0 ? analysis::PreservedAnalyses::all()
-                            : analysis::PreservedAnalyses::none();
-  }
-
-private:
-  unsigned Factor;
   unsigned LastChanges = 0;
 };
 
@@ -406,10 +334,7 @@ PassRegistry &PassRegistry::global() {
     Reg->registerPass("dce", [] {
       return makeSingleOpt("dce", opt::eliminateDeadCode);
     });
-    Reg->registerPass("gvn", [] { return std::make_unique<GvnPass>(); });
     Reg->registerPass("licm", [] { return std::make_unique<LicmPass>(); });
-    Reg->registerPass("unroll",
-                      [] { return std::make_unique<UnrollPass>(0); });
     Reg->registerPass("inline",
                       [] { return std::make_unique<InlinePass>(); });
     Reg->registerPass("profile",
@@ -418,11 +343,8 @@ PassRegistry &PassRegistry::global() {
                       [] { return std::make_unique<PartitionPass>(); });
     Reg->registerPass("fp-arg-passing",
                       [] { return std::make_unique<FpArgPassingPass>(); });
-    for (const std::string &Backend :
-         regalloc::AllocatorRegistry::global().names())
-      Reg->registerPass(Backend, [Backend] {
-        return std::make_unique<RegAllocPass>(Backend);
-      });
+    Reg->registerPass("regalloc",
+                      [] { return std::make_unique<RegAllocPass>(); });
     Reg->registerPass("verify",
                       [] { return std::make_unique<VerifyPass>(); });
     return Reg;
@@ -514,26 +436,6 @@ bool parseInto(const std::string &Text,
         return false;
       continue;
     }
-    const std::string UnrollHead = "unroll<";
-    if (Tok.rfind(UnrollHead, 0) == 0 && Tok.back() == '>') {
-      const std::string Num =
-          Tok.substr(UnrollHead.size(), Tok.size() - UnrollHead.size() - 1);
-      unsigned Factor = 0;
-      bool Valid = !Num.empty() && Num.size() <= 2;
-      for (char C : Num) {
-        if (C < '0' || C > '9') {
-          Valid = false;
-          break;
-        }
-        Factor = Factor * 10 + static_cast<unsigned>(C - '0');
-      }
-      if (!Valid || Factor < 2 || Factor > 16) {
-        Error = "invalid unroll factor in '" + Tok + "' (want unroll<2..16>)";
-        return false;
-      }
-      Out.push_back(std::make_unique<UnrollPass>(Factor));
-      continue;
-    }
     const std::string FixpointHead = "fixpoint(";
     if (Tok.rfind(FixpointHead, 0) == 0 && Tok.back() == ')') {
       std::string Inner = Tok.substr(
@@ -577,9 +479,8 @@ const char *core::defaultPipelineText() {
 
 const char *core::opt2PipelineText() {
   // The second "opt" cleans up what the mid-end exposes: inlined arg
-  // moves copy-propagate away, unrolled counter updates fold, and GVN
-  // moves feed DCE.
-  return "opt,gvn,licm,unroll,inline,opt,profile,partition,regalloc";
+  // moves copy-propagate away.
+  return "opt,licm,inline,opt,profile,partition,regalloc";
 }
 
 std::string core::effectivePipelineText(const PipelineConfig &Config) {

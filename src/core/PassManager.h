@@ -178,15 +178,12 @@ private:
 ///   opt             fixpoint optimizer (opt::optimizeModule)
 ///   copy-prop, const-fold, cse, dce
 ///                   the individual optimizations
-///   gvn, licm, unroll, inline
-///                   the mid-end transforms (src/transform)
+///   licm, inline    the mid-end transforms (src/transform)
 ///   profile         training-input profiling run (fatal on failure)
 ///   partition       the Config.Scheme partitioner (None: no-op)
 ///   fp-arg-passing  Section 6.6 extension (no-op unless an advanced
 ///                   partition ran before it)
-///   regalloc, regalloc-linear, ...
-///                   register allocation, one token per
-///                   regalloc::AllocatorRegistry backend
+///   regalloc        register allocation (regalloc::allocateModule)
 ///   verify          structural verification as a pipeline stage
 ///
 /// Tests may registerPass() additional names; re-registering a name
@@ -224,11 +221,10 @@ bool parsePipeline(const std::string &Text,
 /// The paper's compile flow: "opt,profile,partition,regalloc".
 const char *defaultPipelineText();
 
-/// The "opt2" preset: the local optimizer plus the full mid-end (GVN,
-/// LICM, unroll, inline) and a second local cleanup, ahead of the
-/// default back half ("profile,partition,regalloc"). The token "opt2"
-/// in pipeline text expands to this; "unroll<N>" selects a
-/// partial-unroll factor for the unroll pass anywhere in pipeline text.
+/// The "opt2" preset: the local optimizer plus the mid-end (LICM,
+/// inline) and a second local cleanup, ahead of the default back half
+/// ("profile,partition,regalloc"). The token "opt2" in pipeline text
+/// expands to this.
 const char *opt2PipelineText();
 
 /// The text compileAndMeasure will run for \p Config:

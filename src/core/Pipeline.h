@@ -49,11 +49,11 @@ struct PipelineConfig {
   std::vector<int32_t> RefArgs;   ///< main() args for measurement runs.
   /// Pipeline text naming the stages to run (see core/PassManager.h):
   /// e.g. "opt,profile,partition,fp-arg-passing,regalloc" adds the
-  /// Section 6.6 extension, dropping "opt" skips the optimizer,
-  /// dropping "regalloc" stops before allocation, and
-  /// "regalloc-linear" picks that backend. Empty means: $FPINT_PASSES
-  /// if set, else the default text. effectivePipelineText() resolves
-  /// it; run ids, cache keys and reports all carry the resolved text.
+  /// Section 6.6 extension, dropping "opt" skips the optimizer, and
+  /// dropping "regalloc" stops before allocation. Empty means:
+  /// $FPINT_PASSES if set, else the default text.
+  /// effectivePipelineText() resolves it; run ids, cache keys and
+  /// reports all carry the resolved text.
   std::string Passes;
 };
 

@@ -134,15 +134,6 @@ void rewriteToMove(Function &F, Instruction &I, Reg Src) {
 
 bool opt::isPureInstr(const Instruction &I) { return isPure(I); }
 
-bool opt::evalConstOp(Opcode Op, int32_t A, int32_t B, int64_t Imm,
-                      int32_t &Out) {
-  return evalConst(Op, A, B, Imm, Out);
-}
-
-void opt::rewriteInstrToMove(Function &F, Instruction &I, Reg Src) {
-  rewriteToMove(F, I, Src);
-}
-
 unsigned opt::propagateCopies(Function &F) {
   unsigned Changed = 0;
   for (const auto &BB : F.blocks()) {

@@ -34,20 +34,9 @@ namespace opt {
 
 /// True for instructions with no side effects whose only product is
 /// their destination register (loads excluded: removing one could
-/// suppress an out-of-bounds fault). Shared with the mid-end
-/// transforms (GVN, LICM) so pass libraries agree on purity.
+/// suppress an out-of-bounds fault). Shared with LICM so pass
+/// libraries agree on purity.
 bool isPureInstr(const sir::Instruction &I);
-
-/// Evaluates a foldable integer operation, mirroring VM semantics
-/// (division by zero and INT32_MIN/-1 yield 0; x%0 yields x). Returns
-/// false for opcodes that cannot be folded. Shared with the unroller's
-/// trip-count simulation.
-bool evalConstOp(sir::Opcode Op, int32_t A, int32_t B, int64_t Imm,
-                 int32_t &Out);
-
-/// Turns \p I into "move Def, Src" preserving register class (FMove
-/// for FP destinations). Shared with GVN's redundancy replacement.
-void rewriteInstrToMove(sir::Function &F, sir::Instruction &I, sir::Reg Src);
 
 /// Rewrites uses of registers defined by Move/FMove with the move's
 /// source, within each basic block. Returns uses rewritten.

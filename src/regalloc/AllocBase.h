@@ -5,21 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The backend-independent 90% of a register allocator, extracted from
-/// the original monolith so every backend shares one implementation of
-/// the contract in regalloc/Allocator.h:
+/// The per-function allocation skeleton:
 ///
-///   lowerCallingConvention -> buildIntervals -> scan (BACKEND POLICY)
+///   lowerCallingConvention -> buildIntervals -> scan (POLICY)
 ///     -> rewrite -> insertCalleeSaves -> finish
 ///
-/// A backend subclasses FuncAllocBase and implements only scan(): walk
-/// the interval list (sorted by start) for one register class and
-/// either assign Interval::ArchIdx or spill. Everything around the
-/// scan -- the position numbering (via the shared LiveIntervals
-/// analysis), the spill-everywhere rewrite through scratch registers,
-/// and the callee-save prologue/epilogue -- is common, which is what
-/// keeps the VM oracle, simulator renamer, and partition statistics
-/// backend-agnostic.
+/// The allocator in RegAlloc.cpp subclasses FuncAllocBase and
+/// implements only scan(): walk the interval list (sorted by start)
+/// for one register class and either assign Interval::ArchIdx or
+/// spill. Everything around the scan -- the position numbering (via
+/// the shared LiveIntervals analysis), the spill-everywhere rewrite
+/// through scratch registers, and the callee-save prologue/epilogue --
+/// lives here, keeping the scan policy separate from the contract in
+/// regalloc/RegAlloc.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,7 +63,7 @@ public:
   bool run(std::string &Error);
 
 protected:
-  /// Backend policy: assign ArchIdx or spill every interval of class
+  /// Scan policy: assign ArchIdx or spill every interval of class
   /// \p RC, in interval order. Must honor the contract: an interval
   /// with CrossesCall set may only take a callee-saved index (or
   /// spill), and every callee-saved index taken must be marked in

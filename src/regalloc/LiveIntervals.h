@@ -13,11 +13,10 @@
 /// end position). Call sites are recorded so allocators can classify
 /// intervals that are live across a call.
 ///
-/// This is the shared input of every register allocator (see
-/// docs/REGALLOC.md): the incumbent and the linear-scan backend both
-/// consume one LiveIntervals result, either through the
-/// AnalysisManager ("live-intervals", dependency-linked to "cfg" and
-/// "liveness") or built locally when no manager is available.
+/// This is the register allocator's input (see docs/REGALLOC.md),
+/// fetched through the AnalysisManager ("live-intervals",
+/// dependency-linked to "cfg" and "liveness") or built locally when no
+/// manager is available.
 ///
 /// The analysis is allocator-neutral: it covers *every* register id,
 /// including ones an allocator will treat as precolored or

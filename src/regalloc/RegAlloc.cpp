@@ -1,21 +1,19 @@
-//===- regalloc/RegAlloc.cpp - Incumbent register-allocation backend ------===//
+//===- regalloc/RegAlloc.cpp - Linear-scan register allocation ------------===//
 //
-// The original linear-scan allocator, now one backend behind the
-// regalloc::Allocator interface (registered as "regalloc" and still
-// the default). Its scan policy: lowest-index-first register pools per
-// class, caller-saved preferred for intervals that do not cross a
-// call, furthest-end victim spilling. Everything around the scan lives
-// in AllocBase.cpp and is shared with every other backend.
+// The scan policy: lowest-index-first register pools per class,
+// caller-saved preferred for intervals that do not cross a call,
+// furthest-end victim spilling. Everything around the scan lives in
+// AllocBase.cpp.
 //
 //===----------------------------------------------------------------------===//
 
 #include "regalloc/RegAlloc.h"
 
 #include "regalloc/AllocBase.h"
-#include "regalloc/Allocator.h"
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 
 using namespace fpint;
 using namespace fpint::regalloc;
@@ -24,7 +22,7 @@ using sir::RegClass;
 
 namespace {
 
-class IncumbentFuncAllocator final : public FuncAllocBase {
+class ScanFuncAllocator final : public FuncAllocBase {
 public:
   using FuncAllocBase::FuncAllocBase;
 
@@ -32,7 +30,7 @@ private:
   void scan(RegClass RC) override;
 };
 
-void IncumbentFuncAllocator::scan(RegClass RC) {
+void ScanFuncAllocator::scan(RegClass RC) {
   std::vector<bool> CallerFree(ArchLayout::NumCaller, true);
   std::vector<bool> CalleeFree(ArchLayout::NumCallee, true);
   std::vector<unsigned> Active; // Interval indices, unordered.
@@ -117,22 +115,33 @@ void IncumbentFuncAllocator::scan(RegClass RC) {
   }
 }
 
-class IncumbentAllocator final : public Allocator {
-public:
-  const char *name() const override { return "regalloc"; }
-
-  bool runOnFunction(sir::Function &F, ModuleAlloc &Out,
-                     analysis::AnalysisManager *AM,
-                     std::string &Error) override {
-    IncumbentFuncAllocator Alloc(F, Out, AM);
-    return Alloc.run(Error);
-  }
-};
-
 } // namespace
 
-std::unique_ptr<Allocator> regalloc::createIncumbentAllocator() {
-  return std::make_unique<IncumbentAllocator>();
+ModuleAlloc regalloc::allocateModule(sir::Module &M,
+                                     analysis::AnalysisManager *AM) {
+  ModuleAlloc Result;
+  Result.AllocatorName = "regalloc";
+  for (const auto &F : M.functions()) {
+    std::string Error;
+    // Lowering and rewriting mutate F around the analysis fetches, so
+    // bracket each function with invalidations: stale entries from
+    // earlier passes are dropped going in, and the allocator's own
+    // CFG / liveness / live-interval results are dropped going out.
+    if (AM)
+      AM->invalidateFunction(*F);
+    auto T0 = std::chrono::steady_clock::now();
+    bool Ok = ScanFuncAllocator(*F, Result, AM).run(Error);
+    auto T1 = std::chrono::steady_clock::now();
+    if (!Ok)
+      Result.Errors.push_back(Error);
+    auto It = Result.Funcs.find(F.get());
+    if (It != Result.Funcs.end())
+      It->second.WallMs =
+          std::chrono::duration<double, std::milli>(T1 - T0).count();
+    if (AM)
+      AM->invalidateFunction(*F);
+  }
+  return Result;
 }
 
 unsigned ModuleAlloc::archIndexOf(const sir::Function *F, Reg R) const {

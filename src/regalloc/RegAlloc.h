@@ -24,11 +24,9 @@
 ///  * rewrites the function onto architectural registers and reports a
 ///    register -> (file, index) map for the timing simulator's renamer.
 ///
-/// Since the pluggable-backend refactor this header holds the shared
-/// vocabulary (ArchLayout, FuncAlloc, ModuleAlloc) plus the
-/// default-backend entry point; the backend interface and registry
-/// live in regalloc/Allocator.h, and the bullet list above is the
-/// contract every backend honors.
+/// The scan policy lives in RegAlloc.cpp; everything around it
+/// (lowering, live intervals, spill rewrite, callee saves) is in
+/// AllocBase.cpp. See docs/REGALLOC.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,8 +83,9 @@ struct FuncAlloc {
 struct ModuleAlloc {
   std::unordered_map<const sir::Function *, FuncAlloc> Funcs;
   std::vector<std::string> Errors;
-  /// Registry name of the backend that produced this allocation
-  /// (empty only for a default-constructed result).
+  /// Name of the pass that produced this allocation ("regalloc";
+  /// empty only for a default-constructed result, i.e. regalloc never
+  /// ran).
   std::string AllocatorName;
 
   /// Architectural index of \p R in \p F's file; asserts it is mapped.
@@ -101,14 +100,14 @@ struct ModuleAlloc {
   double totalWallMs() const;
 };
 
-/// Allocates every function of \p M in place with the default backend
-/// (see regalloc/Allocator.h for the pluggable-backend interface and
-/// allocateModuleWith for named selection). The module must verify
-/// cleanly; functions may have at most ArchLayout::NumArgRegs formals.
-/// When \p AM is non-null every analysis (CFG, liveness, live
-/// intervals) is fetched through it; each function's cached analyses
-/// are invalidated around its allocation (the allocator rewrites the
-/// IR).
+/// Allocates every function of \p M in place, recording each
+/// function's allocation wall time in FuncAlloc::WallMs. The module
+/// must verify cleanly; functions may have at most
+/// ArchLayout::NumArgRegs formals (a violation is reported in
+/// ModuleAlloc::Errors and leaves that function untouched). When \p AM
+/// is non-null every analysis (CFG, liveness, live intervals) is
+/// fetched through it; each function's cached analyses are invalidated
+/// around its allocation (the allocator rewrites the IR).
 ModuleAlloc allocateModule(sir::Module &M,
                            analysis::AnalysisManager *AM = nullptr);
 

@@ -48,32 +48,11 @@ std::vector<VariantSpec> testgen::midendVariants() {
     V.Config.Scheme = partition::Scheme::Advanced;
     Variants.push_back(std::move(V));
   };
-  for (const char *Pass : {"gvn", "licm", "unroll", "unroll<4>", "inline"})
+  for (const char *Pass : {"licm", "inline"})
     Add(std::string("opt,") + Pass +
         ",profile,partition,fp-arg-passing,regalloc");
   // The opt2 preset's mid-end with the Section 6.6 extension added.
-  Add("opt,gvn,licm,unroll,inline,opt,profile,partition,fp-arg-passing,"
-      "regalloc");
-  return Variants;
-}
-
-std::vector<VariantSpec> testgen::regallocVariants() {
-  std::vector<VariantSpec> Variants;
-  auto Add = [&](const std::string &Allocator, partition::Scheme S) {
-    VariantSpec V;
-    V.Name = Allocator + ":" + partition::schemeName(S);
-    V.Config.Scheme = S;
-    V.Config.Passes = S == partition::Scheme::Advanced
-                          ? "opt,profile,partition,fp-arg-passing,"
-                          : "opt,profile,partition,";
-    V.Config.Passes += Allocator;
-    Variants.push_back(std::move(V));
-  };
-  for (const char *Allocator : {"regalloc", "regalloc-linear"})
-    for (partition::Scheme S :
-         {partition::Scheme::None, partition::Scheme::Basic,
-          partition::Scheme::Advanced})
-      Add(Allocator, S);
+  Add("opt,licm,inline,opt,profile,partition,fp-arg-passing,regalloc");
   return Variants;
 }
 

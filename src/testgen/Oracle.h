@@ -52,19 +52,12 @@ struct VariantSpec {
 /// optimizer.
 std::vector<VariantSpec> defaultVariants();
 
-/// The mid-end variant battery: each new transform pass alone on top of
-/// the default flow (gvn, licm, unroll, unroll<4>, inline) plus the
-/// full "opt2" preset pipeline, all under the advanced scheme with
-/// register allocation and FP argument passing. Append these to
-/// OracleOptions::Variants to differentially test the mid-end.
+/// The mid-end variant battery: each transform pass alone on top of
+/// the default flow (licm, inline) plus the "opt2" preset pipeline,
+/// all under the advanced scheme with register allocation and FP
+/// argument passing. Append these to OracleOptions::Variants to
+/// differentially test the mid-end.
 std::vector<VariantSpec> midendVariants();
-
-/// The register-allocator variant battery: each registered allocator
-/// backend (incumbent "regalloc" and the Poletto-Sarkar
-/// "regalloc-linear") under the none/basic/advanced schemes, with the
-/// optimizer on and FP argument passing under advanced. Append these to
-/// OracleOptions::Variants to differentially race the allocators.
-std::vector<VariantSpec> regallocVariants();
 
 struct OracleOptions {
   std::vector<VariantSpec> Variants = defaultVariants();

@@ -11,7 +11,6 @@
 #include "core/Pipeline.h"
 #include "core/RunCache.h"
 #include "opt/Passes.h"
-#include "regalloc/Allocator.h"
 #include "regalloc/Liveness.h"
 #include "regalloc/RegAlloc.h"
 #include "sir/Parser.h"
@@ -81,6 +80,25 @@ TEST(PipelineText, RejectsUnknownAndMalformed) {
   EXPECT_FALSE(parsePipeline("opt,,dce", Out, Error));
   EXPECT_FALSE(parsePipeline("fixpoint(dce", Out, Error));
   EXPECT_FALSE(parsePipeline("dce)", Out, Error));
+
+  // Spellings of deleted passes fail by name, and a stale
+  // $FPINT_PASSES naming one is a pipeline error on the run, never a
+  // silent fall-back to the default text.
+  auto M = parse(fixtures::IntVectorSum);
+  for (const char *Gone : {"gvn", "unroll", "unroll<4>", "regalloc-linear"}) {
+    const std::string Text =
+        std::string("opt,") + Gone + ",profile,partition,regalloc";
+    EXPECT_FALSE(parsePipeline(Text, Out, Error)) << Gone;
+    EXPECT_NE(Error.find(Gone), std::string::npos) << Error;
+
+    ScopedEnv Env("FPINT_PASSES", Text.c_str());
+    PipelineRun Run = compileAndMeasure(*M, PipelineConfig());
+    EXPECT_FALSE(Run.ok()) << Gone;
+    EXPECT_EQ(Run.Config.Passes, Text);
+    ASSERT_EQ(Run.Errors.size(), 1u) << Gone;
+    EXPECT_EQ(Run.Errors[0].rfind("pipeline: ", 0), 0u) << Run.Errors[0];
+    EXPECT_NE(Run.Errors[0].find(Gone), std::string::npos) << Run.Errors[0];
+  }
 }
 
 TEST(PipelineText, EffectiveTextPrecedence) {
@@ -123,21 +141,6 @@ TEST(PipelineText, IdentityFollowsEnvOverride) {
   EXPECT_NE(RunCache::runKey("w", Config), Key);
   EXPECT_NE(stats::runId("w", Config, Machine), Id);
   EXPECT_EQ(stats::pipelineConfigToJson(Config).strOr("passes", ""), "opt2");
-}
-
-TEST(PipelineText, OneRegallocTokenPerBackend) {
-  for (const std::string &Backend :
-       regalloc::AllocatorRegistry::global().names())
-    EXPECT_TRUE(PassRegistry::global().contains(Backend)) << Backend;
-
-  auto M = parse(fixtures::InvalidateForCall);
-  PipelineConfig Config;
-  Config.Passes = "opt,profile,partition,regalloc-linear";
-  PipelineRun Run = compileAndMeasure(*M, Config);
-  ASSERT_TRUE(Run.ok()) << (Run.Errors.empty() ? "?" : Run.Errors[0]);
-  EXPECT_TRUE(Run.Allocated);
-  EXPECT_EQ(Run.Alloc.AllocatorName, "regalloc-linear");
-  EXPECT_EQ(Run.PassStats.back().Name, "regalloc-linear");
 }
 
 //===----------------------------------------------------------------------===//

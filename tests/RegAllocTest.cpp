@@ -1,7 +1,6 @@
 //===- tests/RegAllocTest.cpp - Linear-scan register allocation -----------===//
 
 #include "partition/Partitioner.h"
-#include "regalloc/Allocator.h"
 #include "regalloc/LiveIntervals.h"
 #include "regalloc/RegAlloc.h"
 #include "sir/Parser.h"
@@ -26,13 +25,11 @@ std::unique_ptr<Module> parseOrDie(const char *Src) {
   return std::move(PR.M);
 }
 
-/// Allocates a clone of \p M with the named backend and checks
-/// verification + VM equivalence.
-std::unique_ptr<Module>
-allocateAndCheckWith(const std::string &Allocator, const Module &Original,
-                     ModuleAlloc *OutAlloc = nullptr) {
+/// Allocates a clone of \p M and checks verification + VM equivalence.
+std::unique_ptr<Module> allocateAndCheck(const Module &Original,
+                                         ModuleAlloc *OutAlloc = nullptr) {
   auto M = Original.clone();
-  ModuleAlloc Alloc = allocateModuleWith(Allocator, *M);
+  ModuleAlloc Alloc = allocateModule(*M);
   EXPECT_TRUE(Alloc.Errors.empty()) << Alloc.Errors[0];
   auto Verify = verify(*M);
   EXPECT_TRUE(Verify.empty()) << Verify[0] << "\n" << toString(*M);
@@ -47,12 +44,6 @@ allocateAndCheckWith(const std::string &Allocator, const Module &Original,
   if (OutAlloc)
     *OutAlloc = std::move(Alloc);
   return M;
-}
-
-/// Default-backend form used by the incumbent's tests.
-std::unique_ptr<Module> allocateAndCheck(const Module &Original,
-                                         ModuleAlloc *OutAlloc = nullptr) {
-  return allocateAndCheckWith("", Original, OutAlloc);
 }
 
 TEST(RegAlloc, StraightLineCode) {
@@ -143,10 +134,14 @@ TEST(RegAlloc, HighPressureSpills) {
   ASSERT_TRUE(PR.ok()) << PR.Error;
   ModuleAlloc Alloc;
   auto A = allocateAndCheck(*PR.M, &Alloc);
+  EXPECT_EQ(Alloc.AllocatorName, "regalloc");
   const FuncAlloc &FA = Alloc.Funcs.at(A->functionByName("main"));
   EXPECT_GT(FA.SpilledIntervals, 0u);
   EXPECT_GT(FA.SpillCode, 0u);
   EXPECT_GT(FA.SpillSlots, 0u);
+  EXPECT_EQ(FA.SpillLoads + FA.SpillStores + FA.CalleeSaveStores +
+                FA.CalleeSaveRestores,
+            FA.SpillCode);
 }
 
 TEST(RegAlloc, ValuesLiveAcrossCallsUseCalleeSaved) {
@@ -253,7 +248,17 @@ loop:
 }
 )";
   auto M = parseOrDie(Src);
-  allocateAndCheck(*M);
+  ModuleAlloc Alloc;
+  auto A = allocateAndCheck(*M, &Alloc);
+  // Every FP-class register maps into the FP file's index space and
+  // every INT-class one into the INT file's; the verifier has already
+  // checked operand classes, so here we only need the map to be total.
+  const Function *F = A->functionByName("main");
+  F->forEachInstr([&](const Instruction &I) {
+    if (I.def().isValid()) {
+      EXPECT_LT(Alloc.archIndexOf(F, I.def()), ArchLayout::FileSize);
+    }
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -331,9 +336,8 @@ TEST_P(RegAllocProperty, RandomProgramsStayEquivalent) {
   auto OrigRun = vm::runModule(*PR.M);
   ASSERT_TRUE(OrigRun.Ok) << OrigRun.Error << "\n" << Src;
 
-  // Plain allocation, under both registered backends.
+  // Plain allocation.
   allocateAndCheck(*PR.M);
-  allocateAndCheckWith("regalloc-linear", *PR.M);
 
   // Partition (advanced), then allocate: the paper's full compilation
   // flow.
@@ -517,197 +521,17 @@ entry:
   EXPECT_GE(ByName.at("cfg").Hits, 1u);
 }
 
-//===----------------------------------------------------------------------===//
-// AllocatorRegistry and backend selection.
-//===----------------------------------------------------------------------===//
-
-TEST(AllocatorRegistry, BuiltinBackendsAreRegistered) {
-  AllocatorRegistry &R = AllocatorRegistry::global();
-  EXPECT_TRUE(R.contains("regalloc"));
-  EXPECT_TRUE(R.contains("regalloc-linear"));
-  EXPECT_FALSE(R.contains("regalloc-graph-color"));
-  auto Inc = R.create("regalloc");
-  ASSERT_NE(Inc, nullptr);
-  EXPECT_STREQ(Inc->name(), "regalloc");
-  auto Lin = R.create("regalloc-linear");
-  ASSERT_NE(Lin, nullptr);
-  EXPECT_STREQ(Lin->name(), "regalloc-linear");
-  EXPECT_EQ(R.create("regalloc-graph-color"), nullptr);
-}
-
-TEST(AllocatorRegistry, UnknownBackendErrorsCleanly) {
-  auto M = parseOrDie(R"(
-func main() {
-entry:
-  li %a, 1
-  out %a
-  ret
-}
-)");
-  ModuleAlloc Alloc = allocateModuleWith("regalloc-bogus", *M);
-  ASSERT_EQ(Alloc.Errors.size(), 1u);
-  EXPECT_NE(Alloc.Errors[0].find("regalloc-bogus"), std::string::npos);
-  EXPECT_TRUE(Alloc.Funcs.empty());
-  // The module was not touched: still allocatable by a real backend.
-  allocateAndCheck(*M);
-}
-
-TEST(AllocatorRegistry, EmptyNameSelectsDefault) {
-  auto M = parseOrDie(R"(
-func main() {
-entry:
-  li %a, 1
-  out %a
-  ret
-}
-)");
-  auto C = M->clone();
-  ModuleAlloc Alloc = allocateModuleWith("", *C);
-  EXPECT_TRUE(Alloc.Errors.empty());
-  EXPECT_EQ(Alloc.AllocatorName, std::string(defaultAllocatorName()));
-}
-
-//===----------------------------------------------------------------------===//
-// Linear scan ("regalloc-linear"): same contract, different policy.
-//===----------------------------------------------------------------------===//
-
-TEST(LinearScan, SpillsAtExhaustion) {
-  // Same high-pressure program as the incumbent's spill test: 30
-  // block-spanning integer intervals overflow the 24 allocatable
-  // registers under any policy.
-  std::string Src = "func main() {\nentry:\n";
-  for (int I = 0; I < 30; ++I)
-    Src += "  li %v" + std::to_string(I) + ", " + std::to_string(I * 3 + 1) +
-           "\n";
-  Src += "  li %acc, 0\n";
-  for (int I = 29; I >= 0; --I)
-    Src += "  add %acc, %acc, %v" + std::to_string(I) + "\n";
-  Src += "  out %acc\n  ret\n}\n";
-
-  ParseResult PR = parseModule(Src);
-  ASSERT_TRUE(PR.ok()) << PR.Error;
-  ModuleAlloc Alloc;
-  auto A = allocateAndCheckWith("regalloc-linear", *PR.M, &Alloc);
-  EXPECT_EQ(Alloc.AllocatorName, "regalloc-linear");
-  const FuncAlloc &FA = Alloc.Funcs.at(A->functionByName("main"));
-  EXPECT_GT(FA.SpilledIntervals, 0u);
-  EXPECT_GT(FA.SpillCode, 0u);
-  EXPECT_GT(FA.SpillSlots, 0u);
-  EXPECT_EQ(FA.SpillLoads + FA.SpillStores + FA.CalleeSaveStores +
-                FA.CalleeSaveRestores,
-            FA.SpillCode);
-}
-
-TEST(LinearScan, CallCrossersTakeCalleeSavedOrSpill) {
-  auto M = parseOrDie(R"(
-func leaf(%x) {
-entry:
-  addi %r, %x, 1
-  ret %r
-}
-
-func main() {
-entry:
-  li %keep, 1000
-  li %i, 0
-loop:
-  call %t, leaf(%i)
-  add %keep, %keep, %t
-  addi %i, %i, 1
-  slti %c, %i, 10
-  bne %c, %zero, loop
-  out %keep
-  ret
-}
-)");
-  ModuleAlloc Alloc;
-  auto A = allocateAndCheckWith("regalloc-linear", *M, &Alloc);
-  const FuncAlloc &FA = Alloc.Funcs.at(A->functionByName("main"));
-  // %keep and %i cross the call: they land in callee-saved registers
-  // (saved and restored) or spill -- never in a caller-saved register.
-  EXPECT_TRUE(FA.CalleeSavedUsedInt > 0 || FA.SpilledIntervals > 0);
-  EXPECT_GT(FA.SpillCode, 0u);
-}
-
-TEST(LinearScan, ClassesAllocateFromSeparateFiles) {
-  const char *Src = R"(
-global vec 8 = 0 0 0 0 0 0 0 0
-
-func main() {
-entry:
-  li %i, 0
-  fli %sum, 0.0
-loop:
-  cp_to_fp %fb, %i
-  cvtif %fi, %fb
-  fmul %sq, %fi, %fi
-  fadd %sum, %sum, %sq
-  sll %off, %i, 2
-  la %vp, vec
-  add %ea, %vp, %off
-  s.s %sq, 0(%ea)
-  addi %i, %i, 1
-  slti %t, %i, 8
-  bne %t, %zero, loop
-  cp_to_int %bits, %sum
-  out %bits
-  ret
-}
-)";
-  auto M = parseOrDie(Src);
-  ModuleAlloc Alloc;
-  auto A = allocateAndCheckWith("regalloc-linear", *M, &Alloc);
-  // Every FP-class register maps into the FP file's index space and
-  // every INT-class one into the INT file's; the verifier has already
-  // checked operand classes, so here we only need the map to be total.
-  const Function *F = A->functionByName("main");
-  F->forEachInstr([&](const Instruction &I) {
-    if (I.def().isValid())
-      EXPECT_LT(Alloc.archIndexOf(F, I.def()), ArchLayout::FileSize);
-  });
-}
-
-TEST(LinearScan, FpaPartitionConstraintsHonored) {
-  // Partition first (advanced), then linear-scan allocate: FPa
-  // operands are RegClass::Fp and must come out of the FP file.
-  auto Original = parseOrDie(fixtures::InvalidateForCall);
-  auto M = Original->clone();
-  vm::VM::Options ProfOpts;
-  ProfOpts.CollectProfile = true;
-  vm::VM Prof(*M, ProfOpts);
-  ASSERT_TRUE(Prof.run().Ok);
-  auto RW = partition::partitionModule(*M, partition::Scheme::Advanced,
-                                       &Prof.profile());
-  ASSERT_TRUE(RW.Errors.empty());
-
-  ModuleAlloc Alloc;
-  auto A = allocateAndCheckWith("regalloc-linear", *M, &Alloc);
-  const Function *F = A->functionByName("main");
-  unsigned FpaOps = 0;
-  F->forEachInstr([&](const Instruction &I) {
-    if (!I.inFpa())
-      return;
-    ++FpaOps;
-    if (I.def().isValid()) {
-      EXPECT_EQ(F->regClass(I.def()), RegClass::Fp);
-    }
-  });
-  EXPECT_GT(FpaOps, 0u);
-}
-
-TEST(LinearScan, PaperCorpusEquivalentUnderBothBackends) {
+TEST(RegAlloc, PaperCorpusStaysEquivalent) {
   for (const char *Src : {fixtures::IntVectorSum, fixtures::InvalidateForCall,
                           fixtures::MemoryFreeRand}) {
     auto Original = parseOrDie(Src);
     auto BaseRun = vm::runModule(*Original);
     ASSERT_TRUE(BaseRun.Ok) << BaseRun.Error;
-    for (const char *Backend : {"regalloc", "regalloc-linear"}) {
-      auto A = allocateAndCheckWith(Backend, *Original);
-      auto Run = vm::runModule(*A);
-      ASSERT_TRUE(Run.Ok) << Backend << ": " << Run.Error;
-      EXPECT_EQ(Run.Output, BaseRun.Output) << Backend;
-      EXPECT_EQ(Run.ExitValue, BaseRun.ExitValue) << Backend;
-    }
+    auto A = allocateAndCheck(*Original);
+    auto Run = vm::runModule(*A);
+    ASSERT_TRUE(Run.Ok) << Run.Error;
+    EXPECT_EQ(Run.Output, BaseRun.Output);
+    EXPECT_EQ(Run.ExitValue, BaseRun.ExitValue);
   }
 }
 

@@ -1,4 +1,4 @@
-//===- tests/TransformTest.cpp - GVN, LICM, unroll, inline unit tests -----===//
+//===- tests/TransformTest.cpp - LICM and inline unit tests --------------===//
 //
 // Part of the fpint project (PLDI 1998 idle-FP-resources reproduction).
 //
@@ -6,14 +6,12 @@
 ///
 /// \file
 /// Positive and negative unit tests for each mid-end transform, run
-/// directly through the transform:: entry points: GVN replaces
-/// dominated redundancies but never across a clobbering load; LICM
-/// hoists invariant pure computation but refuses memory operations,
+/// directly through the transform:: entry points: LICM hoists
+/// invariant pure computation but refuses memory operations,
 /// loop-varying operands, and values live into the header; the
-/// unroller respects its trip and size budgets and preserves trip
-/// semantics (checked by VM output equality); the inliner refuses
-/// recursive and over-budget callees. Every transformed module must
-/// pass the strict (dataflow-checking) verifier.
+/// inliner refuses recursive and over-budget callees. Every
+/// transformed module must pass the strict (dataflow-checking)
+/// verifier.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,94 +61,6 @@ void expectSameBehavior(const Module &Reference, const Module &Transformed) {
   ASSERT_TRUE(Got.Ok) << Got.Error;
   EXPECT_EQ(Want.Output, Got.Output);
   EXPECT_EQ(Want.ExitValue, Got.ExitValue);
-}
-
-//===----------------------------------------------------------------------===//
-// GVN
-//===----------------------------------------------------------------------===//
-
-TEST(GVN, ReplacesDominatedRedundancy) {
-  auto M = parseOrDie(R"(
-func main() {
-entry:
-  li %a, 12
-  li %b, 30
-  add %t1, %a, %b
-  bltz %t1, other
-body:
-  add %t2, %a, %b
-  add %s, %t1, %t2
-  out %s
-  ret %s
-other:
-  out %t1
-  ret %t1
-}
-)");
-  auto Reference = M->clone();
-  Function &F = *M->functionByName("main");
-  analysis::AnalysisManager AM;
-  EXPECT_EQ(transform::runGVN(F, AM), 1u);
-  // The cross-block %t2 = %a+%b became a move of %t1; block-local CSE
-  // could not see it (the bltz splits the region).
-  EXPECT_EQ(countOps(F, Opcode::Move), 1u);
-  expectStrictlyValid(*M);
-  expectSameBehavior(*Reference, *M);
-}
-
-TEST(GVN, DoesNotCrossClobberingLoad) {
-  auto M = parseOrDie(R"(
-global g 1 = 7
-
-func main() {
-entry:
-  li %a, 2
-  li %b, 3
-  add %t1, %a, %b
-  lw %a, g
-  add %t2, %a, %b
-  out %t1
-  out %t2
-  ret
-}
-)");
-  Function &F = *M->functionByName("main");
-  analysis::AnalysisManager AM;
-  // The lw redefines %a between the two adds: no redundancy exists, and
-  // the loaded value itself must never be treated as a numberable pure
-  // expression.
-  EXPECT_EQ(transform::runGVN(F, AM), 0u);
-  EXPECT_EQ(countOps(F, Opcode::Move), 0u);
-  EXPECT_EQ(countOps(F, Opcode::Add), 2u);
-  expectStrictlyValid(*M);
-}
-
-TEST(GVN, DoesNotInheritAcrossJoin) {
-  auto M = parseOrDie(R"(
-func main(%x) {
-entry:
-  li %a, 4
-  li %b, 9
-  add %t1, %a, %b
-  blez %x, left
-right:
-  jmp join
-left:
-  jmp join
-join:
-  add %t2, %a, %b
-  out %t2
-  ret %t2
-}
-)");
-  Function &F = *M->functionByName("main");
-  analysis::AnalysisManager AM;
-  // The join has two predecessors; non-SSA value numbering only
-  // inherits down unique-predecessor edges, so %t2 must survive even
-  // though %t1's value would happen to be correct here.
-  EXPECT_EQ(transform::runGVN(F, AM), 0u);
-  EXPECT_EQ(countOps(F, Opcode::Move), 0u);
-  expectStrictlyValid(*M);
 }
 
 //===----------------------------------------------------------------------===//
@@ -275,114 +185,6 @@ exit:
   // observe the preheader's 0. Hoisting the mul would print 30 instead:
   // the live-into-header check has to refuse.
   EXPECT_EQ(transform::runLICM(F, AM), 0u);
-  expectStrictlyValid(*M);
-  expectSameBehavior(*Reference, *M);
-}
-
-//===----------------------------------------------------------------------===//
-// Unroll
-//===----------------------------------------------------------------------===//
-
-const char *CountedLoopSrc = R"(
-func main() {
-entry:
-  li %i, 0
-  li %s, 5
-loop:
-  add %s, %s, %i
-  out %s
-  addi %i, %i, 1
-  slti %c, %i, 6
-  bgtz %c, loop
-exit:
-  ret %s
-}
-)";
-
-TEST(Unroll, FullyUnrollsCountedLoop) {
-  auto M = parseOrDie(CountedLoopSrc);
-  auto Reference = M->clone();
-  Function &F = *M->functionByName("main");
-  analysis::AnalysisManager AM;
-  transform::UnrollResult R =
-      transform::runUnroll(F, AM, transform::UnrollOptions());
-  EXPECT_EQ(R.FullyUnrolled, 1u);
-  EXPECT_EQ(R.PartiallyUnrolled, 0u);
-  EXPECT_GT(R.InstrsAdded, 0);
-  // The loop's conditional branch is gone: the body is straight-line.
-  EXPECT_EQ(countOps(F, Opcode::Bgtz), 0u);
-  expectStrictlyValid(*M);
-  expectSameBehavior(*Reference, *M);
-}
-
-TEST(Unroll, RespectsTripCountBudget) {
-  auto M = parseOrDie(CountedLoopSrc);
-  Function &F = *M->functionByName("main");
-  analysis::AnalysisManager AM;
-  transform::UnrollOptions Opts;
-  Opts.MaxTripCount = 5; // The loop runs 6 trips.
-  transform::UnrollResult R = transform::runUnroll(F, AM, Opts);
-  EXPECT_EQ(R.FullyUnrolled, 0u);
-  EXPECT_EQ(countOps(F, Opcode::Bgtz), 1u);
-  expectStrictlyValid(*M);
-}
-
-TEST(Unroll, RespectsSizeBudget) {
-  auto M = parseOrDie(CountedLoopSrc);
-  Function &F = *M->functionByName("main");
-  analysis::AnalysisManager AM;
-  transform::UnrollOptions Opts;
-  Opts.MaxUnrolledInstrs = 23; // 6 trips x (5-1) body instrs = 24 > 23.
-  transform::UnrollResult R = transform::runUnroll(F, AM, Opts);
-  EXPECT_EQ(R.FullyUnrolled, 0u);
-
-  auto M2 = parseOrDie(CountedLoopSrc);
-  auto Reference = M2->clone();
-  Function &F2 = *M2->functionByName("main");
-  analysis::AnalysisManager AM2;
-  Opts.MaxUnrolledInstrs = 24; // Exactly at the budget: allowed.
-  R = transform::runUnroll(F2, AM2, Opts);
-  EXPECT_EQ(R.FullyUnrolled, 1u);
-  expectStrictlyValid(*M2);
-  expectSameBehavior(*Reference, *M2);
-}
-
-TEST(Unroll, PartiallyUnrollsUnknownTripCount) {
-  auto M = parseOrDie(R"(
-global bound 1 = 7
-
-func main() {
-entry:
-  lw %n, bound
-  li %i, 0
-  li %s, 0
-loop:
-  add %s, %s, %i
-  addi %i, %i, 1
-  slt %c, %i, %n
-  bgtz %c, loop
-exit:
-  out %s
-  ret %s
-}
-)");
-  auto Reference = M->clone();
-  Function &F = *M->functionByName("main");
-  analysis::AnalysisManager AM;
-
-  // Factor 0 (full-only): the lw-defined bound is not a compile-time
-  // trip count, so nothing happens.
-  transform::UnrollResult R =
-      transform::runUnroll(F, AM, transform::UnrollOptions());
-  EXPECT_EQ(R.FullyUnrolled, 0u);
-  EXPECT_EQ(R.PartiallyUnrolled, 0u);
-
-  transform::UnrollOptions Opts;
-  Opts.Factor = 4;
-  R = transform::runUnroll(F, AM, Opts);
-  EXPECT_EQ(R.FullyUnrolled, 0u);
-  EXPECT_EQ(R.PartiallyUnrolled, 1u);
-  EXPECT_EQ(countOps(F, Opcode::Bgtz), 4u); // One exit test per copy.
   expectStrictlyValid(*M);
   expectSameBehavior(*Reference, *M);
 }

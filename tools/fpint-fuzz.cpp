@@ -85,12 +85,9 @@ void usage() {
       "  --passes TEXT        add a variant compiling with the given pass\n"
       "                       pipeline text (repeatable; see docs/PASSES.md;\n"
       "                       checked against the unpartitioned baseline)\n"
-      "  --regalloc           add the register-allocator battery: both\n"
-      "                       backends (regalloc, regalloc-linear) under\n"
-      "                       the none/basic/advanced schemes\n"
-      "  --midend             add the mid-end variant battery: gvn, licm,\n"
-      "                       unroll, unroll<4>, inline each alone, plus the\n"
-      "                       full opt2 preset (see docs/TRANSFORMS.md)\n"
+      "  --midend             add the mid-end variant battery: licm and\n"
+      "                       inline each alone, plus the opt2 preset\n"
+      "                       (see docs/TRANSFORMS.md)\n"
       "  --keep-going         check all iterations even after a failure\n"
       "  --emit               print each generated module (debugging)\n"
       "  --quiet              only print failures and the final summary\n");
@@ -344,7 +341,6 @@ int main(int argc, char **argv) {
   std::string Preset; // Empty: cycle through all presets.
   std::vector<std::string> PassTexts; // Extra --passes variants.
   bool Midend = false;                // Append testgen::midendVariants().
-  bool RegAlloc = false;              // Append testgen::regallocVariants().
   std::string ReproDir = "tests/corpus/regressions";
   std::string JournalDir;
   uint64_t BatchSize = 100;
@@ -388,8 +384,6 @@ int main(int argc, char **argv) {
       PassTexts.push_back(Value());
     else if (!std::strcmp(Arg, "--midend"))
       Midend = true;
-    else if (!std::strcmp(Arg, "--regalloc"))
-      RegAlloc = true;
     else if (!std::strcmp(Arg, "--keep-going"))
       KeepGoing = true;
     else if (!std::strcmp(Arg, "--emit"))
@@ -426,12 +420,6 @@ int main(int argc, char **argv) {
                                std::make_move_iterator(MV.begin()),
                                std::make_move_iterator(MV.end()));
   }
-  if (RegAlloc) {
-    std::vector<testgen::VariantSpec> RV = testgen::regallocVariants();
-    OracleOpts.Variants.insert(OracleOpts.Variants.end(),
-                               std::make_move_iterator(RV.begin()),
-                               std::make_move_iterator(RV.end()));
-  }
   FuzzStats Stats;
   std::map<std::string, uint64_t> Buckets;
   int Exit = 0;
@@ -456,10 +444,6 @@ int main(int argc, char **argv) {
     for (const std::string &Text : PassTexts)
       Fold("passes:" + Text);
     Fold(std::to_string(Midend));
-    // Folded only when on so pre-existing campaign journals keep their
-    // identity (the flag did not exist when they were written).
-    if (RegAlloc)
-      Fold("regalloc");
     Fold(std::to_string(CheckTiming));
     Fold(std::to_string(BatchSize));
     const std::string CampaignKey = support::hex64(KeyH);

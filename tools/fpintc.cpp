@@ -62,8 +62,7 @@ void usage() {
       "  --train-args=a,b     main() arguments for the profiling run\n"
       "  --passes=TEXT        explicit pass pipeline (comma-separated\n"
       "                       names, fixpoint(...) combinator, the opt2\n"
-      "                       mid-end preset, unroll<N> partial-unroll\n"
-      "                       factors; see docs/PASSES.md and\n"
+      "                       mid-end preset; see docs/PASSES.md and\n"
       "                       docs/TRANSFORMS.md; overrides $FPINT_PASSES;\n"
       "                       default opt,profile,partition,regalloc)\n"
       "\n"
