@@ -30,27 +30,29 @@
 ///
 /// Containment contract (degrade-don't-die, see docs/ROBUSTNESS.md):
 /// with FPINT_SANDBOX=1 -- or automatically whenever FPINT_FAULT is
-/// armed -- every matrix cell runs in its own forked child under
-/// support::Subprocess limits. A cell that crashes, hangs, or runs out
-/// of memory is retried with backoff (FPINT_CELL_RETRIES, default 2
-/// retries) and finally degrades to a row of ERR cells; the table
-/// still renders, the per-binary footer lists every degraded cell, and
-/// the binary exits nonzero only under --strict / FPINT_STRICT=1
-/// (bench::harnessExit()). Sandboxed cells are dispatched serially
-/// from the orchestration thread (forking from pool workers is not
-/// fork-safe) and do not contribute telemetry records: the child's
-/// StatsRegistry dies with it.
+/// armed -- every matrix cell runs through campaign::runCell, the
+/// repository's one attempt loop, under support::SandboxPolicy::fromEnv()
+/// (FPINT_CELL_RETRIES, FPINT_CELL_TIMEOUT_MS, FPINT_CELL_AS_MB). A cell
+/// that crashes, hangs, or runs out of memory is retried with backoff
+/// and finally degrades to a row of ERR cells tagged with its typed
+/// error kind; the table still renders, the per-binary footer lists
+/// every degraded cell, and the binary exits nonzero only under
+/// --strict / FPINT_STRICT=1 (bench::harnessExit()). Cells fork
+/// serially from the orchestration thread, never from pool workers:
+/// they compute through the parent's core::RunCache, which a pool task
+/// could hold locked at fork time. Sandboxed cells do not contribute
+/// telemetry records: the child's StatsRegistry dies with it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FPINT_BENCH_BENCHCOMMON_H
 #define FPINT_BENCH_BENCHCOMMON_H
 
+#include "campaign/Campaign.h"
 #include "core/Pipeline.h"
 #include "core/RunCache.h"
 #include "stats/StatsRegistry.h"
 #include "support/FaultInject.h"
-#include "support/Subprocess.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
@@ -63,7 +65,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -181,60 +182,38 @@ using MatrixRows = std::vector<std::vector<std::string>>;
 
 namespace detail {
 
-/// Length-prefixed (u32 LE) framing of a cell's rows over the
-/// sandbox payload pipe: numRows, then per row numCells, then per
-/// cell length + bytes.
-inline void packU32(std::string &Out, uint32_t V) {
-  char B[4] = {static_cast<char>(V), static_cast<char>(V >> 8),
-               static_cast<char>(V >> 16), static_cast<char>(V >> 24)};
-  Out.append(B, 4);
-}
-
-inline bool unpackU32(const std::string &In, size_t &Pos, uint32_t &V) {
-  if (Pos + 4 > In.size())
-    return false;
-  V = static_cast<uint8_t>(In[Pos]) |
-      (static_cast<uint8_t>(In[Pos + 1]) << 8) |
-      (static_cast<uint8_t>(In[Pos + 2]) << 16) |
-      (static_cast<uint32_t>(static_cast<uint8_t>(In[Pos + 3])) << 24);
-  Pos += 4;
-  return true;
-}
-
-inline std::string packRows(const MatrixRows &Rows) {
-  std::string Out;
-  packU32(Out, static_cast<uint32_t>(Rows.size()));
+/// A sandboxed cell's rows travel to the parent as {"rows": [[cell,
+/// ...], ...]} (campaign::runCell payloads are JSON objects).
+inline json::Value rowsToJson(const MatrixRows &Rows) {
+  json::Value Arr = json::Value::array();
   for (const std::vector<std::string> &R : Rows) {
-    packU32(Out, static_cast<uint32_t>(R.size()));
-    for (const std::string &C : R) {
-      packU32(Out, static_cast<uint32_t>(C.size()));
-      Out += C;
-    }
+    json::Value Row = json::Value::array();
+    for (const std::string &C : R)
+      Row.push(C);
+    Arr.push(std::move(Row));
   }
-  return Out;
+  json::Value Doc = json::Value::object();
+  Doc.set("rows", std::move(Arr));
+  return Doc;
 }
 
-inline bool unpackRows(const std::string &In, MatrixRows &Rows) {
-  size_t Pos = 0;
-  uint32_t NumRows = 0;
-  if (!unpackU32(In, Pos, NumRows))
+inline bool rowsFromJson(const json::Value &Doc, MatrixRows &Rows) {
+  const json::Value *Arr = Doc.find("rows");
+  if (!Arr || !Arr->isArray())
     return false;
   Rows.clear();
-  for (uint32_t R = 0; R < NumRows; ++R) {
-    uint32_t NumCells = 0;
-    if (!unpackU32(In, Pos, NumCells))
+  for (const json::Value &R : Arr->items()) {
+    if (!R.isArray())
       return false;
     std::vector<std::string> Row;
-    for (uint32_t C = 0; C < NumCells; ++C) {
-      uint32_t Len = 0;
-      if (!unpackU32(In, Pos, Len) || Pos + Len > In.size())
+    for (const json::Value &C : R.items()) {
+      if (!C.isString())
         return false;
-      Row.emplace_back(In, Pos, Len);
-      Pos += Len;
+      Row.push_back(C.str());
     }
     Rows.push_back(std::move(Row));
   }
-  return Pos == In.size();
+  return true;
 }
 
 /// Display label for a degraded item: its .Name when it has one
@@ -247,59 +226,6 @@ std::string itemLabel(const Item &I, const char *What, size_t Index) {
     return std::string(What) + " #" + std::to_string(Index);
 }
 
-/// Runs one matrix cell in a forked child under sandbox limits, with
-/// bounded retry-with-backoff. Returns true with the unpacked rows on
-/// success; false with \p Err describing the final failure.
-template <typename Item, typename RowFn>
-bool runCellSandboxed(const Item &I, RowFn &Row, MatrixRows &Rows,
-                      std::string &Err) {
-  support::SandboxLimits Limits;
-  Limits.WallMs = envInt("FPINT_CELL_TIMEOUT_MS", 120000);
-  Limits.KillGraceMs = envInt("FPINT_CELL_KILL_GRACE_MS", 500);
-  Limits.AddressSpaceMb =
-      static_cast<uint64_t>(envInt("FPINT_CELL_AS_MB", 4096));
-  const int Attempts = 1 + std::max(0, envInt("FPINT_CELL_RETRIES", 2));
-
-  for (int Attempt = 1; Attempt <= Attempts; ++Attempt) {
-    // Set pre-fork so the child inherits its attempt number; ":once"
-    // fault specs use it to model transient failures a retry clears.
-    support::fault::setAttempt(static_cast<unsigned>(Attempt));
-    support::TaskResult R = support::Subprocess::run(
-        [&](int PayloadFd) {
-          support::fault::inject("cell");
-          try {
-            MatrixRows CellRows = Row(I);
-            return support::Subprocess::writeAll(PayloadFd,
-                                                 packRows(CellRows))
-                       ? 0
-                       : 2;
-          } catch (const std::exception &E) {
-            std::fprintf(stderr, "%s\n", E.what());
-            return 3;
-          }
-        },
-        Limits);
-    support::fault::setAttempt(1);
-
-    if (R.ok() && unpackRows(R.Payload, Rows))
-      return true;
-
-    Err = R.ok() ? std::string("malformed cell payload") : R.describe();
-    if (!R.StderrTail.empty()) {
-      std::string Tail = R.StderrTail;
-      if (!Tail.empty() && Tail.back() == '\n')
-        Tail.pop_back();
-      size_t Line = Tail.rfind('\n');
-      Err += ": " + (Line == std::string::npos ? Tail
-                                               : Tail.substr(Line + 1));
-    }
-    if (Attempt < Attempts)
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(50 * Attempt));
-  }
-  return false;
-}
-
 } // namespace detail
 
 /// Evaluates Row(Items[i]) for every item and appends the produced
@@ -308,24 +234,33 @@ bool runCellSandboxed(const Item &I, RowFn &Row, MatrixRows &Rows,
 ///
 /// Default mode fans the items out on the shared thread pool; a row
 /// function that throws fails only its own cell (reported on stderr,
-/// rows absent). Sandbox mode (see sandboxEnabled()) instead forks one
-/// child per cell, serially: a cell that crashes, hangs, or exhausts
-/// its address space is retried with backoff and finally degrades to a
-/// single row of "ERR" cells padded to the header width, registered in
-/// HarnessState for the exit summary.
+/// rows absent). Sandbox mode (see sandboxEnabled()) instead runs each
+/// cell through campaign::runCell, serially: a cell that crashes,
+/// hangs, or exhausts its address space is retried with backoff and
+/// finally degrades to a single row of "ERR" cells padded to the header
+/// width, registered in HarnessState as "<label>: <kind>: <detail>".
 template <typename Item, typename RowFn>
 void runMatrix(const std::vector<Item> &Items, Table &T, RowFn Row,
                const char *What = "matrix cell") {
   if (sandboxEnabled()) {
+    const support::SandboxPolicy Policy = support::SandboxPolicy::fromEnv();
     for (size_t I = 0; I < Items.size(); ++I) {
+      const std::string Label = detail::itemLabel(Items[I], What, I);
+      campaign::CellOutcome Out = campaign::runCell(
+          {Label, Label},
+          [&](const campaign::Cell &) {
+            return detail::rowsToJson(Row(Items[I]));
+          },
+          Policy, "cell");
       MatrixRows Rows;
-      std::string Err;
-      if (detail::runCellSandboxed(Items[I], Row, Rows, Err)) {
+      if (Out.ok() && detail::rowsFromJson(Out.Result, Rows)) {
         for (std::vector<std::string> &R : Rows)
           T.addRow(std::move(R));
         continue;
       }
-      std::string Label = detail::itemLabel(Items[I], What, I);
+      const std::string Err =
+          Out.ok() ? "bad_payload: malformed cell rows"
+                   : Out.ErrorKind + ": " + Out.Error;
       std::fprintf(stderr, "[bench] %s %zu (%s) degraded to ERR: %s\n",
                    What, I, Label.c_str(), Err.c_str());
       HarnessState::global().addDegraded(Label + ": " + Err);

@@ -26,18 +26,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-int envInt(const char *Name, int Def) {
-  const char *E = std::getenv(Name);
-  if (!E || !*E)
-    return Def;
-  return std::atoi(E);
-}
-
-std::string envStr(const char *Name, const char *Def) {
-  const char *E = std::getenv(Name);
-  return E && *E ? E : Def;
-}
-
 /// Journal record for one completed cell. The result document is
 /// embedded verbatim; its canonical dump is what makes replay
 /// byte-identical.
@@ -139,39 +127,25 @@ bool campaign::publishReport(const std::string &Path, const json::Value &Doc,
   return true;
 }
 
-Runner::Runner(Options O) : Opts(std::move(O)) {
-  if (Opts.Dir.empty())
-    Opts.Dir = envStr("FPINT_CAMPAIGN_DIR", "campaign_state");
-  if (Opts.Retries < 0)
-    Opts.Retries = std::max(0, envInt("FPINT_CAMPAIGN_RETRIES", 2));
-  if (Opts.BackoffMs < 0)
-    Opts.BackoffMs = std::max(0, envInt("FPINT_CAMPAIGN_BACKOFF_MS", 50));
-  if (Opts.DeadlineMs < 0)
-    Opts.DeadlineMs = std::max(1, envInt("FPINT_CAMPAIGN_DEADLINE_MS", 120000));
-  if (Opts.CellAsMb < 0)
-    Opts.CellAsMb = std::max(0, envInt("FPINT_CAMPAIGN_AS_MB", 4096));
-}
-
-CellOutcome Runner::executeCell(const Cell &C, const CellFn &Fn) {
+CellOutcome campaign::runCell(const Cell &C, const CellFn &Fn,
+                              const support::SandboxPolicy &Policy,
+                              const char *FaultSite, bool Sandbox) {
   CellOutcome Out;
-  const int Attempts = 1 + Opts.Retries;
-  for (int Attempt = 1; Attempt <= Attempts; ++Attempt) {
+  for (int Attempt = 1;; ++Attempt) {
     Out.Attempts = static_cast<unsigned>(Attempt);
-    if (Opts.Sandbox) {
-      support::SandboxLimits Limits;
-      Limits.WallMs = Opts.DeadlineMs;
-      Limits.KillGraceMs = 500;
-      Limits.AddressSpaceMb = static_cast<uint64_t>(Opts.CellAsMb);
+    Out.ErrorKind.clear();
+    Out.Error.clear();
+    json::Value Result;
+    if (Sandbox) {
       support::TaskResult R = support::Subprocess::run(
           [&](int PayloadFd) {
-            // The child sets its own attempt number: cells fork from
-            // pool workers, so a parent-side shared counter would race
-            // across concurrent cells.
+            // The child sets its own attempt number: campaign cells fork
+            // from pool workers, so a parent-side shared counter would
+            // race across concurrent cells.
             support::fault::setAttempt(static_cast<unsigned>(Attempt));
-            support::fault::inject("campaign:cell");
+            support::fault::inject(FaultSite);
             try {
-              json::Value Result = Fn(C);
-              return support::Subprocess::writeAll(PayloadFd, Result.dump())
+              return support::Subprocess::writeAll(PayloadFd, Fn(C).dump())
                          ? 0
                          : 2;
             } catch (const std::exception &E) {
@@ -179,64 +153,55 @@ CellOutcome Runner::executeCell(const Cell &C, const CellFn &Fn) {
               return 3;
             }
           },
-          Limits);
-
+          Policy.Limits);
+      using Status = support::TaskResult::Status;
       if (R.ok()) {
-        json::Value Result;
-        std::string ParseErr;
-        if (json::Value::parse(R.Payload, Result, &ParseErr) &&
-            Result.isObject()) {
-          Out.St = CellOutcome::Status::Ok;
-          Out.Result = std::move(Result);
-          return Out;
-        }
-        Out.ErrorKind = "bad_payload";
-        Out.Error = "cell payload is not a JSON object: " + ParseErr;
+        json::Value::parse(R.Payload, Result, &Out.Error);
       } else {
-        using Status = support::TaskResult::Status;
-        Out.ErrorKind = (R.TimedOut || R.Killed) ? "timeout"
-                        : R.St == Status::Signaled
-                            ? "crash"
-                            : R.St == Status::SpawnFailed ? "spawn_failed"
-                                                          : "exit";
+        Out.ErrorKind = (R.TimedOut || R.Killed)      ? "timeout"
+                        : R.St == Status::Signaled    ? "crash"
+                        : R.St == Status::SpawnFailed ? "spawn_failed"
+                                                      : "exit";
         Out.Error = R.describe();
-        if (!R.StderrTail.empty()) {
-          std::string Tail = R.StderrTail;
-          if (!Tail.empty() && Tail.back() == '\n')
-            Tail.pop_back();
-          size_t Line = Tail.rfind('\n');
-          Out.Error +=
-              ": " + (Line == std::string::npos ? Tail : Tail.substr(Line + 1));
-        }
+        std::string Tail = R.StderrTail;
+        if (!Tail.empty() && Tail.back() == '\n')
+          Tail.pop_back();
+        if (!Tail.empty())
+          Out.Error += ": " + Tail.substr(Tail.rfind('\n') + 1);
       }
     } else {
-      // In-process mode (tests / trusted cell functions): exceptions
-      // degrade, but a crash or hang is not contained.
       try {
         support::fault::setAttempt(static_cast<unsigned>(Attempt));
-        support::fault::inject("campaign:cell");
-        json::Value Result = Fn(C);
-        support::fault::setAttempt(1);
-        if (!Result.isObject()) {
-          Out.ErrorKind = "bad_payload";
-          Out.Error = "cell result is not a JSON object";
-        } else {
-          Out.St = CellOutcome::Status::Ok;
-          Out.Result = std::move(Result);
-          return Out;
-        }
+        support::fault::inject(FaultSite);
+        Result = Fn(C);
       } catch (const std::exception &E) {
-        support::fault::setAttempt(1);
         Out.ErrorKind = "exception";
         Out.Error = E.what();
       }
+      support::fault::setAttempt(1);
     }
-    if (Attempt < Attempts && Opts.BackoffMs > 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          Opts.BackoffMs << (Attempt - 1)));
+    if (Out.ErrorKind.empty() && Result.isObject()) {
+      Out.St = CellOutcome::Status::Ok;
+      Out.Result = std::move(Result);
+      return Out;
+    }
+    if (Out.ErrorKind.empty()) {
+      Out.ErrorKind = "bad_payload";
+      Out.Error = "cell result is not a JSON object" +
+                  (Out.Error.empty() ? "" : ": " + Out.Error);
+    }
+    if (Attempt > Policy.Retries)
+      return Out;
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        support::SandboxPolicy::backoffMs(Attempt)));
   }
-  Out.St = CellOutcome::Status::Err;
-  return Out;
+}
+
+Runner::Runner(Options O) : Opts(std::move(O)) {
+  if (Opts.Dir.empty()) {
+    const char *E = std::getenv("FPINT_CAMPAIGN_DIR");
+    Opts.Dir = E && *E ? E : "campaign_state";
+  }
 }
 
 std::vector<CellOutcome> Runner::run(const std::vector<Cell> &Cells,
@@ -245,45 +210,20 @@ std::vector<CellOutcome> Runner::run(const std::vector<Cell> &Cells,
   Sum.Cells = Cells.size();
 
   Journal J;
-  Journal::RecoveryInfo Info;
+  CampaignReplay Replay;
   std::string Err;
-  std::vector<json::Value> Records;
-  if (!J.open(Opts.Dir + "/journal.wal",
-              [&](const json::Value &R) { Records.push_back(R); }, Info,
-              &Err))
+  if (!openCampaignJournal(J, Opts.Dir, Opts.CampaignKey, json::Value(),
+                           Replay, &Err))
     throw std::runtime_error("campaign journal: " + Err);
-  Sum.JournalTruncatedBytes = Info.TruncatedBytes;
-
-  // The first record must be this campaign's header; anything else is
-  // a different campaign (or an older schema) and is discarded.
-  bool HaveHeader = false;
-  if (!Records.empty()) {
-    const json::Value &H = Records.front();
-    HaveHeader = H.strOr("type", "") == "campaign" &&
-                 H.strOr("schema", "") == JournalSchema &&
-                 H.strOr("key", "") == Opts.CampaignKey;
-    if (!HaveHeader) {
-      Sum.JournalDiscarded = true;
-      Records.clear();
-      if (!J.reset(&Err))
-        throw std::runtime_error("campaign journal: " + Err);
-    }
-  }
-  if (!HaveHeader) {
-    json::Value H = json::Value::object();
-    H.set("type", "campaign");
-    H.set("schema", JournalSchema);
-    H.set("key", Opts.CampaignKey);
-    if (!J.append(H, &Err))
-      throw std::runtime_error("campaign journal: " + Err);
-  }
+  Sum.JournalTruncatedBytes = Replay.TruncatedBytes;
+  Sum.JournalDiscarded = Replay.Discarded;
 
   // Replay completed cells (last record wins on duplicates).
   std::map<std::string, CellOutcome> Done;
-  for (size_t I = HaveHeader ? 1 : 0; I < Records.size(); ++I) {
+  for (const json::Value &R : Replay.Records) {
     std::string Key;
     CellOutcome Out;
-    if (parseCellRecord(Records[I], Key, Out))
+    if (parseCellRecord(R, Key, Out))
       Done[Key] = std::move(Out);
   }
 
@@ -306,7 +246,8 @@ std::vector<CellOutcome> Runner::run(const std::vector<Cell> &Cells,
   std::mutex JournalMu;
   std::string JournalErr;
   auto RunOne = [&](size_t I) {
-    CellOutcome Out = executeCell(Cells[I], Fn);
+    CellOutcome Out =
+        runCell(Cells[I], Fn, Opts.Policy, "campaign:cell", Opts.Sandbox);
     std::string AppendErr;
     if (!J.append(cellRecord(Cells[I].Key, Out), &AppendErr)) {
       std::lock_guard<std::mutex> Lock(JournalMu);

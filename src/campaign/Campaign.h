@@ -18,38 +18,36 @@
 ///    on. On restart, journaled cells replay byte-identically and only
 ///    unfinished cells execute. A torn journal tail costs at most the
 ///    one record being appended at death; that cell re-executes.
-///  * Containment: cells execute in the PR 4 Subprocess sandbox with a
-///    per-attempt wall deadline, bounded retries with exponential
-///    backoff, and an address-space cap. A cell that exhausts its
+///  * Containment: cells execute through runCell(), the one attempt
+///    loop (the bench matrix's sandbox mode calls it too, without a
+///    journal): each attempt forks into the support::Subprocess
+///    sandbox under a support::SandboxPolicy. A cell that exhausts its
 ///    attempts degrades to a typed ERR record; the campaign never
-///    aborts. (Options.Sandbox=false runs cells in-process -- for
-///    tests and trusted cell functions only; a crash then kills the
-///    runner, though the journal still bounds the loss.)
+///    aborts. (Options.Sandbox=false runs cells in-process -- for tests
+///    and trusted cell functions only; a crash then kills the runner,
+///    though the journal still bounds the loss.)
 ///  * Publication: consumers build their final report from the
 ///    returned outcomes and publish it with publishReport(), which
 ///    writes to a tmp file and renames it into place, so readers only
 ///    ever observe a complete report.
 ///
 /// Parallelism: cells fan out on the shared support::ThreadPool.
-/// Sandboxed cells fork from pool workers under the documented
-/// relaxation of the forking contract (see support/Subprocess.h): the
-/// child runs only self-contained compile/simulate code and never
-/// touches parent locks, caches, or registries. Options.Jobs=1 runs
-/// cells inline on the calling thread -- required when the runner
-/// itself executes in a forked child (pool threads do not survive a
-/// fork).
+/// Sandboxed cells fork from pool workers, which the forking contract
+/// (support/Subprocess.h) allows because the child runs only
+/// self-contained compile/simulate code and never touches parent
+/// locks, caches, or registries. Options.Jobs=1 runs cells inline on
+/// the calling thread -- required when the runner itself executes in a
+/// forked child (pool threads do not survive a fork).
 ///
-/// Environment knobs (defaults in parentheses; see docs/CAMPAIGNS.md):
-///   FPINT_CAMPAIGN_DIR         state directory ("campaign_state")
-///   FPINT_CAMPAIGN_RETRIES     retries per cell after the first try (2)
-///   FPINT_CAMPAIGN_BACKOFF_MS  base retry backoff, doubled per retry (50)
-///   FPINT_CAMPAIGN_DEADLINE_MS per-attempt wall deadline (120000)
-///   FPINT_CAMPAIGN_AS_MB       per-cell address-space cap (4096)
+/// Environment (see docs/CAMPAIGNS.md): FPINT_CAMPAIGN_DIR names the
+/// state directory ("campaign_state"); the sandbox policy reads the
+/// FPINT_CELL_* family (support::SandboxPolicy::fromEnv()).
 ///
-/// Fault sites: "campaign:cell" fires inside the sandbox child (crash/
-/// hang/oom degrade to ERR; ":once" is absorbed by the retry),
-/// "campaign:journal" fires in the runner after each record is durable
-/// (killing the harness itself; resume must lose nothing).
+/// Fault sites: "campaign:cell" fires inside the sandbox child before
+/// the cell function (crash/hang/oom degrade to ERR; ":once" is
+/// absorbed by the retry), "campaign:journal" fires in the runner after
+/// each record is durable (killing the harness itself; resume must lose
+/// nothing).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,6 +56,7 @@
 
 #include "campaign/Journal.h"
 #include "support/Json.h"
+#include "support/Subprocess.h"
 
 #include <cstdint>
 #include <functional>
@@ -75,11 +74,13 @@ struct Cell {
 };
 
 /// Computes one cell's result document. Runs in the sandbox child (or
-/// inline with Options.Sandbox=false); must be self-contained -- no
-/// parent locks, caches, or registries -- and deterministic: the same
-/// cell must always produce the same canonical JSON, because a resumed
-/// campaign replays journaled results byte-identically. Signal failure
-/// by throwing.
+/// inline with Options.Sandbox=false); under Runner it must be
+/// self-contained -- no parent locks, caches, or registries, since it
+/// may fork from a pool worker (bench cells, which use the run cache,
+/// fork serially instead) -- and deterministic: the same cell must
+/// always produce the same canonical JSON, because a resumed campaign
+/// replays journaled results byte-identically. Signal failure by
+/// throwing.
 using CellFn = std::function<json::Value(const Cell &)>;
 
 /// Outcome of one cell, whether executed now or replayed from the
@@ -105,10 +106,8 @@ struct Options {
   /// whose header carries a different key is discarded, never merged:
   /// resuming only ever replays cells of this exact campaign.
   std::string CampaignKey;
-  int Retries = -1;    ///< <0: $FPINT_CAMPAIGN_RETRIES, then 2.
-  int BackoffMs = -1;  ///< <0: $FPINT_CAMPAIGN_BACKOFF_MS, then 50.
-  int DeadlineMs = -1; ///< <0: $FPINT_CAMPAIGN_DEADLINE_MS, then 120000.
-  int CellAsMb = -1;   ///< <0: $FPINT_CAMPAIGN_AS_MB, then 4096.
+  /// Per-attempt limits and retry budget of every cell.
+  support::SandboxPolicy Policy = support::SandboxPolicy::fromEnv();
   /// 0: fan out on the shared ThreadPool; 1: run cells inline on the
   /// calling thread (required inside a forked child).
   int Jobs = 0;
@@ -137,6 +136,18 @@ std::string cellKey(const std::string &Workload,
                     const std::string &PipelineKey,
                     const std::string &MachineKey);
 
+/// Runs \p Fn on \p C with up to 1 + Policy.Retries attempts, sleeping
+/// SandboxPolicy::backoffMs() between them, and returns the first
+/// success or the last attempt's typed ERR. With \p Sandbox each attempt
+/// forks into a support::Subprocess child under Policy.Limits; the
+/// child sets its own fault::setAttempt() number (for ":once" specs),
+/// fires the fault site \p FaultSite, runs Fn, and sends the result's
+/// JSON back over the payload pipe. Without it, Fn runs in-process:
+/// exceptions degrade, but a crash or hang is not contained.
+CellOutcome runCell(const Cell &C, const CellFn &Fn,
+                    const support::SandboxPolicy &Policy,
+                    const char *FaultSite, bool Sandbox = true);
+
 /// Serializes \p S as the "campaign" informational object rendered by
 /// fpint-report (never gated, like "run_cache").
 json::Value summaryToJson(const Summary &S);
@@ -164,8 +175,6 @@ public:
   const Options &options() const { return Opts; }
 
 private:
-  CellOutcome executeCell(const Cell &C, const CellFn &Fn);
-
   Options Opts;
   Summary Sum;
 };

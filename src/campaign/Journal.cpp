@@ -191,3 +191,37 @@ bool Journal::reset(std::string *Err) {
   }
   return true;
 }
+
+bool campaign::openCampaignJournal(Journal &J, const std::string &Dir,
+                                   const std::string &Key, json::Value Header,
+                                   CampaignReplay &Out, std::string *Err) {
+  Out = CampaignReplay();
+  Journal::RecoveryInfo Info;
+  if (!J.open(Dir + "/journal.wal",
+              [&Out](const json::Value &R) { Out.Records.push_back(R); },
+              Info, Err))
+    return false;
+  Out.TruncatedBytes = Info.TruncatedBytes;
+
+  if (!Out.Records.empty()) {
+    const json::Value &H = Out.Records.front();
+    if (H.strOr("type", "") == "campaign" &&
+        H.strOr("schema", "") == JournalSchema && H.strOr("key", "") == Key) {
+      Out.Header = H;
+      Out.Records.erase(Out.Records.begin());
+      return true;
+    }
+    Out.Discarded = true;
+    Out.Records.clear();
+    if (!J.reset(Err))
+      return false;
+  }
+  Out.Header = json::Value::object();
+  Out.Header.set("type", "campaign");
+  Out.Header.set("schema", JournalSchema);
+  Out.Header.set("key", Key);
+  if (Header.isObject())
+    for (const auto &Member : Header.members())
+      Out.Header.set(Member.first, Member.second);
+  return J.append(Out.Header, Err);
+}

@@ -55,6 +55,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace fpint {
 namespace campaign {
@@ -107,6 +108,25 @@ private:
   std::string FilePath;
   std::mutex Mu;
 };
+
+/// What openCampaignJournal() found.
+struct CampaignReplay {
+  json::Value Header; ///< The journaled header on resume, else the new one.
+  std::vector<json::Value> Records; ///< Records after a matching header.
+  bool Discarded = false; ///< A different campaign's journal was reset.
+  size_t TruncatedBytes = 0; ///< Torn tail dropped on open.
+};
+
+/// The one journal-header protocol (campaign::Runner, fpint-fuzz
+/// --journal): opens <Dir>/journal.wal into \p J. A first record that
+/// is a "campaign" header with this JournalSchema and \p Key is adopted
+/// and the rest replays into \p Out.Records. Otherwise a non-empty
+/// journal is reset (never merged) and a fresh header is appended:
+/// type, schema and key, then \p Header's members (e.g. the fuzzer's
+/// seed). Returns false with \p Err set on I/O failure.
+bool openCampaignJournal(Journal &J, const std::string &Dir,
+                         const std::string &Key, json::Value Header,
+                         CampaignReplay &Out, std::string *Err);
 
 } // namespace campaign
 } // namespace fpint

@@ -11,16 +11,18 @@
 ///   FPINT_FAULT=<kind>:<where>[:once]     kind in {crash, hang, oom}
 ///
 /// every call to fault::inject("<where>") executes the named fault at
-/// that point: `crash` dereferences null (SIGSEGV), `hang` ignores
+/// that point: `crash` dies by SIGSEGV (default disposition, so a
+/// sanitizer runtime cannot turn it into an exit), `hang` ignores
 /// SIGTERM and sleeps forever (forcing the watchdog's SIGKILL
 /// escalation), `oom` allocates and touches memory until the address-
 /// space limit kills the process. With the `:once` suffix the fault
-/// only fires while the harness attempt counter is 1 -- the sandbox
-/// sets the counter before forking each (re)try, so `:once` models a
+/// only fires while the harness attempt counter is 1 -- each sandbox
+/// child sets the counter for the (re)try it runs, so `:once` models a
 /// transient failure that a retry recovers from.
 ///
 /// Instrumented sites: "compile" (core::compileAndMeasure), "simulate"
-/// (core::simulate), "cell" (bench::runMatrix sandboxed cell), "oracle"
+/// (core::simulate), "cell" (bench::runMatrix sandboxed cell, fired by
+/// campaign::runCell in the child), "oracle"
 /// (testgen::runOracle), "campaign:journal" (campaign::Journal::append,
 /// fired in the *runner* process after a record is durably on disk --
 /// killing the harness itself, which the resumable campaign layer must
@@ -47,11 +49,10 @@ bool enabled();
 void inject(const char *Where);
 
 /// Sets the 1-based attempt counter consulted by ":once" specs. The
-/// sandboxing harness calls this in the parent before each fork, so
-/// children inherit the attempt number they are running under.
-/// campaign::Runner instead has each sandbox child set its own attempt
-/// first thing after fork (cells fork from pool workers, where a
-/// shared pre-fork counter would race).
+/// one rule: campaign::runCell (the attempt loop of bench and campaign
+/// cells) calls it inside each sandbox child, first thing after the
+/// fork, with the attempt that child runs; no parent sets it before
+/// forking, since campaign cells fork concurrently from pool workers.
 void setAttempt(unsigned Attempt);
 
 /// Arms (or, with nullptr, disarms) a fault spec in-process, exactly

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <exception>
 
@@ -124,7 +125,35 @@ void applyRlimits(const SandboxLimits &Limits) {
 #endif
 }
 
+/// Sets \p Value from knob \p Name when it is an integer in [Min, Max];
+/// otherwise (unless unset) warns and keeps the default.
+template <typename T> void readKnob(const char *Name, T Min, T Max, T &Value) {
+  const char *E = std::getenv(Name);
+  if (!E || !*E)
+    return;
+  errno = 0;
+  char *End = nullptr;
+  long long V = std::strtoll(E, &End, 10);
+  if (errno == 0 && *End == '\0' && V >= static_cast<long long>(Min) &&
+      V <= static_cast<long long>(Max))
+    Value = static_cast<T>(V);
+  else
+    std::fprintf(stderr,
+                 "[sandbox] ignoring %s='%s': want an integer in [%lld, "
+                 "%lld]; using %lld\n",
+                 Name, E, static_cast<long long>(Min),
+                 static_cast<long long>(Max), static_cast<long long>(Value));
+}
+
 } // namespace
+
+SandboxPolicy SandboxPolicy::fromEnv() {
+  SandboxPolicy P;
+  readKnob("FPINT_CELL_RETRIES", 0, 10, P.Retries);
+  readKnob("FPINT_CELL_TIMEOUT_MS", 1, 86400000, P.Limits.WallMs);
+  readKnob<uint64_t>("FPINT_CELL_AS_MB", 1, 1u << 20, P.Limits.AddressSpaceMb);
+  return P;
+}
 
 bool Subprocess::writeAll(int Fd, const void *Data, size_t Len) {
   const char *P = static_cast<const char *>(Data);

@@ -14,26 +14,19 @@
 /// the tail of the child's stderr, peak RSS, and an arbitrary byte
 /// payload the child streamed back over a pipe.
 ///
-/// This is the containment layer under the degrade-don't-die bench
-/// matrix (bench::runMatrix sandboxed cells) and the fpint-fuzz
-/// campaign runner (sandboxed iterations with crash/hang triage); see
+/// This is the containment layer under campaign::runCell (the
+/// retrying attempt loop of bench and campaign cells) and the
+/// fpint-fuzz iterations (single attempt, crash/hang triage); see
 /// docs/ROBUSTNESS.md.
 ///
-/// Forking contract: run() must only be called from a thread that is
-/// not racing other threads for locks the child will need (malloc,
-/// the run cache). The harnesses guarantee this by dispatching all
-/// sandboxed work from the orchestration thread, never from pool
-/// workers. The child runs the callable and _exit()s; it never
-/// returns into the caller's stack.
-///
-/// The one documented relaxation is campaign::Runner, which forks
-/// from thread-pool workers while sibling workers run concurrently.
-/// This is safe on the glibc targets the harness supports because
-/// fork() runs the malloc fork handlers (the child's arenas are
-/// reinitialized consistently), and the child executes only
-/// self-contained compile/simulate code -- it never touches the
-/// parent's caches, registries, or any other lock a sibling thread
-/// could have held at fork time.
+/// Forking contract: the child may only use what no concurrently
+/// running thread can hold locked at fork time; glibc's malloc fork
+/// handlers make the allocator safe. Bench matrix cells use the
+/// parent's core::RunCache, so bench forks them serially from the
+/// orchestration thread. Campaign cells and fuzz iterations run only
+/// self-contained compile/simulate code, so campaign cells may fork
+/// from pool workers while siblings run. The child runs the callable
+/// and _exit()s; it never returns into the caller's stack.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,6 +68,29 @@ struct SandboxLimits {
   uint64_t AddressSpaceMb = 0;
   /// How much of the child's stderr to retain (the tail).
   size_t StderrTailBytes = 8192;
+};
+
+/// The one containment policy of every sandboxed unit of work: limits
+/// plus a retry budget. campaign::runCell applies it to bench and
+/// campaign cells; fpint-fuzz takes its limits but never retries.
+struct SandboxPolicy {
+  static constexpr int KillGraceMs = 500;
+  static constexpr int BackoffMs = 50; ///< Before retry 1; doubled after.
+  static constexpr int DefaultWallMs = 120000;
+  static constexpr uint64_t DefaultAddressSpaceMb = 4096;
+
+  SandboxLimits Limits{DefaultWallMs, KillGraceMs, 0, DefaultAddressSpaceMb};
+  int Retries = 2; ///< Attempts after the first one.
+
+  /// Sleep before retry number \p Retry (1-based): 50, 100, 200 ms, ...
+  static int backoffMs(int Retry) { return BackoffMs << (Retry - 1); }
+
+  /// The defaults, overridden by FPINT_CELL_RETRIES (0..10),
+  /// FPINT_CELL_TIMEOUT_MS (1..86400000) and FPINT_CELL_AS_MB
+  /// (1..1048576). A non-numeric or out-of-range value warns on stderr
+  /// naming the knob and keeps the default, so a typo can never disable
+  /// the watchdog or the memory cap.
+  static SandboxPolicy fromEnv();
 };
 
 /// Structured outcome of one sandboxed task.

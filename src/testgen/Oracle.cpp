@@ -2,9 +2,11 @@
 
 #include "testgen/Oracle.h"
 
+#include "core/RunCache.h"
 #include "partition/Partitioner.h"
 #include "sir/Opcode.h"
 #include "support/FaultInject.h"
+#include "support/Hash.h"
 #include "sir/Printer.h"
 #include "sir/Verifier.h"
 #include "timing/Simulator.h"
@@ -54,6 +56,15 @@ std::vector<VariantSpec> testgen::midendVariants() {
   // The opt2 preset's mid-end with the Section 6.6 extension added.
   Add("opt,licm,inline,opt,profile,partition,fp-arg-passing,regalloc");
   return Variants;
+}
+
+std::string testgen::batteryKey(const std::vector<VariantSpec> &Variants) {
+  uint64_t H = support::fnv1a64("battery");
+  for (const VariantSpec &V : Variants) {
+    H = support::fnv1a64("\x1f" + V.Name, H);
+    H = support::fnv1a64("\x1f" + core::RunCache::runKey("", V.Config), H);
+  }
+  return support::hex64(H);
 }
 
 namespace {

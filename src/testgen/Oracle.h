@@ -59,6 +59,14 @@ std::vector<VariantSpec> defaultVariants();
 /// differentially test the mid-end.
 std::vector<VariantSpec> midendVariants();
 
+/// Identity of a resolved variant battery: 16 hex digits of chained
+/// FNV-1a over each variant's name and core::RunCache::runKey() of its
+/// config (scheme, costs, arguments, resolved pipeline text). Equal
+/// batteries give equal keys; changing one variant's pipeline text, or
+/// adding the mid-end battery, changes the key. fpint-fuzz folds it
+/// into its journal's campaign key.
+std::string batteryKey(const std::vector<VariantSpec> &Variants);
+
 struct OracleOptions {
   std::vector<VariantSpec> Variants = defaultVariants();
   std::vector<int32_t> Args;      ///< main() arguments (train == ref).

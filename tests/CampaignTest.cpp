@@ -107,8 +107,7 @@ Options inProcessOptions(const std::string &Dir, const std::string &Key) {
   Options O;
   O.Dir = Dir;
   O.CampaignKey = Key;
-  O.Retries = 0;
-  O.BackoffMs = 0;
+  O.Policy.Retries = 0;
   O.Jobs = 1;
   O.Sandbox = false;
   return O;
@@ -241,6 +240,53 @@ TEST(Journal, TruncatesAbsurdLength) {
   EXPECT_EQ(Info.TruncatedBytes, 8u);
 }
 
+TEST(CampaignJournal, WritesHeaderThenResumesThenDiscards) {
+  TempDir Dir("header");
+  json::Value Extra = json::Value::object();
+  Extra.set("seed", "0x7");
+  std::string Err;
+  {
+    Journal J;
+    CampaignReplay Fresh;
+    ASSERT_TRUE(openCampaignJournal(J, Dir.Path, "key-A", Extra, Fresh, &Err))
+        << Err;
+    EXPECT_TRUE(Fresh.Records.empty());
+    EXPECT_FALSE(Fresh.Discarded);
+    EXPECT_EQ(Fresh.Header.strOr("type", ""), "campaign");
+    EXPECT_EQ(Fresh.Header.strOr("schema", ""), JournalSchema);
+    EXPECT_EQ(Fresh.Header.strOr("key", ""), "key-A");
+    EXPECT_EQ(Fresh.Header.strOr("seed", ""), "0x7");
+    ASSERT_TRUE(J.append(record(0), &Err)) << Err;
+  }
+  {
+    // Same key: the journaled header (and its seed) wins over the one
+    // the resuming caller offers; the records after it replay.
+    json::Value Other = json::Value::object();
+    Other.set("seed", "0x999");
+    Journal J;
+    CampaignReplay Resumed;
+    ASSERT_TRUE(
+        openCampaignJournal(J, Dir.Path, "key-A", Other, Resumed, &Err))
+        << Err;
+    EXPECT_FALSE(Resumed.Discarded);
+    EXPECT_EQ(Resumed.Header.strOr("seed", ""), "0x7");
+    ASSERT_EQ(Resumed.Records.size(), 1u);
+    EXPECT_EQ(Resumed.Records[0].dump(), record(0).dump());
+  }
+  Journal J;
+  CampaignReplay Other;
+  ASSERT_TRUE(
+      openCampaignJournal(J, Dir.Path, "key-B", json::Value(), Other, &Err))
+      << Err;
+  EXPECT_TRUE(Other.Discarded);
+  EXPECT_TRUE(Other.Records.empty());
+  Journal Reread;
+  Journal::RecoveryInfo Info;
+  std::vector<json::Value> Records = replay(Reread, Dir.journalPath(), Info);
+  ASSERT_EQ(Records.size(), 1u); // Only key-B's header survives.
+  EXPECT_EQ(Records[0].strOr("key", ""), "key-B");
+}
+
 //===----------------------------------------------------------------------===//
 // Content keys
 //===----------------------------------------------------------------------===//
@@ -338,7 +384,7 @@ TEST(Runner, SigkillMidCampaignResumesByteIdentical) {
         Options O;
         O.Dir = Dir;
         O.CampaignKey = "kill-test";
-        O.Retries = 0;
+        O.Policy.Retries = 0;
         O.Jobs = 1; // Pool threads do not survive the fork.
         O.Sandbox = false;
         int Done = 0;
@@ -388,9 +434,8 @@ TEST(Runner, InjectedFirstAttemptCrashIsAbsorbedByRetry) {
   Options O;
   O.Dir = Dir.Path;
   O.CampaignKey = "crash-once";
-  O.Retries = 1;
-  O.BackoffMs = 1;
-  O.DeadlineMs = 20000;
+  O.Policy.Retries = 1;
+  O.Policy.Limits.WallMs = 20000;
   O.Jobs = 1;
   O.Sandbox = true;
   Runner R(O);
@@ -418,9 +463,8 @@ TEST(Runner, DeadlineExhaustionDegradesToTypedErr) {
   Options O;
   O.Dir = Dir.Path;
   O.CampaignKey = "deadline";
-  O.Retries = 1;
-  O.BackoffMs = 1;
-  O.DeadlineMs = 300;
+  O.Policy.Retries = 1;
+  O.Policy.Limits.WallMs = 300;
   O.Jobs = 1;
   O.Sandbox = true;
   Runner R(O);

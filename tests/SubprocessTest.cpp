@@ -7,8 +7,9 @@
 /// \file
 /// support::Subprocess containment paths: payload capture, exit-code
 /// and signal classification, the SIGTERM -> SIGKILL watchdog
-/// escalation, RLIMIT_AS enforcement, stderr-tail capture, and the
-/// FPINT_FAULT attempt counter that models transient failures.
+/// escalation, RLIMIT_AS enforcement, stderr-tail capture, the
+/// FPINT_FAULT attempt counter that models transient failures, and
+/// SandboxPolicy's FPINT_CELL_* knob validation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,8 @@
 #include <cstring>
 #include <ctime>
 #include <filesystem>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/resource.h>
@@ -167,10 +170,11 @@ TEST(Subprocess, StderrTailKeepsOnlyTheTail) {
 }
 
 TEST(Subprocess, FaultAttemptCounterIsInheritedByChild) {
-  // The fuzz/bench harnesses call setAttempt() in the parent before
-  // each fork; a ":once" spec must see the inherited value. Without
-  // FPINT_FAULT in the environment inject() stays inert, so this
-  // checks the plumbing, not the fault itself.
+  // The attempt counter is ordinary process state, so a child starts
+  // with the value its parent held at fork time (campaign::runCell then
+  // sets the child's own attempt first thing). Without FPINT_FAULT in
+  // the environment inject() stays inert, so this checks the plumbing,
+  // not the fault itself.
   fault::setAttempt(2);
   TaskResult R = Subprocess::run(
       [](int Fd) {
@@ -184,6 +188,71 @@ TEST(Subprocess, FaultAttemptCounterIsInheritedByChild) {
   fault::setAttempt(1);
   EXPECT_TRUE(R.ok()) << R.describe();
   EXPECT_EQ(R.Payload, "alive");
+}
+
+/// Sets (or, with nullptr, unsets) one environment variable for the
+/// enclosing scope.
+struct ScopedEnv {
+  std::string Name;
+  ScopedEnv(const char *N, const char *Value) : Name(N) {
+    if (Value)
+      setenv(N, Value, 1);
+    else
+      unsetenv(N);
+  }
+  ~ScopedEnv() { unsetenv(Name.c_str()); }
+};
+
+TEST(SandboxPolicy, DefaultsAreTheDocumentedConstants) {
+  ScopedEnv R("FPINT_CELL_RETRIES", nullptr);
+  ScopedEnv T("FPINT_CELL_TIMEOUT_MS", nullptr);
+  ScopedEnv A("FPINT_CELL_AS_MB", nullptr);
+  SandboxPolicy P = SandboxPolicy::fromEnv();
+  EXPECT_EQ(P.Retries, 2);
+  EXPECT_EQ(P.Limits.WallMs, 120000);
+  EXPECT_EQ(P.Limits.KillGraceMs, 500);
+  EXPECT_EQ(P.Limits.AddressSpaceMb, 4096u);
+  EXPECT_EQ(SandboxPolicy::backoffMs(1), 50);
+  EXPECT_EQ(SandboxPolicy::backoffMs(2), 100);
+  EXPECT_EQ(SandboxPolicy::backoffMs(3), 200);
+}
+
+TEST(SandboxPolicy, FromEnvRejectsInvalidKnobsWithAWarning) {
+  struct Case {
+    const char *Text;
+    bool Timeout, Retries, AsMb; // Whether each knob accepts Text.
+  };
+  // The watchdog and the memory cap must never be disabled by a knob:
+  // 0 is valid only as a retry count.
+  const Case Cases[] = {{"0", false, true, false},
+                        {"-5", false, false, false},
+                        {"abc", false, false, false},
+                        {"2s", false, false, false},
+                        {"7", true, true, true}};
+  for (const Case &C : Cases) {
+    ScopedEnv R("FPINT_CELL_RETRIES", C.Text);
+    ScopedEnv T("FPINT_CELL_TIMEOUT_MS", C.Text);
+    ScopedEnv A("FPINT_CELL_AS_MB", C.Text);
+    testing::internal::CaptureStderr();
+    SandboxPolicy P = SandboxPolicy::fromEnv();
+    std::string Warnings = testing::internal::GetCapturedStderr();
+
+    const int N = std::atoi(C.Text);
+    EXPECT_EQ(P.Retries, C.Retries ? N : 2) << C.Text;
+    EXPECT_EQ(P.Limits.WallMs, C.Timeout ? N : 120000) << C.Text;
+    EXPECT_EQ(P.Limits.AddressSpaceMb,
+              C.AsMb ? static_cast<uint64_t>(N) : 4096u)
+        << C.Text;
+    EXPECT_EQ(P.Limits.KillGraceMs, 500);
+    for (auto [Knob, Accepted] :
+         {std::pair{"FPINT_CELL_RETRIES", C.Retries},
+          std::pair{"FPINT_CELL_TIMEOUT_MS", C.Timeout},
+          std::pair{"FPINT_CELL_AS_MB", C.AsMb}})
+      EXPECT_EQ(Warnings.find(std::string(Knob) + "='" + C.Text + "'") ==
+                    std::string::npos,
+                Accepted)
+          << C.Text << ": " << Warnings;
+  }
 }
 
 /// Restores RLIMIT_NOFILE and closes filler fds even when an

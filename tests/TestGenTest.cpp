@@ -156,6 +156,24 @@ TEST(OracleTest, PaperVariantBatteryHasExpectedShape) {
   EXPECT_TRUE(Names.count("advanced"));
 }
 
+TEST(OracleTest, BatteryKeyIdentifiesTheResolvedBattery) {
+  using testgen::batteryKey;
+  std::vector<testgen::VariantSpec> Default = testgen::defaultVariants();
+  EXPECT_EQ(batteryKey(Default), batteryKey(testgen::defaultVariants()));
+  EXPECT_EQ(batteryKey(Default).size(), 16u);
+
+  // Same names, one variant's pipeline text changed.
+  std::vector<testgen::VariantSpec> Edited = Default;
+  Edited.back().Config.Passes = "opt,profile,partition,regalloc";
+  EXPECT_NE(batteryKey(Edited), batteryKey(Default));
+
+  // fpint-fuzz --midend appends the mid-end battery.
+  std::vector<testgen::VariantSpec> Midend = Default;
+  for (testgen::VariantSpec &V : testgen::midendVariants())
+    Midend.push_back(std::move(V));
+  EXPECT_NE(batteryKey(Midend), batteryKey(Default));
+}
+
 TEST(OracleTest, CatchesInjectedMiscompile) {
   sir::ParseResult PR = sir::parseModule(AddChain);
   ASSERT_TRUE(PR.ok()) << PR.Error;

@@ -219,10 +219,9 @@ void parseCheckerLines(const std::string &Payload, IterOutcome &Out) {
 IterOutcome checkSandboxed(const sir::Module &M,
                            const testgen::OracleOptions &Opts,
                            int TimeoutMs) {
-  support::SandboxLimits Limits;
+  // One attempt, never retried: a crash or hang here is a finding.
+  support::SandboxLimits Limits = support::SandboxPolicy().Limits;
   Limits.WallMs = TimeoutMs;
-  Limits.KillGraceMs = 300;
-  Limits.AddressSpaceMb = 4096;
 
   support::TaskResult R = support::Subprocess::run(
       [&](int Fd) {
@@ -441,76 +440,50 @@ int main(int argc, char **argv) {
     Fold(campaign::JournalSchema);
     Fold(std::to_string(Iters));
     Fold(Preset);
-    for (const std::string &Text : PassTexts)
-      Fold("passes:" + Text);
-    Fold(std::to_string(Midend));
+    Fold(testgen::batteryKey(OracleOpts.Variants));
     Fold(std::to_string(CheckTiming));
     Fold(std::to_string(BatchSize));
-    const std::string CampaignKey = support::hex64(KeyH);
 
-    std::vector<json::Value> Records;
-    campaign::Journal::RecoveryInfo Info;
+    json::Value Header = json::Value::object();
+    char SeedBuf[32];
+    std::snprintf(SeedBuf, sizeof(SeedBuf), "0x%" PRIx64, BaseSeed);
+    Header.set("seed", SeedBuf);
+    campaign::CampaignReplay Replay;
     std::string Err;
-    if (!Journal.open(
-            JournalDir + "/journal.wal",
-            [&](const json::Value &R) { Records.push_back(R); }, Info,
-            &Err)) {
+    if (!campaign::openCampaignJournal(Journal, JournalDir,
+                                       support::hex64(KeyH), Header, Replay,
+                                       &Err)) {
       std::fprintf(stderr, "fpint-fuzz: journal: %s\n", Err.c_str());
       return 2;
     }
-    const bool HaveHeader =
-        !Records.empty() && Records.front().strOr("type", "") == "campaign" &&
-        Records.front().strOr("schema", "") == campaign::JournalSchema &&
-        Records.front().strOr("key", "") == CampaignKey;
-    if (HaveHeader) {
-      BaseSeed = parseSeed(Records.front().strOr("seed", "1").c_str());
-      for (size_t I = 1; I < Records.size(); ++I) {
-        const json::Value &R = Records[I];
-        if (R.strOr("type", "") != "batch")
-          continue;
-        DoneBatches.insert(static_cast<uint64_t>(R.numberOr("index", 0)));
-        Stats.Modules += static_cast<uint64_t>(R.numberOr("modules", 0));
-        Stats.Skipped += static_cast<uint64_t>(R.numberOr("skipped", 0));
-        Stats.DynInstrs += static_cast<uint64_t>(R.numberOr("dyn_instrs", 0));
-        Stats.Mismatches +=
-            static_cast<uint64_t>(R.numberOr("mismatches", 0));
-        Stats.Crashes += static_cast<uint64_t>(R.numberOr("crashes", 0));
-        Stats.Hangs += static_cast<uint64_t>(R.numberOr("hangs", 0));
-        Exit = std::max(Exit, static_cast<int>(R.numberOr("exit", 0)));
-        const json::Value *B = R.find("buckets");
-        if (B && B->isObject())
-          for (const auto &Member : B->members())
-            Buckets[Member.first] +=
-                static_cast<uint64_t>(Member.second.number());
-      }
-      if (!DoneBatches.empty())
-        std::fprintf(stderr,
-                     "fpint-fuzz: resuming campaign (base seed 0x%" PRIx64
-                     "): %zu batch(es) already complete\n",
-                     BaseSeed, DoneBatches.size());
-    } else {
-      if (!Records.empty()) {
-        // A journal bound to a different campaign is discarded, never
-        // merged (the campaign::Runner contract).
-        std::fprintf(stderr, "fpint-fuzz: journal belongs to a different "
-                             "campaign; starting fresh\n");
-        if (!Journal.reset(&Err)) {
-          std::fprintf(stderr, "fpint-fuzz: journal: %s\n", Err.c_str());
-          return 2;
-        }
-      }
-      json::Value H = json::Value::object();
-      H.set("type", "campaign");
-      H.set("schema", campaign::JournalSchema);
-      H.set("key", CampaignKey);
-      char SeedBuf[32];
-      std::snprintf(SeedBuf, sizeof(SeedBuf), "0x%" PRIx64, BaseSeed);
-      H.set("seed", SeedBuf);
-      if (!Journal.append(H, &Err)) {
-        std::fprintf(stderr, "fpint-fuzz: journal: %s\n", Err.c_str());
-        return 2;
-      }
+    if (Replay.Discarded)
+      std::fprintf(stderr, "fpint-fuzz: journal belongs to a different "
+                           "campaign; starting fresh\n");
+    // A fresh header carries this run's seed; a resumed one the seed the
+    // campaign started with.
+    BaseSeed = parseSeed(Replay.Header.strOr("seed", "1").c_str());
+    for (const json::Value &R : Replay.Records) {
+      if (R.strOr("type", "") != "batch")
+        continue;
+      DoneBatches.insert(static_cast<uint64_t>(R.numberOr("index", 0)));
+      Stats.Modules += static_cast<uint64_t>(R.numberOr("modules", 0));
+      Stats.Skipped += static_cast<uint64_t>(R.numberOr("skipped", 0));
+      Stats.DynInstrs += static_cast<uint64_t>(R.numberOr("dyn_instrs", 0));
+      Stats.Mismatches += static_cast<uint64_t>(R.numberOr("mismatches", 0));
+      Stats.Crashes += static_cast<uint64_t>(R.numberOr("crashes", 0));
+      Stats.Hangs += static_cast<uint64_t>(R.numberOr("hangs", 0));
+      Exit = std::max(Exit, static_cast<int>(R.numberOr("exit", 0)));
+      const json::Value *B = R.find("buckets");
+      if (B && B->isObject())
+        for (const auto &Member : B->members())
+          Buckets[Member.first] +=
+              static_cast<uint64_t>(Member.second.number());
     }
+    if (!DoneBatches.empty())
+      std::fprintf(stderr,
+                   "fpint-fuzz: resuming campaign (base seed 0x%" PRIx64
+                   "): %zu batch(es) already complete\n",
+                   BaseSeed, DoneBatches.size());
   }
 
   auto Check = [&](const sir::Module &M) {
