@@ -172,7 +172,7 @@ inline timing::SimStats simulateRun(const RunPtr &Run,
   if (Reg.enabled())
     Reg.record(Run->Name, Run->Config, Machine, S,
                Run->RefResult.Trap.Kind, Run->PassStats,
-               stats::RegAllocSummary::of(Run->Alloc));
+               stats::RegAllocSummary::of(*Run));
   return S;
 }
 

@@ -68,6 +68,13 @@ private:
   std::vector<bool> InSlice, InP, Seen;
   std::vector<unsigned> SliceNodes, SeenNodes;
   std::vector<unsigned> P; ///< FPa nodes of the current slice, ascending.
+
+  // Phase 1 early exit. Each move starts a new epoch; ScoredIn[N] is the
+  // epoch node N was last popped in, and Unscored counts the queued
+  // nodes not yet popped in the current epoch.
+  std::vector<unsigned> ScoredIn;
+  unsigned Epoch = 0;
+  size_t Unscored = 0;
 };
 
 void AdvancedImpl::initialAssignment() {
@@ -91,6 +98,7 @@ void AdvancedImpl::pushFpaChildren(unsigned N, std::deque<unsigned> &Queue,
     if (A.isFpa(S) && !Queued[S]) {
       Queued[S] = true;
       Queue.push_back(S);
+      Unscored += ScoredIn[S] != Epoch;
     }
 }
 
@@ -171,6 +179,7 @@ double AdvancedImpl::lossOfMoving() {
 void AdvancedImpl::phase1() {
   Cost.recompute(A);
 
+  ScoredIn.assign(G.numNodes(), ~0u);
   std::deque<unsigned> Queue;
   std::vector<bool> Queued(G.numNodes(), false);
   for (unsigned N = 0; N < G.numNodes(); ++N)
@@ -182,20 +191,31 @@ void AdvancedImpl::phase1() {
     if (A.isFpa(N) && G.feedsCallOrRet(N) && !Queued[N]) {
       Queued[N] = true;
       Queue.push_back(N);
+      ++Unscored;
     }
 
-  // Safety valve: the worklist is monotone in practice (moves only
-  // shrink FPa; deferrals walk forward), but RDG cycles could in theory
-  // re-enqueue nodes, so bound the total work.
+  // The loop stops once every queued node has been popped in the
+  // current epoch. Between two moves A and Cost are fixed, so a node
+  // popped twice in one epoch repeats its loss (the same doubles summed
+  // over the same ascending P) and queues only children that its first
+  // pop in the epoch queued. Each of those has been popped since or is
+  // still queued, so once no queued node is new to the epoch every
+  // further pop is a repeat: no move can follow, and leaving the loop
+  // changes no decision. Without the exit, zero-loss slices re-queued
+  // one another until the budget ran out; on 700 generated fuzz modules
+  // that ended 23% of the Phase 1 runs, after 7.9M scorings for 8.7k
+  // moves. The budget now only guards against RDG cycles.
   uint64_t Budget = static_cast<uint64_t>(G.numNodes() + 1) * 64;
 
   InSlice.assign(G.numNodes(), false);
   InP.assign(G.numNodes(), false);
   Seen.assign(G.numNodes(), false);
-  while (!Queue.empty() && Budget-- > 0) {
+  while (Unscored > 0 && Budget-- > 0) {
     unsigned U = Queue.front();
     Queue.pop_front();
     Queued[U] = false;
+    Unscored -= ScoredIn[U] != Epoch;
+    ScoredIn[U] = Epoch;
     if (!A.isFpa(U))
       continue;
 
@@ -208,6 +228,8 @@ void AdvancedImpl::phase1() {
       for (unsigned N : P)
         A.NodeSide[N] = Side::Int;
       Cost.recompute(A);
+      ++Epoch;
+      Unscored = Queue.size();
       for (unsigned N : P)
         pushFpaChildren(N, Queue, Queued);
     } else if (Loss == 0.0) {

@@ -120,7 +120,6 @@ void ScanFuncAllocator::scan(RegClass RC) {
 ModuleAlloc regalloc::allocateModule(sir::Module &M,
                                      analysis::AnalysisManager *AM) {
   ModuleAlloc Result;
-  Result.AllocatorName = "regalloc";
   for (const auto &F : M.functions()) {
     std::string Error;
     // Lowering and rewriting mutate F around the analysis fetches, so

@@ -83,10 +83,6 @@ struct FuncAlloc {
 struct ModuleAlloc {
   std::unordered_map<const sir::Function *, FuncAlloc> Funcs;
   std::vector<std::string> Errors;
-  /// Name of the pass that produced this allocation ("regalloc";
-  /// empty only for a default-constructed result, i.e. regalloc never
-  /// ran).
-  std::string AllocatorName;
 
   /// Architectural index of \p R in \p F's file; asserts it is mapped.
   unsigned archIndexOf(const sir::Function *F, sir::Reg R) const;

@@ -86,10 +86,10 @@ Value stats::pipelineConfigToJson(const core::PipelineConfig &C) {
   return V;
 }
 
-RegAllocSummary RegAllocSummary::of(const regalloc::ModuleAlloc &A) {
+RegAllocSummary RegAllocSummary::of(const core::PipelineRun &Run) {
   RegAllocSummary S;
-  S.Allocator = A.AllocatorName;
-  for (const auto &KV : A.Funcs) {
+  S.Allocated = Run.Allocated;
+  for (const auto &KV : Run.Alloc.Funcs) {
     ++S.Functions;
     S.SpilledIntervals += KV.second.SpilledIntervals;
     S.SpillSlots += KV.second.SpillSlots;
@@ -104,7 +104,8 @@ RegAllocSummary RegAllocSummary::of(const regalloc::ModuleAlloc &A) {
 
 Value stats::regAllocSummaryToJson(const RegAllocSummary &S) {
   Value V = Value::object();
-  V.set("allocator", S.Allocator);
+  // There is one allocator; the field stays for the report schema.
+  V.set("allocator", "regalloc");
   V.set("functions", S.Functions);
   V.set("spilled_intervals", S.SpilledIntervals);
   V.set("spill_slots", S.SpillSlots);

@@ -53,12 +53,12 @@ json::Value breakdownToJson(const StallBreakdown &B);
 json::Value passStatsToJson(const std::vector<core::PassStat> &Passes);
 
 /// Register-allocation telemetry of one run (the "regalloc" object):
-/// which backend ran and its spill/reload/save-restore footprint.
+/// its spill/reload/save-restore footprint.
 /// Every field except WallMs is deterministic for a fixed pipeline
 /// and is gated by diffReports; WallMs is informational like
 /// sim_wall_ms.
 struct RegAllocSummary {
-  std::string Allocator; ///< Backend registry name ("" = regalloc absent).
+  bool Allocated = false; ///< A regalloc pass ran.
   unsigned Functions = 0;
   unsigned SpilledIntervals = 0;
   unsigned SpillSlots = 0;
@@ -68,10 +68,10 @@ struct RegAllocSummary {
   unsigned CalleeSaveRestores = 0;
   double WallMs = 0.0;
 
-  /// Aggregates \p A; a default-constructed ModuleAlloc (regalloc
-  /// never ran) yields an invalid summary that is simply not emitted.
-  static RegAllocSummary of(const regalloc::ModuleAlloc &A);
-  bool valid() const { return !Allocator.empty(); }
+  /// Aggregates \p Run's allocation; a run that never reached
+  /// regalloc yields an invalid summary that is simply not emitted.
+  static RegAllocSummary of(const core::PipelineRun &Run);
+  bool valid() const { return Allocated; }
 };
 
 json::Value regAllocSummaryToJson(const RegAllocSummary &S);

@@ -459,6 +459,38 @@ TEST(AdvancedScheme, DecisionsArePinned) {
   EXPECT_EQ(support::hex64(H), "ff53b47bccd07009");
 }
 
+TEST(AdvancedScheme, BudgetBoundPhase1DecisionsArePinned) {
+  // Generated modules in which, before Phase 1 gained its early exit,
+  // at least one Phase 1 run (of a function, at one of the three cost
+  // points) ended by using up its work budget rather than by emptying
+  // its queue: zero-loss slices kept re-queueing one another. The exit
+  // must leave exactly the decisions that budget-bound loop made. The
+  // digest was computed before the exit was added; the modules lie
+  // outside DecisionsArePinned's seed-1 corpus.
+  struct Pick {
+    const char *Preset;
+    uint64_t Seed, Iteration;
+  };
+  const Pick Picks[] = {
+      {"default", 2, 1}, {"default", 2, 2},  {"default", 3, 0},
+      {"branchy", 2, 0}, {"branchy", 2, 2},  {"branchy", 3, 7},
+      {"memory", 2, 0},  {"memory", 2, 7},   {"memory", 3, 15},
+      {"fp", 2, 3},      {"fp", 3, 0},       {"fp", 3, 1},
+      {"calls", 2, 10},  {"calls", 3, 6},    {"calls", 3, 8},
+      {"tiny", 3, 4},    {"tiny", 3, 15},    {"intonly", 2, 0},
+      {"intonly", 2, 3}, {"intonly", 2, 14},
+  };
+  const std::vector<CostParams> Params = {
+      CostParams(), CostParams{6.0, 1.5, 1.0}, CostParams{4.0, 2.5, 0.5}};
+  uint64_t H = support::fnv1a64("");
+  for (const Pick &P : Picks) {
+    auto M = testgen::generateModule(testgen::presetConfig(P.Preset),
+                                     testgen::moduleSeed(P.Seed, P.Iteration));
+    hashAdvancedDecisions(*M, {}, Params, H);
+  }
+  EXPECT_EQ(support::hex64(H), "386813cfd1bab990");
+}
+
 //===----------------------------------------------------------------------===//
 // Randomized property tests: partitioning must never change semantics.
 //===----------------------------------------------------------------------===//

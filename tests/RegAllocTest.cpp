@@ -1,11 +1,13 @@
 //===- tests/RegAllocTest.cpp - Linear-scan register allocation -----------===//
 
+#include "core/Pipeline.h"
 #include "partition/Partitioner.h"
 #include "regalloc/LiveIntervals.h"
 #include "regalloc/RegAlloc.h"
 #include "sir/Parser.h"
 #include "sir/Printer.h"
 #include "sir/Verifier.h"
+#include "stats/Report.h"
 #include "support/Rng.h"
 #include "vm/VM.h"
 
@@ -134,7 +136,6 @@ TEST(RegAlloc, HighPressureSpills) {
   ASSERT_TRUE(PR.ok()) << PR.Error;
   ModuleAlloc Alloc;
   auto A = allocateAndCheck(*PR.M, &Alloc);
-  EXPECT_EQ(Alloc.AllocatorName, "regalloc");
   const FuncAlloc &FA = Alloc.Funcs.at(A->functionByName("main"));
   EXPECT_GT(FA.SpilledIntervals, 0u);
   EXPECT_GT(FA.SpillCode, 0u);
@@ -142,6 +143,24 @@ TEST(RegAlloc, HighPressureSpills) {
   EXPECT_EQ(FA.SpillLoads + FA.SpillStores + FA.CalleeSaveStores +
                 FA.CalleeSaveRestores,
             FA.SpillCode);
+}
+
+TEST(RegAlloc, SummaryIsEmittedOnlyWhenRegallocRan) {
+  auto M = parseOrDie(fixtures::IntVectorSum);
+  core::PipelineConfig Cfg;
+  core::PipelineRun Run = core::compileAndMeasure(*M, Cfg);
+  ASSERT_TRUE(Run.ok());
+  stats::RegAllocSummary S = stats::RegAllocSummary::of(Run);
+  EXPECT_TRUE(S.valid());
+  EXPECT_EQ(S.Functions, Run.Alloc.Funcs.size());
+  EXPECT_EQ(S.SpilledIntervals, Run.Alloc.totalSpilledIntervals());
+  json::Value V = stats::regAllocSummaryToJson(S);
+  EXPECT_EQ(V.strOr("allocator", ""), "regalloc");
+
+  Cfg.Passes = "opt,profile,partition";
+  core::PipelineRun Unallocated = core::compileAndMeasure(*M, Cfg);
+  ASSERT_TRUE(Unallocated.ok());
+  EXPECT_FALSE(stats::RegAllocSummary::of(Unallocated).valid());
 }
 
 TEST(RegAlloc, ValuesLiveAcrossCallsUseCalleeSaved) {
