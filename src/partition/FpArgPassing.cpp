@@ -140,8 +140,11 @@ FpArgReport partition::passArgsInFpRegisters(sir::Module &M,
       ++Report.EntryCopiesRemoved;
 
       // Callers: drop copy-backs whose integer value now has no
-      // consumers.
+      // consumers. Sites that pass the same argument register share
+      // one copy-back, which an earlier Plan may already have erased.
       for (const Plan &P : Plans) {
+        if (!CopyBacks.count(P.CopyBack))
+          continue;
         auto Census = censusOf(*P.Caller); // Recompute after rewiring.
         Reg IntDef = P.CopyBack->def();
         if (!Census[IntDef.id()].Uses.empty())

@@ -8,20 +8,29 @@
 using namespace fpint;
 using namespace fpint::timing;
 
+namespace {
+
+bool isPowerOfTwo(uint32_t N) { return N != 0 && (N & (N - 1)) == 0; }
+
+} // namespace
+
 Cache::Cache(CacheConfig ConfigIn) : Config(ConfigIn) {
-  assert(Config.LineBytes != 0 && Config.Assoc != 0);
+  assert(isPowerOfTwo(Config.LineBytes) &&
+         "line size must be a power of two");
+  assert(Config.Assoc != 0);
   NumSets = Config.SizeBytes / (Config.LineBytes * Config.Assoc);
-  assert(NumSets != 0 && (NumSets & (NumSets - 1)) == 0 &&
-         "set count must be a power of two");
+  assert(isPowerOfTwo(NumSets) && "set count must be a power of two");
+  LineShift = static_cast<unsigned>(__builtin_ctz(Config.LineBytes));
+  SetShift = static_cast<unsigned>(__builtin_ctz(NumSets));
   Lines.assign(static_cast<size_t>(NumSets) * Config.Assoc, Line());
 }
 
 unsigned Cache::access(uint32_t Addr, bool Write) {
   ++Accesses;
   ++Tick;
-  uint32_t LineAddr = Addr / Config.LineBytes;
+  uint32_t LineAddr = lineOf(Addr);
   uint32_t Set = LineAddr & (NumSets - 1);
-  uint32_t Tag = LineAddr / NumSets;
+  uint32_t Tag = LineAddr >> SetShift;
   Line *Base = &Lines[static_cast<size_t>(Set) * Config.Assoc];
 
   for (uint32_t W = 0; W < Config.Assoc; ++W) {
@@ -50,9 +59,9 @@ unsigned Cache::access(uint32_t Addr, bool Write) {
 }
 
 bool Cache::probe(uint32_t Addr) const {
-  uint32_t LineAddr = Addr / Config.LineBytes;
+  uint32_t LineAddr = lineOf(Addr);
   uint32_t Set = LineAddr & (NumSets - 1);
-  uint32_t Tag = LineAddr / NumSets;
+  uint32_t Tag = LineAddr >> SetShift;
   const Line *Base = &Lines[static_cast<size_t>(Set) * Config.Assoc];
   for (uint32_t W = 0; W < Config.Assoc; ++W)
     if (Base[W].Valid && Base[W].Tag == Tag)

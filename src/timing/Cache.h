@@ -30,6 +30,8 @@ struct CacheConfig {
 };
 
 /// LRU set-associative cache. Only timing matters; no data is stored.
+/// The line size and the set count must be powers of two, so an
+/// address splits into line, set and tag by shifts and masks.
 class Cache {
 public:
   explicit Cache(CacheConfig Config);
@@ -41,14 +43,17 @@ public:
   /// True if \p Addr currently hits (no state change).
   bool probe(uint32_t Addr) const;
 
+  /// The line number of \p Addr: equal for two addresses exactly when
+  /// they fall in the same cache line.
+  uint32_t lineOf(uint32_t Addr) const { return Addr >> LineShift; }
+
+  /// Calls to access(). The fast cycle loop probes the I-cache once
+  /// per run of fetches within one line, so this counts I-cache line
+  /// changes there, not fetched instructions; misses and writebacks
+  /// are the same on both cycle loops.
   uint64_t accesses() const { return Accesses; }
   uint64_t misses() const { return Misses; }
   uint64_t writebacks() const { return Writebacks; }
-  double missRate() const {
-    return Accesses ? static_cast<double>(Misses) /
-                          static_cast<double>(Accesses)
-                    : 0.0;
-  }
 
   const CacheConfig &config() const { return Config; }
 
@@ -62,6 +67,8 @@ private:
 
   CacheConfig Config;
   uint32_t NumSets;
+  unsigned LineShift; ///< log2(LineBytes).
+  unsigned SetShift;  ///< log2(NumSets).
   std::vector<Line> Lines; // NumSets * Assoc.
   uint64_t Tick = 0;
   uint64_t Accesses = 0;

@@ -8,9 +8,10 @@
 //  * runFast -- the packed fast path: pre-decoded PackedOp records,
 //    one dense seq-indexed ring holding every in-flight instruction,
 //    event-driven issue (per-operand consumer lists in the ring, age-
-//    ordered waiting/ready bitsets, an in-flight store FIFO),
-//    incremental window occupancy counters, and event-driven
-//    idle-cycle skipping.
+//    ordered waiting/ready bitsets, an in-flight store FIFO, and a walk
+//    that ends once no subsystem can issue again), one I-cache probe
+//    per run of fetches within a line, incremental window occupancy
+//    counters, and event-driven idle-cycle skipping.
 //
 // Both loops read the trace through a source (an in-memory trace, or a
 // runStreamed window fed by another thread), so each loop has one body
@@ -813,6 +814,11 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
   LineVector<uint64_t> IntUnitFree(Config.IntUnits, 0);
   LineVector<uint64_t> FpUnitFree(Config.FpUnits, 0);
 
+  // The I-cache line of the last fetch; no 32-bit line number equals
+  // the initial value.
+  Cache &ICache = *S.ICache;
+  uint64_t LastILine = ~0ULL;
+
   stats::StallReason ResumeKind = stats::StallReason::None;
 
   const uint64_t SafetyLimit =
@@ -859,10 +865,20 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
     // StoreForwards / D-cache traffic. These spans are short: they
     // end at a unit-free wakeup, at most an unpipelined divide away.
     bool LoadEvalNoIssue = false;
+    // A subsystem can issue again this cycle while it is under its
+    // unit cap and has a dispatched, un-issued entry left: during issue
+    // *WindowUsed counts exactly those entries (it is recounted after
+    // dispatch), and the walked set is a subset of them.
+    const unsigned IntIssueLimit =
+        std::min<unsigned>(IntUnitFree.size(), IntWindowUsed);
+    const unsigned FpIssueLimit =
+        std::min<unsigned>(FpUnitFree.size(), FpWindowUsed);
     // One candidate, with the reference loop's per-entry order of checks
     // and side effects: subsystem cap, operands, port, store scan and
-    // D-cache probe, free unit. Returns false once both subsystems are
-    // at their cap, after which every younger entry would be skipped.
+    // D-cache probe, free unit. Returns false once neither subsystem
+    // can issue again: every younger entry would then belong to a
+    // capped subsystem and return at the cap check, before any side
+    // effect or stall attribution.
     auto TryIssue = [&](uint64_t Sq, FastEntry &E) -> bool {
       const PackedOp &Op = *E.Op;
       const bool Fp = Op.is(PackedOp::FpSubsystem);
@@ -975,10 +991,10 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
         if (PendingBranchSeq == Sq)
           PendingBranchSeq = 0;
       }
-      return IntIssuedNow < IntUnitFree.size() ||
-             FpIssuedNow < FpUnitFree.size();
+      return IntIssuedNow < IntIssueLimit || FpIssuedNow < FpIssueLimit;
     };
-    WalkInAgeOrder(Sink ? Waiting : Ready, RetireSeq, TryIssue);
+    if (IntIssueLimit || FpIssueLimit)
+      WalkInAgeOrder(Sink ? Waiting : Ready, RetireSeq, TryIssue);
     Stats.IntIssued += IntIssuedNow;
     Stats.FpIssued += FpIssuedNow;
     if (FpIssuedNow > 0) {
@@ -1071,12 +1087,19 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
       for (unsigned N = 0; N < Config.FetchWidth && PT.has(FetchIdx); ++N) {
         const PackedOp &Op = PT.op(FetchIdx);
 
-        unsigned ILat = S.ICache->access(Op.Pc, false);
-        if (ILat > Config.ICache.HitLatency) {
-          ++Stats.ICacheMisses;
-          FetchResumeCycle = Cycle + (ILat - Config.ICache.HitLatency);
-          if (Sink)
-            ResumeKind = stats::StallReason::FetchICacheMiss;
+        // Only fetch touches the I-cache, so the line fetched last is
+        // resident and holds its set's newest LastUse: probing it again
+        // would hit and change no LRU order, miss or writeback.
+        const uint32_t ILine = ICache.lineOf(Op.Pc);
+        if (ILine != LastILine) {
+          LastILine = ILine;
+          unsigned ILat = ICache.access(Op.Pc, false);
+          if (ILat > Config.ICache.HitLatency) {
+            ++Stats.ICacheMisses;
+            FetchResumeCycle = Cycle + (ILat - Config.ICache.HitLatency);
+            if (Sink)
+              ResumeKind = stats::StallReason::FetchICacheMiss;
+          }
         }
 
         FastEntry &E = Flight[NextSeq & Mask];

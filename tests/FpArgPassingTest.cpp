@@ -114,6 +114,23 @@ TEST(FpArgPassing, MixedCallSitesBlockConversion) {
   EXPECT_EQ(Fold->regClass(Fold->formals()[0]), sir::RegClass::Int);
 }
 
+TEST(FpArgPassing, SitesSharingOneCopyBack) {
+  // Two sites in one caller pass the same argument register, so both
+  // plans name the same copy-back: it must be erased once, not twice.
+  std::string Src = std::string(Convertible);
+  Src.insert(Src.find("  addi %i, %i, 1"), "  call fold(%h6)\n");
+  PipelineRun Base = runWith(Src.c_str(), false);
+  PipelineRun Ext = runWith(Src.c_str(), true);
+  if (Base.Stats.CopyBacks == 0)
+    GTEST_SKIP() << "partitioner kept the argument chain in INT";
+
+  EXPECT_EQ(Ext.FpArgs.ArgsConverted, 1u);
+  EXPECT_EQ(Ext.FpArgs.CopyBacksRemoved, 1u);
+  EXPECT_TRUE(Ext.OutputsMatchOriginal);
+  const sir::Function *Fold = Ext.Compiled->functionByName("fold");
+  EXPECT_EQ(Fold->regClass(Fold->formals()[0]), sir::RegClass::Fp);
+}
+
 TEST(FpArgPassing, NoOpOnBasicAndConventional) {
   for (partition::Scheme S :
        {partition::Scheme::None, partition::Scheme::Basic}) {

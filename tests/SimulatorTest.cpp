@@ -298,6 +298,71 @@ TEST(FastPath, MatchesReferenceOnStressShapes) {
 }
 
 //===----------------------------------------------------------------------===//
+// (b3) The fast loop probes the I-cache once per run of fetches within
+// one line, and ends its issue walk once no subsystem can issue again.
+// Race both cuts against the reference loop at every I-cache line size,
+// on an I-cache small enough to miss, and on narrow and lopsided unit
+// mixes, with and without a stall-attribution sink.
+//===----------------------------------------------------------------------===//
+
+TEST(FastPath, MatchesReferenceAcrossICacheLinesAndUnitMixes) {
+  std::vector<campaign::MachinePoint> Machines;
+  for (uint32_t LineBytes : {32u, 64u, 128u, 256u}) {
+    MachineConfig M = MachineConfig::fourWay();
+    M.ICache.LineBytes = LineBytes;
+    Machines.push_back({"iline" + std::to_string(LineBytes), M});
+  }
+  MachineConfig Small = MachineConfig::fourWay();
+  Small.ICache = CacheConfig{128, 1, 32, 1, 6}; // Four 32-byte lines.
+  Machines.push_back({"small-icache", Small});
+  MachineConfig OneOne = MachineConfig::fourWay();
+  OneOne.IntUnits = 1;
+  OneOne.FpUnits = 1;
+  Machines.push_back({"units1+1", OneOne});
+  MachineConfig FourTwo = MachineConfig::eightWay();
+  FourTwo.IntUnits = 4;
+  FourTwo.FpUnits = 2;
+  Machines.push_back({"units4+2", FourTwo});
+
+  const struct {
+    const char *Name;
+    const char *Src;
+  } Fixtures[] = {
+      {"IntVectorSum", fixtures::IntVectorSum},
+      {"InvalidateForCall", fixtures::InvalidateForCall},
+      {"MemoryFreeRand", fixtures::MemoryFreeRand},
+      {"StressShapes", StressShapes},
+  };
+  uint64_t SmallMisses = 0, DefaultMisses = 0;
+  for (const auto &Fx : Fixtures)
+    for (partition::Scheme S :
+         {partition::Scheme::None, partition::Scheme::Advanced}) {
+      PipelineRun Run = compileSrc(Fx.Src, S);
+      for (const campaign::MachinePoint &P : Machines) {
+        const std::string Label = std::string(Fx.Name) + "/" +
+                                  partition::schemeName(S) + "/" + P.Label;
+        SimStats Ref = runPath(Run, P.M, /*Fast=*/false);
+        expectStatsEqual(Ref, runPath(Run, P.M, /*Fast=*/true), Label);
+
+        stats::StallBreakdown RefB, FastB;
+        SimStats RefS = runPath(Run, P.M, /*Fast=*/false, &RefB);
+        SimStats FastS = runPath(Run, P.M, /*Fast=*/true, &FastB);
+        expectStatsEqual(Ref, RefS, Label + "/sink");
+        expectStatsEqual(RefS, FastS, Label + "/sink");
+        expectBreakdownsEqual(RefB, FastB, Label + "/sink");
+
+        if (P.Label == "small-icache")
+          SmallMisses += Ref.ICacheMisses;
+        if (P.Label == "iline128")
+          DefaultMisses += Ref.ICacheMisses;
+      }
+    }
+  // The small I-cache must miss well beyond its compulsory misses, so
+  // the line memo is raced against LRU evictions.
+  EXPECT_GT(SmallMisses, 4 * DefaultMisses);
+}
+
+//===----------------------------------------------------------------------===//
 // (c) PackedTrace round-trips every TraceEntry field.
 //===----------------------------------------------------------------------===//
 

@@ -63,6 +63,67 @@ TEST(Cache, ProbeDoesNotMutate) {
   EXPECT_EQ(C.accesses(), 1u);
 }
 
+TEST(Cache, ShiftIndexingAtEveryLineSize) {
+  // A 4-set 2-way cache at each line size the simulator's machines use,
+  // against a model that splits addresses by division.
+  for (uint32_t LineBytes : {32u, 64u, 128u, 256u}) {
+    const uint32_t Sets = 4, Ways = 2;
+    CacheConfig Cfg{Sets * Ways * LineBytes, Ways, LineBytes, 1, 6};
+    Cache C(Cfg);
+    EXPECT_EQ(C.lineOf(LineBytes - 1), 0u) << LineBytes;
+    EXPECT_EQ(C.lineOf(LineBytes), 1u) << LineBytes;
+    EXPECT_EQ(C.access(0), 7u) << LineBytes;
+    EXPECT_EQ(C.access(LineBytes - 1), 1u) << LineBytes;
+    EXPECT_EQ(C.access(LineBytes), 7u) << LineBytes; // Next set.
+
+    struct Way {
+      uint32_t Tag = 0;
+      uint64_t LastUse = 0;
+      bool Valid = false, Dirty = false;
+    };
+    std::vector<Way> Model(Sets * Ways);
+    uint64_t Tick = 0, Misses = 0, Writebacks = 0;
+    auto ModelAccess = [&](uint32_t Addr, bool Write) {
+      ++Tick;
+      const uint32_t Line = Addr / LineBytes;
+      const uint32_t Set = Line % Sets, Tag = Line / Sets;
+      Way *Base = &Model[Set * Ways];
+      for (uint32_t W = 0; W < Ways; ++W)
+        if (Base[W].Valid && Base[W].Tag == Tag) {
+          Base[W].LastUse = Tick;
+          Base[W].Dirty |= Write;
+          return 1u;
+        }
+      ++Misses;
+      Way *Victim = Base;
+      for (uint32_t W = 1; W < Ways; ++W)
+        if (!Base[W].Valid ||
+            (Victim->Valid && Base[W].LastUse < Victim->LastUse))
+          Victim = &Base[W];
+      if (Victim->Valid && Victim->Dirty)
+        ++Writebacks;
+      *Victim = Way{Tag, Tick, true, Write};
+      return 7u;
+    };
+    ModelAccess(0, false);
+    ModelAccess(LineBytes - 1, false);
+    ModelAccess(LineBytes, false);
+
+    uint32_t X = 12345;
+    for (int K = 0; K < 4000; ++K) {
+      X = X * 1103515245u + 12345u;
+      // Addresses over four times the capacity, so sets thrash.
+      const uint32_t Addr = (X >> 8) % (4 * Cfg.SizeBytes);
+      const bool Write = (X >> 4) & 1;
+      ASSERT_EQ(C.access(Addr, Write), ModelAccess(Addr, Write))
+          << LineBytes << "-byte lines, access " << K;
+    }
+    EXPECT_EQ(C.misses(), Misses) << LineBytes;
+    EXPECT_EQ(C.writebacks(), Writebacks) << LineBytes;
+    EXPECT_GT(Writebacks, 0u) << LineBytes;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Branch predictors
 //===----------------------------------------------------------------------===//

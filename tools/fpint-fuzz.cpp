@@ -26,12 +26,16 @@
 ///   fpint-fuzz --timeout-ms 2000                    # hang guard per iter
 ///
 /// The base seed defaults to $FPINT_FUZZ_SEED (then 1); every failure
-/// message prints the exact --one module seed that reproduces it.
+/// message prints the exact --one module seed that reproduces it. The
+/// timing cross-check simulates each module on one machine drawn by its
+/// module seed from Table 1's two machines and the full explore grid,
+/// so --one replays the machine too.
 /// --no-sandbox runs iterations in-process (for debuggers); a crash
 /// then kills the campaign, so it is never the CI mode.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "campaign/Explore.h"
 #include "campaign/Journal.h"
 #include "core/PassManager.h"
 #include "sir/Printer.h"
@@ -145,6 +149,28 @@ struct IterOutcome {
   std::string Describe; ///< Human-readable sandbox verdict.
 };
 
+/// The machines the timing cross-check races the two cycle loops on:
+/// Table 1's two machines and every point of the full explore grid.
+const std::vector<campaign::MachinePoint> &fuzzMachines() {
+  static const std::vector<campaign::MachinePoint> Pool = [] {
+    std::vector<campaign::MachinePoint> P = {
+        {"4-way", timing::MachineConfig::fourWay()},
+        {"8-way", timing::MachineConfig::eightWay()}};
+    for (campaign::MachinePoint &G : campaign::exploreGrid("full"))
+      P.push_back(std::move(G));
+    return P;
+  }();
+  return Pool;
+}
+
+/// The machine module \p ModSeed is simulated on, drawn from its seed
+/// alone so that --one replays the same machine.
+const campaign::MachinePoint &machineFor(uint64_t ModSeed) {
+  const std::vector<campaign::MachinePoint> &Pool = fuzzMachines();
+  // Fibonacci hashing: the product's high half mixes every seed bit.
+  return Pool[((ModSeed * 0x9e3779b97f4a7c15ULL) >> 32) % Pool.size()];
+}
+
 /// Child exit codes of the sandboxed checker (anything else, plus
 /// signals and timeouts, is classified by the parent).
 enum : int {
@@ -158,8 +184,8 @@ enum : int {
 /// --no-sandbox). Streams breadcrumbs and results as prefixed lines
 /// over \p Send so a mid-flight death still leaves triage data.
 template <typename SendFn>
-int checkModule(const sir::Module &M, const testgen::OracleOptions &BaseOpts,
-                const SendFn &Send) {
+int checkModule(const sir::Module &M, uint64_t ModSeed,
+                const testgen::OracleOptions &BaseOpts, const SendFn &Send) {
   sir::VerifyOptions Strict;
   Strict.CheckDataflow = true;
   std::vector<std::string> Diags = sir::verify(M, Strict);
@@ -169,6 +195,7 @@ int checkModule(const sir::Module &M, const testgen::OracleOptions &BaseOpts,
   }
 
   testgen::OracleOptions Opts = BaseOpts;
+  Opts.Machine = machineFor(ModSeed).M;
   Opts.Progress = [&](const std::string &Stage) { Send("@" + Stage); };
   testgen::OracleReport Report = testgen::runOracle(M, Opts);
   Send("D" + std::to_string(Report.BaselineDynInstrs));
@@ -216,7 +243,7 @@ void parseCheckerLines(const std::string &Payload, IterOutcome &Out) {
 }
 
 /// Checks \p M inside a forked sandbox and classifies the result.
-IterOutcome checkSandboxed(const sir::Module &M,
+IterOutcome checkSandboxed(const sir::Module &M, uint64_t ModSeed,
                            const testgen::OracleOptions &Opts,
                            int TimeoutMs) {
   // One attempt, never retried: a crash or hang here is a finding.
@@ -228,7 +255,7 @@ IterOutcome checkSandboxed(const sir::Module &M,
         auto Send = [Fd](const std::string &Line) {
           support::Subprocess::writeAll(Fd, Line + "\n");
         };
-        return checkModule(M, Opts, Send);
+        return checkModule(M, ModSeed, Opts, Send);
       },
       Limits);
 
@@ -271,12 +298,13 @@ IterOutcome checkSandboxed(const sir::Module &M,
 
 /// In-process fallback (--no-sandbox): same classification, no
 /// containment.
-IterOutcome checkInProcess(const sir::Module &M,
+IterOutcome checkInProcess(const sir::Module &M, uint64_t ModSeed,
                            const testgen::OracleOptions &Opts) {
   IterOutcome Out;
   std::vector<std::string> Lines;
-  int Code = checkModule(
-      M, Opts, [&](const std::string &Line) { Lines.push_back(Line); });
+  int Code = checkModule(M, ModSeed, Opts, [&](const std::string &Line) {
+    Lines.push_back(Line);
+  });
   std::string Payload;
   for (const std::string &L : Lines)
     Payload += L + "\n";
@@ -426,7 +454,7 @@ int main(int argc, char **argv) {
   // --journal: resume an interrupted campaign from its last completed
   // batch. The campaign identity covers everything that changes what
   // the batches check -- iteration count, preset, variant battery,
-  // batch size -- but NOT the seed: on resume the journaled header's
+  // timing machine draw, batch size -- but NOT the seed: on resume the journaled header's
   // seed is adopted, so a restarted nightly run continues the exact
   // random sequence it started with (docs/CAMPAIGNS.md).
   const bool UseJournal = !JournalDir.empty() && !HaveOne;
@@ -442,6 +470,8 @@ int main(int argc, char **argv) {
     Fold(Preset);
     Fold(testgen::batteryKey(OracleOpts.Variants));
     Fold(std::to_string(CheckTiming));
+    for (const campaign::MachinePoint &P : fuzzMachines())
+      Fold(P.M.canonicalKey()); // The timing machine draw.
     Fold(std::to_string(BatchSize));
 
     json::Value Header = json::Value::object();
@@ -486,9 +516,9 @@ int main(int argc, char **argv) {
                    BaseSeed, DoneBatches.size());
   }
 
-  auto Check = [&](const sir::Module &M) {
-    return Sandbox ? checkSandboxed(M, OracleOpts, TimeoutMs)
-                   : checkInProcess(M, OracleOpts);
+  auto Check = [&](const sir::Module &M, uint64_t ModSeed) {
+    return Sandbox ? checkSandboxed(M, ModSeed, OracleOpts, TimeoutMs)
+                   : checkInProcess(M, ModSeed, OracleOpts);
   };
 
   const uint64_t Total = HaveOne ? 1 : Iters;
@@ -516,7 +546,7 @@ int main(int argc, char **argv) {
         std::printf("# seed=0x%" PRIx64 " preset=%s\n%s\n", ModSeed,
                     PresetName.c_str(), Text.c_str());
 
-      IterOutcome Out = Check(*M);
+      IterOutcome Out = Check(*M, ModSeed);
       ++Stats.Modules;
       Stats.DynInstrs += Out.DynInstrs;
 
@@ -564,8 +594,10 @@ int main(int argc, char **argv) {
       for (const std::string &Msg : Out.Mismatches)
         std::fprintf(stderr, "  %s\n", Msg.c_str());
       std::fprintf(stderr,
-                   "  reproduce: fpint-fuzz --one 0x%" PRIx64 " --preset %s\n",
-                   ModSeed, PresetName.c_str());
+                   "  reproduce: fpint-fuzz --one 0x%" PRIx64
+                   " --preset %s (timing machine %s)\n",
+                   ModSeed, PresetName.c_str(),
+                   machineFor(ModSeed).Label.c_str());
 
       if (Reduce && FirstInBucket) {
         // Shrink while the candidate stays in the same bucket. Crash and
@@ -582,8 +614,9 @@ int main(int argc, char **argv) {
             [&](const sir::Module &Candidate) {
               IterOutcome Probe =
                   (WantKind == IterOutcome::Kind::Mismatch && !Sandbox)
-                      ? checkInProcess(Candidate, OracleOpts)
-                      : checkSandboxed(Candidate, OracleOpts, ProbeTimeout);
+                      ? checkInProcess(Candidate, ModSeed, OracleOpts)
+                      : checkSandboxed(Candidate, ModSeed, OracleOpts,
+                                       ProbeTimeout);
               if (Probe.K != WantKind)
                 return false;
               if (WantKind == IterOutcome::Kind::Crash)
@@ -607,7 +640,8 @@ int main(int argc, char **argv) {
                   << "# seed=0x" << std::hex << ModSeed << std::dec
                   << " preset=" << PresetName << "\n"
                   << "# replay: fpint-fuzz --one 0x" << std::hex << ModSeed
-                  << std::dec << " --preset " << PresetName << "\n";
+                  << std::dec << " --preset " << PresetName << "\n"
+                  << "# timing machine: " << machineFor(ModSeed).Label << "\n";
           if (!Out.LastStage.empty())
             OutFile << "# last oracle stage: " << Out.LastStage << "\n";
           for (const std::string &Msg : Out.Mismatches)
