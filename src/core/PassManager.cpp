@@ -89,6 +89,13 @@ public:
   analysis::PreservedAnalyses preserved() const override {
     return analysis::PreservedAnalyses::all();
   }
+
+  std::string configKey(const PipelineConfig &Config) const override {
+    std::string Key = "train=";
+    for (int32_t A : Config.TrainArgs)
+      Key += std::to_string(A) + ",";
+    return Key;
+  }
 };
 
 /// Partitions with Config.Scheme (None: no-op).
@@ -117,6 +124,15 @@ public:
   analysis::PreservedAnalyses preserved() const override {
     return Mutated ? analysis::PreservedAnalyses::none()
                    : analysis::PreservedAnalyses::all();
+  }
+
+  std::string configKey(const PipelineConfig &Config) const override {
+    // Hex floats are exact: distinct costs never share a key.
+    char Buf[128];
+    std::snprintf(Buf, sizeof(Buf), "scheme=%d,costs=%a,%a,%a",
+                  static_cast<int>(Config.Scheme), Config.Costs.CopyOverhead,
+                  Config.Costs.DupOverhead, Config.Costs.FpaShareCap);
+    return Buf;
   }
 
 private:
@@ -282,6 +298,13 @@ std::string FixpointPass::name() const {
   }
   Name += ")";
   return Name;
+}
+
+std::string FixpointPass::configKey(const PipelineConfig &Config) const {
+  std::string Key;
+  for (const auto &P : Passes)
+    Key += P->configKey(Config) + ";";
+  return Key;
 }
 
 unsigned FixpointPass::run(sir::Module &M, analysis::AnalysisManager &AM,
@@ -520,11 +543,24 @@ std::string PassManager::text() const {
   return Text;
 }
 
+std::vector<std::string>
+PassManager::prefixKeys(const PipelineConfig &Config) const {
+  std::vector<std::string> Keys;
+  std::string Key;
+  for (const auto &P : Passes) {
+    Key += P->name() + "{" + P->configKey(Config) + "},";
+    Keys.push_back(Key);
+  }
+  return Keys;
+}
+
 std::vector<PassStat> PassManager::run(sir::Module &M,
                                        analysis::AnalysisManager &AM,
-                                       PassState &State) {
+                                       PassState &State, size_t From,
+                                       const AfterPassFn &AfterPass) {
   std::vector<PassStat> Stats;
-  for (const auto &P : Passes) {
+  for (size_t PI = From; PI < Passes.size(); ++PI) {
+    ModulePass *P = Passes[PI].get();
     if (State.Fatal)
       break;
     const analysis::AnalysisManager::Counters Before = AM.counters();
@@ -550,17 +586,18 @@ std::vector<PassStat> PassManager::run(sir::Module &M,
       std::fprintf(stderr, "; module after pass '%s'\n%s", S.Name.c_str(),
                    sir::toString(M).c_str());
 
-    if (State.Fatal)
-      break;
-    if (Opts.VerifyEach) {
+    if (!State.Fatal && Opts.VerifyEach) {
       std::vector<std::string> Errs = sir::verify(M);
       if (!Errs.empty()) {
         State.Errors.push_back("verify after pass '" + S.Name +
                                "': " + Errs.front());
         State.Fatal = true;
-        break;
       }
     }
+    if (AfterPass)
+      AfterPass(PI + 1, Stats);
+    if (State.Fatal)
+      break;
   }
   return Stats;
 }

@@ -107,6 +107,11 @@ public:
   virtual analysis::PreservedAnalyses preserved() const {
     return analysis::PreservedAnalyses::none();
   }
+
+  /// The PipelineConfig fields this pass reads, as exact text ("" for
+  /// none, the default). Part of PassManager::prefixKeys(), so a pass
+  /// that reads a config field must name it here.
+  virtual std::string configKey(const PipelineConfig &) const { return {}; }
 };
 
 /// One transformation over a single function, lifted to a ModulePass by
@@ -160,6 +165,7 @@ public:
     return Mutated ? analysis::PreservedAnalyses::none()
                    : analysis::PreservedAnalyses::all();
   }
+  std::string configKey(const PipelineConfig &Config) const override;
 
   unsigned iterations() const { return Iterations; }
   bool converged() const { return Converged; }
@@ -261,12 +267,26 @@ public:
   /// Round-trip text of the current sequence.
   std::string text() const;
 
-  /// Runs every pass in order. After each pass: snapshots telemetry,
-  /// invalidates non-preserved analyses, honors VerifyEach /
-  /// PrintAfter, and stops early when State.Fatal is set. Returns one
-  /// PassStat per executed pass.
+  /// One key per pass: Keys[K] names the state after passes 0..K under
+  /// \p Config -- each pass's name() and configKey(). Two compiles of
+  /// one module whose keys agree at K reach the same state there.
+  std::vector<std::string> prefixKeys(const PipelineConfig &Config) const;
+
+  /// Called after each pass, once its boundary work is done, with the
+  /// number of passes the module has been through (counting a resumed
+  /// prefix) and this run's PassStat rows so far.
+  using AfterPassFn =
+      std::function<void(size_t Done, const std::vector<PassStat> &Rows)>;
+
+  /// Runs the passes from index \p From on, in order; \p M and
+  /// \p State must hold the result of passes [0, From). After each
+  /// pass: snapshots telemetry, invalidates non-preserved analyses,
+  /// honors VerifyEach / PrintAfter, calls \p AfterPass, and stops
+  /// early when State.Fatal is set. Returns one PassStat per executed
+  /// pass.
   std::vector<PassStat> run(sir::Module &M, analysis::AnalysisManager &AM,
-                            PassState &State);
+                            PassState &State, size_t From = 0,
+                            const AfterPassFn &AfterPass = nullptr);
 
 private:
   Options Opts;

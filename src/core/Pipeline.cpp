@@ -6,13 +6,198 @@
 #include "sir/Verifier.h"
 #include "support/FaultInject.h"
 
+#include <algorithm>
+#include <cassert>
+#include <map>
 #include <stdexcept>
+#include <unordered_map>
 
 using namespace fpint;
 using namespace fpint::core;
 
+//===----------------------------------------------------------------------===//
+// CompileMemo.
+//===----------------------------------------------------------------------===//
+
+struct CompileMemo::Impl {
+  /// A compile's state at one pass boundary.
+  struct Snapshot {
+    std::unique_ptr<sir::Module> M;
+    PassState State;
+    std::vector<PassStat> Stats;
+  };
+
+  /// One planned compile: its prefix keys and the number of passes it
+  /// shares with some earlier planned compile (0: none).
+  struct Planned {
+    std::vector<std::string> Keys;
+    size_t Resume = 0;
+  };
+
+  const sir::Module *Original = nullptr;
+  std::vector<Planned> Plan;
+  size_t Next = 0;
+  /// Prefix key -> planned compiles yet to resume there.
+  std::unordered_map<std::string, unsigned> Demand;
+  std::unordered_map<std::string, Snapshot> Saved;
+  /// The original module's run, per RefArgs.
+  std::map<std::vector<int32_t>, vm::VM::Result> OriginalRuns;
+
+  static std::vector<std::string> keysOf(const PipelineConfig &Config) {
+    PassManager PM;
+    std::string Error;
+    if (!PM.parse(effectivePipelineText(Config), Error))
+      return {};
+    return PM.prefixKeys(Config);
+  }
+
+  /// Deep copy of \p M and of \p State, whose pointer-keyed parts refer
+  /// to \p M. Module::clone() keeps function, block and instruction
+  /// order, so those parts are remapped by position.
+  static Snapshot clone(const sir::Module &M, const PassState &State,
+                        std::vector<PassStat> Stats) {
+    Snapshot S;
+    S.M = M.clone();
+    S.State = State;
+    S.Stats = std::move(Stats);
+    PassState &New = S.State;
+    New.Profile.BlockCounts.clear();
+    New.Rewrite.Reports.clear();
+    New.Alloc.Funcs.clear();
+    const auto &OldFns = M.functions();
+    const auto &NewFns = S.M->functions();
+    assert(OldFns.size() == NewFns.size() && "clone changed the module");
+    for (size_t FI = 0; FI < OldFns.size(); ++FI) {
+      const sir::Function &OF = *OldFns[FI];
+      const sir::Function &NF = *NewFns[FI];
+      if (!State.Profile.BlockCounts.empty())
+        for (size_t BI = 0; BI < OF.blocks().size(); ++BI) {
+          auto It = State.Profile.BlockCounts.find(OF.blocks()[BI].get());
+          if (It != State.Profile.BlockCounts.end())
+            New.Profile.BlockCounts.emplace(NF.blocks()[BI].get(),
+                                            It->second);
+        }
+      auto A = State.Alloc.Funcs.find(&OF);
+      if (A != State.Alloc.Funcs.end())
+        New.Alloc.Funcs.emplace(&NF, A->second);
+      auto R = State.Rewrite.Reports.find(&OF);
+      if (R != State.Rewrite.Reports.end())
+        New.Rewrite.Reports.emplace(&NF, remap(R->second, OF, NF));
+    }
+    return S;
+  }
+
+  static partition::RewriteReport remap(const partition::RewriteReport &R,
+                                        const sir::Function &OF,
+                                        const sir::Function &NF) {
+    partition::RewriteReport Out;
+    if (!R.staticAdded())
+      return Out;
+    std::unordered_map<const sir::Instruction *, const sir::Instruction *>
+        Map;
+    Map.reserve(OF.numInstrIds());
+    for (size_t BI = 0; BI < OF.blocks().size(); ++BI) {
+      const auto &OI = OF.blocks()[BI]->instructions();
+      const auto &NI = NF.blocks()[BI]->instructions();
+      for (size_t II = 0; II < OI.size(); ++II)
+        Map.emplace(OI[II].get(), NI[II].get());
+    }
+    auto Lists = [&](const std::vector<const sir::Instruction *> &From,
+                     std::vector<const sir::Instruction *> &To) {
+      To.reserve(From.size());
+      for (const sir::Instruction *I : From) {
+        auto It = Map.find(I);
+        assert(It != Map.end() && "rewrite report names a dead instruction");
+        To.push_back(It->second);
+      }
+    };
+    Lists(R.CopyInstrs, Out.CopyInstrs);
+    Lists(R.DupInstrs, Out.DupInstrs);
+    Lists(R.CopyBackInstrs, Out.CopyBackInstrs);
+    return Out;
+  }
+
+  /// The plan entry a compile with prefix keys \p Keys is, or null
+  /// when it is not the next one planned.
+  const Planned *next(const std::vector<std::string> &Keys) {
+    if (Next >= Plan.size() || Plan[Next].Keys != Keys)
+      return nullptr;
+    return &Plan[Next++];
+  }
+
+  /// Moves or clones into \p Into the deepest saved state along \p E's
+  /// keys; returns its depth (0: none, compile from scratch). A state
+  /// is missing when the compile that would have saved it stopped at
+  /// a fatal pass before reaching it.
+  size_t resume(const Planned &E, Snapshot &Into) {
+    if (E.Resume)
+      --Demand[E.Keys[E.Resume - 1]];
+    for (size_t Depth = E.Resume; Depth > 0; --Depth) {
+      auto It = Saved.find(E.Keys[Depth - 1]);
+      if (It == Saved.end())
+        continue;
+      if (Demand[It->first] == 0) {
+        Into = std::move(It->second);
+        Saved.erase(It);
+      } else {
+        Into = clone(*It->second.M, It->second.State, It->second.Stats);
+      }
+      return Depth;
+    }
+    return 0;
+  }
+
+  /// Saves the state after \p Done passes of \p E when a later planned
+  /// compile resumes there.
+  void save(const Planned &E, size_t Done, const sir::Module &M,
+            const PassState &State, const std::vector<PassStat> &Prefix,
+            const std::vector<PassStat> &Rows) {
+    const std::string &Key = E.Keys[Done - 1];
+    auto D = Demand.find(Key);
+    if (D == Demand.end() || D->second == 0 || Saved.count(Key))
+      return;
+    std::vector<PassStat> Stats = Prefix;
+    Stats.insert(Stats.end(), Rows.begin(), Rows.end());
+    Saved.emplace(Key, clone(M, State, std::move(Stats)));
+  }
+
+  const vm::VM::Result &originalRun(const std::vector<int32_t> &Args) {
+    auto It = OriginalRuns.find(Args);
+    if (It == OriginalRuns.end())
+      It = OriginalRuns.emplace(Args, vm::runModule(*Original, Args)).first;
+    return It->second;
+  }
+};
+
+CompileMemo::CompileMemo(const sir::Module &Original,
+                         const std::vector<PipelineConfig> &Configs)
+    : P(std::make_unique<Impl>()) {
+  P->Original = &Original;
+  for (const PipelineConfig &Config : Configs) {
+    Impl::Planned E;
+    E.Keys = Impl::keysOf(Config);
+    for (const Impl::Planned &Earlier : P->Plan) {
+      size_t D = 0;
+      while (D < E.Keys.size() && D < Earlier.Keys.size() &&
+             E.Keys[D] == Earlier.Keys[D])
+        ++D;
+      E.Resume = std::max(E.Resume, D);
+    }
+    if (E.Resume)
+      ++P->Demand[E.Keys[E.Resume - 1]];
+    P->Plan.push_back(std::move(E));
+  }
+}
+
+CompileMemo::~CompileMemo() = default;
+
+//===----------------------------------------------------------------------===//
+// compileAndMeasure.
+//===----------------------------------------------------------------------===//
+
 PipelineRun core::compileAndMeasure(const sir::Module &Original,
-                                    PipelineConfig Config) {
+                                    PipelineConfig Config,
+                                    CompileMemo *Memo) {
   support::fault::inject("compile");
   // Resolve the pipeline text once, at entry: the run's config says
   // exactly which stages ran.
@@ -20,23 +205,45 @@ PipelineRun core::compileAndMeasure(const sir::Module &Original,
   PipelineRun Run;
   Run.Config = Config;
   Run.Trace = std::make_shared<TraceHandle>();
-  Run.Compiled = Original.clone();
-  sir::Module &M = *Run.Compiled;
 
-  // Compile side: a pass pipeline over the clone (the clone shares no
+  // Compile side: a pass pipeline over a clone (the clone shares no
   // blocks with the original, so the profile pass trains on the clone
   // itself before it is rewritten).
   PassManager PM(PassManager::Options::fromEnv());
   std::string ParseError;
   if (!PM.parse(Config.Passes, ParseError)) {
+    Run.Compiled = Original.clone();
     Run.Errors.push_back("pipeline: " + ParseError);
     return Run;
   }
 
-  analysis::AnalysisManager AM;
+  // A memo's planned compile resumes from the deepest prefix an earlier
+  // one saved; everything else starts from a clone of the original.
+  assert((!Memo || Memo->P->Original == &Original) &&
+         "memo built for another module");
+  const CompileMemo::Impl::Planned *Planned =
+      Memo ? Memo->P->next(PM.prefixKeys(Config)) : nullptr;
+  CompileMemo::Impl::Snapshot Start;
+  const size_t From = Planned ? Memo->P->resume(*Planned, Start) : 0;
   PassState State;
+  if (From) {
+    Run.Compiled = std::move(Start.M);
+    State = std::move(Start.State);
+  } else {
+    Run.Compiled = Original.clone();
+  }
   State.Config = Config;
-  Run.PassStats = PM.run(M, AM, State);
+  sir::Module &M = *Run.Compiled;
+
+  analysis::AnalysisManager AM;
+  PassManager::AfterPassFn Save;
+  if (Planned)
+    Save = [&](size_t Done, const std::vector<PassStat> &Rows) {
+      Memo->P->save(*Planned, Done, M, State, Start.Stats, Rows);
+    };
+  std::vector<PassStat> Rows = PM.run(M, AM, State, From, Save);
+  Run.PassStats = std::move(Start.Stats);
+  Run.PassStats.insert(Run.PassStats.end(), Rows.begin(), Rows.end());
 
   Run.Opt = State.Opt;
   Run.Transform = State.Transform;
@@ -62,7 +269,10 @@ PipelineRun core::compileAndMeasure(const sir::Module &Original,
   MeasureOpts.CollectProfile = true;
   vm::VM Measurer(M, MeasureOpts);
   Run.RefResult = Measurer.run(Config.RefArgs);
-  auto OriginalRun = vm::runModule(Original, Config.RefArgs);
+  vm::VM::Result LoneOriginalRun;
+  const vm::VM::Result &OriginalRun =
+      Memo ? Memo->P->originalRun(Config.RefArgs)
+           : (LoneOriginalRun = vm::runModule(Original, Config.RefArgs));
 
   const vm::TrapKind OrigTrap = OriginalRun.Trap.Kind;
   const vm::TrapKind CompTrap = Run.RefResult.Trap.Kind;

@@ -127,10 +127,52 @@ struct PipelineRun {
   const timing::PackedTrace &refTrace() const { return packedTrace(); }
 };
 
+class CompileMemo;
+
 /// Compiles \p Original per \p Config and measures it functionally.
-/// \p Original is not modified.
+/// \p Original is not modified. With a \p Memo (built for
+/// \p Original), the compile resumes from the deepest pipeline prefix
+/// it shares with an earlier compile of the memo's plan, and reuses
+/// the original module's run on Config.RefArgs; the result is the same
+/// as without one (see CompileMemo).
 PipelineRun compileAndMeasure(const sir::Module &Original,
-                              PipelineConfig Config);
+                              PipelineConfig Config,
+                              CompileMemo *Memo = nullptr);
+
+/// Shares the work of a planned series of compiles of one module, for
+/// a caller that compiles it under several configs in a known order
+/// (the fuzz oracle's variant battery). Owned by that caller and
+/// dropped with the module: there is no process-wide cache, and a
+/// compile without a memo does all of its own work.
+///
+///  * A compile's state after each pass (module + PassState) is keyed
+///    by PassManager::prefixKeys(): the resolved pass tokens so far
+///    and the config fields those passes read (TrainArgs for profile,
+///    Scheme and Costs for partition).
+///  * After a pass whose key a later planned compile will resume from,
+///    the state is deep-cloned into the memo. That compile takes the
+///    clone -- by a further clone while another planned compile still
+///    resumes there, by move for the last one -- so no two runs share
+///    IR. A resumed run's PassStats repeat its prefix's rows.
+///  * The original module's run on the ref input happens once per
+///    RefArgs.
+///
+/// Compiles must follow the plan's order; an unplanned one (its keys
+/// differ from the next planned entry's) shares nothing.
+class CompileMemo {
+public:
+  CompileMemo(const sir::Module &Original,
+              const std::vector<PipelineConfig> &Plan);
+  ~CompileMemo();
+  CompileMemo(const CompileMemo &) = delete;
+  CompileMemo &operator=(const CompileMemo &) = delete;
+
+private:
+  friend PipelineRun compileAndMeasure(const sir::Module &, PipelineConfig,
+                                       CompileMemo *);
+  struct Impl;
+  std::unique_ptr<Impl> P;
+};
 
 /// Simulates the compiled program's ref-input trace on \p Machine: the
 /// cached packedTrace() on the fast path; with the fast path off

@@ -40,7 +40,7 @@ public:
 private:
   void planRegisters();
   Reg fpVersionOf(Reg R);
-  Reg intVersionOf(Reg R);
+  Reg intVersionOf(Reg R, unsigned Consumer);
   void rewriteInstruction(Instruction &I);
   void planInsertAfter(const Instruction &I,
                        std::unique_ptr<Instruction> New);
@@ -120,14 +120,26 @@ Reg RewriterImpl::fpVersionOf(Reg R) {
   return Plan.Mode == RegMode::Retype ? R : Plan.FpReg;
 }
 
-Reg RewriterImpl::intVersionOf(Reg R) {
+/// The integer register RDG node \p Consumer reads for \p R.
+Reg RewriterImpl::intVersionOf(Reg R, unsigned Consumer) {
   auto It = Plans.find(R.id());
   if (It == Plans.end() || It->second.Mode == RegMode::Untouched ||
       It->second.Mode == RegMode::Shadow)
     return R;
-  assert(It->second.IntReg.isValid() &&
-         "retyped register consumed as integer without a copy-back");
-  return It->second.IntReg;
+  RegPlan &Plan = It->second;
+  if (!Plan.IntReg.isValid()) {
+    // No definition of R reaches this integer use (it sits in a block
+    // no definition reaches, e.g. an unreachable one), so the use reads
+    // R's initial zero. R now lives in the FP file; a fresh integer
+    // register that is never written reads the same zero.
+    assert(std::none_of(G.node(Consumer).Preds.begin(),
+                        G.node(Consumer).Preds.end(),
+                        [&](unsigned P) { return G.node(P).Def == R; }) &&
+           "retyped register consumed as integer without a copy-back");
+    (void)Consumer;
+    Plan.IntReg = F.newReg(RegClass::Int);
+  }
+  return Plan.IntReg;
 }
 
 void RewriterImpl::planInsertAfter(const Instruction &I,
@@ -169,7 +181,7 @@ void RewriterImpl::rewriteInstruction(Instruction &I) {
       if (Plans[D.id()].Mode == RegMode::Shadow)
         I.setDef(Plans[D.id()].FpReg);
       if (A.CopyBack[Val]) {
-        auto C = MakeCopyToInt(intVersionOf(D), fpVersionOf(D));
+        auto C = MakeCopyToInt(intVersionOf(D, Val), fpVersionOf(D));
         Report.CopyBackInstrs.push_back(C.get());
         planInsertAfter(I, std::move(C));
       }
@@ -194,7 +206,7 @@ void RewriterImpl::rewriteInstruction(Instruction &I) {
     // Arguments stay in integer registers; producers that moved to FPa
     // already planted copy-backs next to their definitions.
     for (Reg &U : I.uses())
-      U = intVersionOf(U);
+      U = intVersionOf(U, N);
     if (I.def().isValid() && A.Copy[N]) {
       auto C = MakeCopyToFp(fpVersionOf(I.def()), I.def());
       Report.CopyInstrs.push_back(C.get());
@@ -205,7 +217,7 @@ void RewriterImpl::rewriteInstruction(Instruction &I) {
 
   if (Op == Opcode::Ret) {
     for (Reg &U : I.uses())
-      U = intVersionOf(U);
+      U = intVersionOf(U, G.primaryNode(I));
     return;
   }
 
@@ -236,7 +248,7 @@ void RewriterImpl::rewriteInstruction(Instruction &I) {
       if (Plans[D.id()].Mode == RegMode::Shadow)
         I.setDef(Plans[D.id()].FpReg);
       if (A.CopyBack[N]) {
-        auto C = MakeCopyToInt(intVersionOf(D), fpVersionOf(D));
+        auto C = MakeCopyToInt(intVersionOf(D, N), fpVersionOf(D));
         Report.CopyBackInstrs.push_back(C.get());
         planInsertAfter(I, std::move(C));
       }

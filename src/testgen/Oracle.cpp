@@ -147,8 +147,15 @@ public:
       Report.BaselineTrap = Baseline.Result.Trap.Kind;
     }
     Report.BaselineDynInstrs = Baseline.Result.Steps;
+    // The variants share pipeline prefixes (opt,profile; the advanced
+    // partition) and the original module's ref run: compile each shared
+    // part once.
+    std::vector<core::PipelineConfig> Plan;
     for (const VariantSpec &V : Opts.Variants)
-      checkVariant(V);
+      Plan.push_back(configOf(V));
+    core::CompileMemo Memo(M, Plan);
+    for (size_t I = 0; I < Opts.Variants.size(); ++I)
+      checkVariant(Opts.Variants[I], Plan[I], Memo);
     return std::move(Report);
   }
 
@@ -157,14 +164,18 @@ private:
     Report.Mismatches.push_back("[" + Variant + "] " + Msg);
   }
 
-  void checkVariant(const VariantSpec &V) {
-    if (Opts.Progress)
-      Opts.Progress(V.Name);
+  core::PipelineConfig configOf(const VariantSpec &V) const {
     core::PipelineConfig Config = V.Config;
     Config.TrainArgs = Opts.Args;
     Config.RefArgs = Opts.Args;
+    return Config;
+  }
 
-    core::PipelineRun Run = core::compileAndMeasure(M, Config);
+  void checkVariant(const VariantSpec &V, const core::PipelineConfig &Config,
+                    core::CompileMemo &Memo) {
+    if (Opts.Progress)
+      Opts.Progress(V.Name);
+    core::PipelineRun Run = core::compileAndMeasure(M, Config, &Memo);
     // compileAndMeasure verifies and self-checks its output comparison;
     // any error it reports is a divergence (or a compile failure, which
     // for a verifier-clean input is just as much a bug).

@@ -1,14 +1,19 @@
 //===- tests/PipelineTest.cpp - End-to-end core::Pipeline -----------------===//
 
+#include "core/PassManager.h"
 #include "core/Pipeline.h"
 #include "sir/Parser.h"
 #include "sir/Printer.h"
+#include "testgen/Generator.h"
+#include "testgen/Oracle.h"
+#include "workloads/Workloads.h"
 
 #include "PaperExamples.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
 #include <stdexcept>
 #include <sys/wait.h>
 
@@ -203,6 +208,219 @@ TEST(Pipeline, CostParamsFlowThrough) {
   EXPECT_LE(TightRun.Stats.fpaFraction(), LooseRun.Stats.fpaFraction());
   EXPECT_LE(TightRun.Stats.Copies + TightRun.Stats.Dups,
             LooseRun.Stats.Copies + LooseRun.Stats.Dups);
+}
+
+//===----------------------------------------------------------------------===//
+// CompileMemo: a memoised compile must equal a lone one.
+//===----------------------------------------------------------------------===//
+
+/// Everything a caller can observe of a compile, as text, so a failing
+/// comparison prints the difference.
+std::string describe(const PipelineRun &R) {
+  std::ostringstream OS;
+  OS << (R.Compiled ? sir::toString(*R.Compiled) : "<no module>\n");
+  for (const std::string &E : R.Errors)
+    OS << "error: " << E << "\n";
+  const vm::VM::Result &Ref = R.RefResult;
+  OS << "ref: ok " << Ref.Ok << " steps " << Ref.Steps << " exit "
+     << Ref.ExitValue << " trap " << vm::trapKindName(Ref.Trap.Kind)
+     << " out";
+  for (int32_t V : Ref.Output)
+    OS << " " << V;
+  OS << "\nmatch " << R.OutputsMatchOriginal << " allocated " << R.Allocated
+     << "\n";
+  const partition::DynStats &S = R.Stats;
+  OS << "stats: " << S.Total << " " << S.Fpa << " " << S.NativeFp << " "
+     << S.Copies << " " << S.Dups << " " << S.CopyBacks << " " << S.Loads
+     << " " << S.Stores << "\n";
+  unsigned Added = 0;
+  for (const auto &KV : R.Rewrite.Reports)
+    Added += KV.second.staticAdded();
+  OS << "rewrite: " << R.Rewrite.StaticCopies << " " << R.Rewrite.StaticDups
+     << " " << R.Rewrite.StaticCopyBacks << " reports "
+     << R.Rewrite.Reports.size() << " added " << Added << "\n";
+  OS << "fpargs: " << R.FpArgs.ArgsConverted << " "
+     << R.FpArgs.EntryCopiesRemoved << " " << R.FpArgs.CopyBacksRemoved
+     << "\n";
+  const regalloc::ModuleAlloc &A = R.Alloc;
+  OS << "alloc: " << A.Funcs.size() << " " << A.totalSpilledIntervals() << " "
+     << A.totalSpillSlots() << " " << A.totalSpillLoads() << " "
+     << A.totalSpillStores() << " " << A.totalCalleeSaveStores() << " "
+     << A.totalCalleeSaveRestores() << " errors " << A.Errors.size() << "\n";
+  OS << "passes:";
+  for (const PassStat &P : R.PassStats)
+    OS << " " << P.Name << "=" << P.Changes;
+  OS << "\n";
+  return OS.str();
+}
+
+/// The fuzz oracle's full battery (default + mid-end) on \p Train/\p Ref.
+std::vector<PipelineConfig> batteryConfigs(const std::vector<int32_t> &Train,
+                                           const std::vector<int32_t> &Ref) {
+  std::vector<testgen::VariantSpec> Variants = testgen::defaultVariants();
+  for (testgen::VariantSpec &V : testgen::midendVariants())
+    Variants.push_back(std::move(V));
+  std::vector<PipelineConfig> Configs;
+  for (const testgen::VariantSpec &V : Variants) {
+    PipelineConfig C = V.Config;
+    C.TrainArgs = Train;
+    C.RefArgs = Ref;
+    Configs.push_back(C);
+  }
+  return Configs;
+}
+
+/// Compiles \p M under every config through one memo and alone, and
+/// expects the two to agree.
+void expectMemoMatchesLone(const sir::Module &M,
+                           const std::vector<PipelineConfig> &Configs) {
+  CompileMemo Memo(M, Configs);
+  for (size_t I = 0; I < Configs.size(); ++I) {
+    SCOPED_TRACE("variant " + std::to_string(I) + " '" + Configs[I].Passes +
+                 "'");
+    PipelineRun Memoised = compileAndMeasure(M, Configs[I], &Memo);
+    PipelineRun Lone = compileAndMeasure(M, Configs[I]);
+    EXPECT_EQ(describe(Memoised), describe(Lone));
+  }
+}
+
+TEST(Pipeline, PrefixMemoMatchesFromScratch) {
+  for (const std::string &Name : workloads::allWorkloadNames()) {
+    SCOPED_TRACE(Name);
+    workloads::Workload W = workloads::workloadByName(Name);
+    expectMemoMatchesLone(*W.M, batteryConfigs(W.TrainArgs, W.RefArgs));
+  }
+  for (const std::string &Preset : testgen::presetNames()) {
+    testgen::GenConfig Gen = testgen::presetConfig(Preset);
+    for (uint64_t It = 0; It < 30; ++It) {
+      const uint64_t Seed = testgen::moduleSeed(1, It);
+      SCOPED_TRACE(Preset + " seed " + std::to_string(Seed));
+      auto M = testgen::generateModule(Gen, Seed);
+      expectMemoMatchesLone(*M, batteryConfigs({}, {}));
+    }
+  }
+}
+
+TEST(Pipeline, PrefixMemoRunsShareNoIR) {
+  auto M = parseOrDie(fixtures::InvalidateForCall);
+  std::vector<PipelineConfig> Configs = batteryConfigs({}, {});
+  std::vector<std::string> Lone;
+  for (const PipelineConfig &C : Configs)
+    Lone.push_back(sir::toString(*compileAndMeasure(*M, C).Compiled));
+
+  // Vandalise each run's module as soon as it is compiled: a sibling
+  // that resumes from a shared prefix must not see it, and no later
+  // compile may touch an earlier run's module.
+  CompileMemo Memo(*M, Configs);
+  std::vector<PipelineRun> Runs;
+  std::vector<std::string> Vandalised;
+  for (size_t I = 0; I < Configs.size(); ++I) {
+    Runs.push_back(compileAndMeasure(*M, Configs[I], &Memo));
+    sir::Module &Out = *Runs.back().Compiled;
+    EXPECT_EQ(sir::toString(Out), Lone[I]) << "variant " << I;
+    for (const auto &F : Out.functions())
+      for (const auto &BB : F->blocks())
+        for (const auto &Instr : BB->instructions()) {
+          Instr->setImm(Instr->imm() + 1);
+          Instr->setInFpa(!Instr->inFpa());
+        }
+    Vandalised.push_back(sir::toString(Out));
+  }
+  for (size_t I = 0; I < Runs.size(); ++I)
+    EXPECT_EQ(sir::toString(*Runs[I].Compiled), Vandalised[I]) << I;
+}
+
+TEST(Pipeline, PrefixMemoSharesATrainingFailure) {
+  // Every variant profiles this module first; the failed training run
+  // a shared profile prefix records must reach each of them.
+  auto M = parseOrDie(R"(
+func main(%n) {
+entry:
+  call %r, main(%n)
+  out %r
+  ret
+}
+)");
+  std::vector<PipelineConfig> Configs = batteryConfigs({1}, {1});
+  CompileMemo Memo(*M, Configs);
+  for (const PipelineConfig &C : Configs) {
+    PipelineRun Memoised = compileAndMeasure(*M, C, &Memo);
+    PipelineRun Lone = compileAndMeasure(*M, C);
+    ASSERT_FALSE(Lone.Errors.empty());
+    EXPECT_NE(Lone.Errors[0].find("training run failed"), std::string::npos);
+    EXPECT_EQ(Memoised.Errors, Lone.Errors) << C.Passes;
+    EXPECT_EQ(describe(Memoised), describe(Lone));
+  }
+}
+
+/// Counts its runs; reads no config field, so its prefix key is the
+/// passes before it.
+class CountingPass : public ModulePass {
+public:
+  static unsigned Runs;
+  std::string name() const override { return "test-count"; }
+  unsigned run(sir::Module &, analysis::AnalysisManager &,
+               PassState &) override {
+    ++Runs;
+    return 0;
+  }
+  analysis::PreservedAnalyses preserved() const override {
+    return analysis::PreservedAnalyses::all();
+  }
+};
+unsigned CountingPass::Runs = 0;
+
+TEST(Pipeline, PrefixMemoRunsEachSharedPrefixOnce) {
+  PassRegistry::global().registerPass(
+      "test-count", [] { return std::make_unique<CountingPass>(); });
+  auto M = parseOrDie(R"(
+func main(%n) {
+entry:
+  li %s, 0
+loop:
+  sll %t, %n, 2
+  add %s, %s, %t
+  addi %n, %n, -1
+  bgtz %n, loop
+  out %s
+  ret
+}
+)");
+  auto Config = [](partition::Scheme S, int32_t Train, const char *Passes) {
+    PipelineConfig C;
+    C.Scheme = S;
+    C.TrainArgs = {Train};
+    C.RefArgs = {7};
+    C.Passes = Passes;
+    return C;
+  };
+  const char *Text = "profile,test-count,partition,regalloc";
+  std::vector<PipelineConfig> Configs = {
+      Config(partition::Scheme::Basic, 5, Text),
+      Config(partition::Scheme::Advanced, 5, Text),
+      Config(partition::Scheme::Advanced, 5,
+             "profile,test-count,partition,fp-arg-passing,regalloc"),
+      // Another training input is another profile: its prefix differs.
+      Config(partition::Scheme::Advanced, 6, Text),
+      // A repeat resumes after its last pass, allocation included.
+      Config(partition::Scheme::Basic, 5, Text),
+  };
+
+  CountingPass::Runs = 0;
+  std::vector<std::string> Lone;
+  for (const PipelineConfig &C : Configs)
+    Lone.push_back(describe(compileAndMeasure(*M, C)));
+  EXPECT_EQ(CountingPass::Runs, 5u) << "a lone compile runs every pass";
+
+  CountingPass::Runs = 0;
+  CompileMemo Memo(*M, Configs);
+  for (size_t I = 0; I < Configs.size(); ++I)
+    EXPECT_EQ(describe(compileAndMeasure(*M, Configs[I], &Memo)), Lone[I]);
+  EXPECT_EQ(CountingPass::Runs, 2u);
+
+  // A compile past the plan shares nothing.
+  compileAndMeasure(*M, Configs[0], &Memo);
+  EXPECT_EQ(CountingPass::Runs, 3u);
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 #include "analysis/RDG.h"
 #include "partition/AdvancedPartitioner.h"
 #include "partition/BasicPartitioner.h"
+#include "partition/Partitioner.h"
 #include "partition/Rewriter.h"
 #include "sir/Parser.h"
 #include "sir/Printer.h"
@@ -335,6 +336,76 @@ entry:
     EXPECT_EQ(R.staticAdded(), 0u);
     EXPECT_EQ(F.numInstrIds(), Before);
   }
+}
+
+TEST(Rewriter, RetypedRegisterReadBeforeAnyDefinition) {
+  // The call reads %r before its only definition, an FPa addi, so no
+  // definition reaches the call and the partition plans no copy-back.
+  // %r moves to the FP file; the call must read a never-written integer
+  // register instead, which holds the same zero.
+  auto M = parseOrDie(R"(
+func id(%x) {
+entry:
+  ret %x
+}
+
+func main() {
+entry:
+  call %a, id(%r)
+  out %a
+  li %s, 5
+  addi %r, %s, 1
+  out %r
+  ret
+}
+)");
+  Function &F = *M->functionByName("main");
+  analysis::CFG Cfg(F);
+  analysis::RDG G(F, Cfg);
+  Assignment A(G);
+  // li, addi and the second out.
+  for (size_t Pos : {2, 3, 4})
+    A.NodeSide[G.primaryNode(*F.entry()->instructions()[Pos])] = Side::Fpa;
+
+  RewriteReport Report;
+  applyAndCheck(*M, F, A, {0, 6}, &Report);
+  EXPECT_TRUE(Report.CopyBackInstrs.empty());
+  const Instruction &Call = *F.entry()->instructions()[0];
+  ASSERT_EQ(Call.op(), Opcode::Call);
+  EXPECT_EQ(F.regClass(Call.uses()[0]), RegClass::Int) << toString(F);
+}
+
+TEST(Rewriter, AdvancedSchemeCompilesUseInUnreachableBlock) {
+  // Reduced by fpint-fuzz (module 0x252253a8bd81a33a, preset intonly;
+  // also tests/corpus/regressions/rewriter_unreached_use.sir): entry.2
+  // is unreachable, so no definition of %r6 reaches its call, and %r6's
+  // one definition goes to FPa. The rewrite used to abort here.
+  auto M = parseOrDie(R"(
+func f0(%r1, %r2, %r3) {
+entry:
+  li %r4, 1431655765
+  li %r5, 11
+loop3:
+  addi %r6, %r2, 23313
+  bgtz %r5, loop3
+entry.1:
+  ret %r4
+entry.2:
+  call %r7, f0(%r6, %r8, %r6)
+  ret %r1
+}
+
+func main() {
+entry:
+  ret
+}
+)");
+  ModuleRewrite RW = partitionModule(*M, Scheme::Advanced, nullptr);
+  EXPECT_TRUE(RW.Errors.empty());
+  auto Verify = verify(*M);
+  EXPECT_TRUE(Verify.empty()) << Verify[0] << "\n" << toString(*M);
+  auto Run = vm::runModule(*M);
+  EXPECT_TRUE(Run.Ok) << Run.Error;
 }
 
 } // namespace
