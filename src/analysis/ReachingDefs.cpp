@@ -4,136 +4,122 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
+#include <cstdint>
 
 using namespace fpint;
 using namespace fpint::analysis;
 using sir::Instruction;
 using sir::Reg;
 
-namespace {
-
-/// Minimal bit vector for dataflow sets.
-class BitVec {
-public:
-  explicit BitVec(unsigned Bits = 0) : Words((Bits + 63) / 64, 0) {}
-
-  void set(unsigned I) { Words[I / 64] |= (1ULL << (I % 64)); }
-  void reset(unsigned I) { Words[I / 64] &= ~(1ULL << (I % 64)); }
-  bool test(unsigned I) const { return Words[I / 64] & (1ULL << (I % 64)); }
-
-  /// this |= Other; returns true if anything changed.
-  bool orWith(const BitVec &Other) {
-    bool Changed = false;
-    for (size_t W = 0; W < Words.size(); ++W) {
-      uint64_t New = Words[W] | Other.Words[W];
-      Changed |= New != Words[W];
-      Words[W] = New;
-    }
-    return Changed;
-  }
-
-  /// this = (this & ~Kill) | Gen.
-  void transfer(const BitVec &Gen, const BitVec &Kill) {
-    for (size_t W = 0; W < Words.size(); ++W)
-      Words[W] = (Words[W] & ~Kill.Words[W]) | Gen.Words[W];
-  }
-
-  bool operator==(const BitVec &Other) const { return Words == Other.Words; }
-
-private:
-  std::vector<uint64_t> Words;
-};
-
-} // namespace
-
 ReachingDefs::ReachingDefs(const sir::Function &F, const CFG &Cfg) {
   // Enumerate def sites: formals first (entry definitions), then every
   // instruction def in layout order.
-  std::unordered_map<uint32_t, std::vector<unsigned>> DefsOfReg;
-  for (Reg Formal : F.formals()) {
-    DefsOfReg[Formal.id()].push_back(static_cast<unsigned>(Defs.size()));
+  const unsigned NumRegs = F.numRegs();
+  std::vector<unsigned> DefIdxOf(F.numInstrIds(), ~0u);
+  for (Reg Formal : F.formals())
     Defs.push_back(DefSite{nullptr, Formal});
-  }
-  std::unordered_map<const Instruction *, unsigned> DefIdxOf;
   F.forEachInstr([&](const Instruction &I) {
     if (!I.def().isValid())
       return;
-    DefIdxOf[&I] = static_cast<unsigned>(Defs.size());
-    DefsOfReg[I.def().id()].push_back(static_cast<unsigned>(Defs.size()));
+    assert(I.id() < DefIdxOf.size() && "function not renumbered");
+    DefIdxOf[I.id()] = static_cast<unsigned>(Defs.size());
     Defs.push_back(DefSite{&I, I.def()});
   });
-
   const unsigned NumDefs = static_cast<unsigned>(Defs.size());
-  const unsigned NumBlocks = Cfg.numBlocks();
 
-  // GEN/KILL per block.
-  std::vector<BitVec> Gen(NumBlocks, BitVec(NumDefs));
-  std::vector<BitVec> Kill(NumBlocks, BitVec(NumDefs));
-  for (unsigned B = 0; B < NumBlocks; ++B) {
-    // Last definition of each register within the block wins.
-    std::unordered_map<uint32_t, unsigned> LastDef;
-    for (const auto &I : F.blocks()[B]->instructions())
-      if (I->def().isValid())
-        LastDef[I->def().id()] = DefIdxOf[I.get()];
-    for (const auto &[RegId, DefIdx] : LastDef) {
-      Gen[B].set(DefIdx);
-      for (unsigned Other : DefsOfReg[RegId])
-        if (Other != DefIdx)
-          Kill[B].set(Other);
-      // A block that defines a register also kills the def it generates
-      // from the *incoming* perspective of other defs only; the
-      // generated def survives by the (IN - KILL) | GEN transfer.
-    }
-    // Defs of registers redefined later in the same block never leave
-    // the block, which the LastDef map already captures.
+  // Def sites of each register, ascending, as one flat list indexed by
+  // register id: register R's sites are
+  // RegDefs[RegBegin[R] .. RegBegin[R + 1]).
+  std::vector<unsigned> RegBegin(NumRegs + 1, 0);
+  for (const DefSite &D : Defs)
+    ++RegBegin[D.R.id() + 1];
+  for (unsigned R = 0; R < NumRegs; ++R)
+    RegBegin[R + 1] += RegBegin[R];
+  std::vector<unsigned> RegDefs(NumDefs);
+  {
+    std::vector<unsigned> Fill(RegBegin.begin(), RegBegin.end() - 1);
+    for (unsigned D = 0; D < NumDefs; ++D)
+      RegDefs[Fill[Defs[D].R.id()]++] = D;
   }
 
-  // Entry IN: formal-parameter definitions.
-  std::vector<BitVec> In(NumBlocks, BitVec(NumDefs));
-  std::vector<BitVec> Out(NumBlocks, BitVec(NumDefs));
-  BitVec EntryIn(NumDefs);
+  // Dataflow sets: NumBlocks x Words 64-bit words each, bit D for def
+  // site D.
+  const unsigned NumBlocks = Cfg.numBlocks();
+  const unsigned Words = (NumDefs + 63) / 64;
+  const size_t Total = size_t(NumBlocks) * Words;
+  auto Set = [](uint64_t *S, unsigned D) { S[D / 64] |= 1ULL << (D % 64); };
+
+  // GEN/KILL per block: the last definition of each register in the
+  // block is generated and kills the register's other definitions.
+  // Walking the block backwards, a register's first def seen is its
+  // last; DefBlock stamps the registers already seen in this block.
+  std::vector<uint64_t> Gen(Total, 0), Kill(Total, 0);
+  std::vector<unsigned> DefBlock(NumRegs, ~0u);
+  for (unsigned B = 0; B < NumBlocks; ++B) {
+    uint64_t *G = Gen.data() + size_t(B) * Words;
+    uint64_t *K = Kill.data() + size_t(B) * Words;
+    const auto &Instrs = F.blocks()[B]->instructions();
+    for (auto It = Instrs.rbegin(); It != Instrs.rend(); ++It) {
+      const Instruction &I = **It;
+      if (!I.def().isValid() || DefBlock[I.def().id()] == B)
+        continue;
+      const uint32_t R = I.def().id();
+      DefBlock[R] = B;
+      const unsigned DefIdx = DefIdxOf[I.id()];
+      Set(G, DefIdx);
+      for (unsigned P = RegBegin[R]; P < RegBegin[R + 1]; ++P)
+        if (RegDefs[P] != DefIdx)
+          Set(K, RegDefs[P]);
+    }
+  }
+
+  // Entry IN: formal-parameter definitions. In and Out grow from empty
+  // to the least fixpoint, which no visiting order changes.
+  std::vector<uint64_t> In(Total, 0), Out(Total, 0);
+  std::vector<uint64_t> EntryIn(Words, 0);
   for (unsigned D = 0; D < F.formals().size(); ++D)
-    EntryIn.set(D);
-  if (NumBlocks > 0)
-    In[0] = EntryIn;
+    Set(EntryIn.data(), D);
 
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (unsigned B : Cfg.reversePostOrder()) {
-      BitVec NewIn = B == 0 ? EntryIn : BitVec(NumDefs);
-      for (unsigned P : Cfg.predecessors(B))
-        NewIn.orWith(Out[P]);
-      BitVec NewOut = NewIn;
-      NewOut.transfer(Gen[B], Kill[B]);
-      if (!(NewIn == In[B]) || !(NewOut == Out[B])) {
-        In[B] = NewIn;
-        Out[B] = NewOut;
-        Changed = true;
+      const size_t Base = size_t(B) * Words;
+      const std::vector<unsigned> &Preds = Cfg.predecessors(B);
+      for (unsigned W = 0; W < Words; ++W) {
+        uint64_t NewIn = B == 0 ? EntryIn[W] : 0;
+        for (unsigned P : Preds)
+          NewIn |= Out[size_t(P) * Words + W];
+        const uint64_t NewOut = (NewIn & ~Kill[Base + W]) | Gen[Base + W];
+        Changed |= NewIn != In[Base + W] || NewOut != Out[Base + W];
+        In[Base + W] = NewIn;
+        Out[Base + W] = NewOut;
       }
     }
   }
 
   // Walk each block, tracking the current reaching set precisely, and
-  // record def -> use edges.
+  // record def -> use edges (a register's reaching defs in ascending
+  // def-site order).
+  std::vector<uint64_t> Cur(Words);
   for (unsigned B = 0; B < NumBlocks; ++B) {
-    BitVec Cur = In[B];
+    std::copy_n(In.begin() + size_t(B) * Words, Words, Cur.begin());
     for (const auto &I : F.blocks()[B]->instructions()) {
       I->forEachUse([&](Reg R, sir::UseKind Kind) {
-        unsigned UseIdx = static_cast<unsigned>(Uses.size());
+        const unsigned UseIdx = static_cast<unsigned>(Uses.size());
         Uses.push_back(UseSite{I.get(), R, Kind});
-        auto It = DefsOfReg.find(R.id());
-        if (It == DefsOfReg.end())
-          return; // Never defined: reads as zero.
-        for (unsigned D : It->second)
-          if (Cur.test(D))
+        const uint32_t Id = R.id();
+        for (unsigned P = RegBegin[Id]; P < RegBegin[Id + 1]; ++P) {
+          const unsigned D = RegDefs[P];
+          if ((Cur[D / 64] >> (D % 64)) & 1)
             Edges.emplace_back(D, UseIdx);
+        }
       });
       if (I->def().isValid()) {
-        for (unsigned D : DefsOfReg[I->def().id()])
-          Cur.reset(D);
-        Cur.set(DefIdxOf[I.get()]);
+        const uint32_t Id = I->def().id();
+        for (unsigned P = RegBegin[Id]; P < RegBegin[Id + 1]; ++P)
+          Cur[RegDefs[P] / 64] &= ~(1ULL << (RegDefs[P] % 64));
+        Set(Cur.data(), DefIdxOf[I->id()]);
       }
     }
   }

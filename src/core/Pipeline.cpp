@@ -191,6 +191,14 @@ CompileMemo::CompileMemo(const sir::Module &Original,
 
 CompileMemo::~CompileMemo() = default;
 
+void CompileMemo::seedOriginalRun(const std::vector<int32_t> &Args,
+                                  const vm::VM::Result &Result) {
+  assert((Result.Ok || vm::isDeterministicTrap(Result.Trap.Kind)) &&
+         Result.Steps <= vm::VM::Options().MaxSteps &&
+         "seeded run may differ from a default-budget run");
+  P->OriginalRuns.emplace(Args, Result);
+}
+
 //===----------------------------------------------------------------------===//
 // compileAndMeasure.
 //===----------------------------------------------------------------------===//

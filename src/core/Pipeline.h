@@ -167,6 +167,14 @@ public:
   CompileMemo(const CompileMemo &) = delete;
   CompileMemo &operator=(const CompileMemo &) = delete;
 
+  /// Records \p Result as the original module's run on \p Args, for a
+  /// caller that has run it already. It must be exactly what
+  /// vm::runModule(Original, Args) returns: a run with default options
+  /// apart from a step budget, that completed or stopped at a
+  /// deterministic trap within both that budget and the default one.
+  void seedOriginalRun(const std::vector<int32_t> &Args,
+                       const vm::VM::Result &Result);
+
 private:
   friend PipelineRun compileAndMeasure(const sir::Module &, PipelineConfig,
                                        CompileMemo *);

@@ -49,12 +49,9 @@ LiveIntervals::LiveIntervals(const sir::Function &F,
   };
 
   for (unsigned B = 0; B < Cfg.numBlocks(); ++B) {
-    for (unsigned R = 1; R < F.numRegs(); ++R) {
-      if (Live.liveInSet(B)[R])
-        Extend(Reg(R), BlockStarts[B]);
-      if (Live.liveOutSet(B)[R])
-        Extend(Reg(R), BlockEnds[B]);
-    }
+    // Extend keeps a hull, so the order of these calls does not matter.
+    Live.forEachLiveIn(B, [&](Reg R) { Extend(R, BlockStarts[B]); });
+    Live.forEachLiveOut(B, [&](Reg R) { Extend(R, BlockEnds[B]); });
     for (const auto &I : F.blocks()[B]->instructions()) {
       unsigned P = InstrPos[I->id()];
       I->forEachUse([&](Reg R, sir::UseKind) { Extend(R, P); });

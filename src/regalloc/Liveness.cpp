@@ -21,45 +21,52 @@ LivenessAnalysis::run(const sir::Function &F, analysis::AnalysisManager &AM) {
 
 Liveness::Liveness(const sir::Function &F, const analysis::CFG &Cfg) {
   const unsigned NumBlocks = Cfg.numBlocks();
-  const unsigned NumRegs = F.numRegs();
-  In.assign(NumBlocks, std::vector<bool>(NumRegs, false));
-  Out.assign(NumBlocks, std::vector<bool>(NumRegs, false));
+  Words = (F.numRegs() + 63) / 64;
+  const size_t Total = size_t(NumBlocks) * Words;
+  In.assign(Total, 0);
+  Out.assign(Total, 0);
 
-  // Per-block USE (upward exposed) and DEF sets.
-  std::vector<std::vector<bool>> Use(NumBlocks,
-                                     std::vector<bool>(NumRegs, false));
-  std::vector<std::vector<bool>> Def(NumBlocks,
-                                     std::vector<bool>(NumRegs, false));
+  // Per-block USE (upward exposed) and DEF sets, in the same layout.
+  std::vector<uint64_t> Use(Total, 0), Def(Total, 0);
   for (unsigned B = 0; B < NumBlocks; ++B) {
+    uint64_t *U = Use.data() + size_t(B) * Words;
+    uint64_t *D = Def.data() + size_t(B) * Words;
     for (const auto &I : F.blocks()[B]->instructions()) {
       I->forEachUse([&](Reg R, sir::UseKind) {
-        if (!Def[B][R.id()])
-          Use[B][R.id()] = true;
+        const uint32_t Id = R.id();
+        const uint64_t Bit = 1ULL << (Id % 64);
+        if (!(D[Id / 64] & Bit))
+          U[Id / 64] |= Bit;
       });
-      if (I->def().isValid())
-        Def[B][I->def().id()] = true;
+      if (I->def().isValid()) {
+        const uint32_t Id = I->def().id();
+        D[Id / 64] |= 1ULL << (Id % 64);
+      }
     }
   }
 
-  // Iterate to fixpoint (backward problem; post order would converge
-  // faster, but functions are small).
+  // Round-robin to the fixpoint, in post order (reverse RPO, which
+  // also covers unreachable blocks). The sets only grow from empty, so
+  // this is the least fixpoint, whatever the visiting order:
+  //   Out[B] = union of In[S] over successors S;
+  //   In[B] = Use | (Out & ~Def).
+  // Each word is computed and stored in place.
+  const std::vector<unsigned> &Rpo = Cfg.reversePostOrder();
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (unsigned B = NumBlocks; B-- > 0;) {
-      std::vector<bool> NewOut(NumRegs, false);
-      for (unsigned S : Cfg.successors(B))
-        for (unsigned R = 0; R < NumRegs; ++R)
-          if (In[S][R])
-            NewOut[R] = true;
-      std::vector<bool> NewIn = Use[B];
-      for (unsigned R = 0; R < NumRegs; ++R)
-        if (NewOut[R] && !Def[B][R])
-          NewIn[R] = true;
-      if (NewOut != Out[B] || NewIn != In[B]) {
-        Out[B] = std::move(NewOut);
-        In[B] = std::move(NewIn);
-        Changed = true;
+    for (auto It = Rpo.rbegin(); It != Rpo.rend(); ++It) {
+      const unsigned B = *It;
+      const size_t Base = size_t(B) * Words;
+      const std::vector<unsigned> &Succs = Cfg.successors(B);
+      for (unsigned W = 0; W < Words; ++W) {
+        uint64_t NewOut = 0;
+        for (unsigned S : Succs)
+          NewOut |= In[size_t(S) * Words + W];
+        const uint64_t NewIn = Use[Base + W] | (NewOut & ~Def[Base + W]);
+        Changed |= NewIn != In[Base + W] || NewOut != Out[Base + W];
+        Out[Base + W] = NewOut;
+        In[Base + W] = NewIn;
       }
     }
   }

@@ -154,6 +154,10 @@ public:
     for (const VariantSpec &V : Opts.Variants)
       Plan.push_back(configOf(V));
     core::CompileMemo Memo(M, Plan);
+    // The baseline completed or trapped deterministically, so a run
+    // with the pipeline's larger default budget ends the same way.
+    if (Baseline.Result.Steps <= vm::VM::Options().MaxSteps)
+      Memo.seedOriginalRun(Opts.Args, Baseline.Result);
     for (size_t I = 0; I < Opts.Variants.size(); ++I)
       checkVariant(Opts.Variants[I], Plan[I], Memo);
     return std::move(Report);

@@ -7,11 +7,13 @@
 #include "sir/Parser.h"
 #include "vm/VM.h"
 
+#include "AnalysisCorpus.h"
 #include "PaperExamples.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
 
 using namespace fpint;
 using namespace fpint::analysis;
@@ -204,6 +206,128 @@ loop:
       AddiUse = U;
   ASSERT_NE(AddiUse, ~0u);
   EXPECT_EQ(RD.reachingDefsOf(AddiUse).size(), 2u);
+}
+
+/// Reaching definitions as computed before the analysis moved to
+/// id-indexed tables: hashed per-register def lists and a per-block
+/// LastDef map, fresh bit vectors per block per iteration. Fills the
+/// same def sites, use sites and edges, in the same order.
+struct ReferenceReachingDefs {
+  std::vector<DefSite> Defs;
+  std::vector<UseSite> Uses;
+  std::vector<std::pair<unsigned, unsigned>> Edges;
+
+  ReferenceReachingDefs(const Function &F, const CFG &Cfg) {
+    using Bits = std::vector<bool>;
+    std::unordered_map<uint32_t, std::vector<unsigned>> DefsOfReg;
+    for (Reg Formal : F.formals()) {
+      DefsOfReg[Formal.id()].push_back(static_cast<unsigned>(Defs.size()));
+      Defs.push_back(DefSite{nullptr, Formal});
+    }
+    std::unordered_map<const Instruction *, unsigned> DefIdxOf;
+    F.forEachInstr([&](const Instruction &I) {
+      if (!I.def().isValid())
+        return;
+      DefIdxOf[&I] = static_cast<unsigned>(Defs.size());
+      DefsOfReg[I.def().id()].push_back(static_cast<unsigned>(Defs.size()));
+      Defs.push_back(DefSite{&I, I.def()});
+    });
+    const unsigned NumDefs = static_cast<unsigned>(Defs.size());
+    const unsigned NumBlocks = Cfg.numBlocks();
+    std::vector<Bits> Gen(NumBlocks, Bits(NumDefs)), Kill(NumBlocks,
+                                                          Bits(NumDefs));
+    for (unsigned B = 0; B < NumBlocks; ++B) {
+      std::unordered_map<uint32_t, unsigned> LastDef;
+      for (const auto &I : F.blocks()[B]->instructions())
+        if (I->def().isValid())
+          LastDef[I->def().id()] = DefIdxOf[I.get()];
+      for (const auto &[RegId, DefIdx] : LastDef) {
+        Gen[B][DefIdx] = true;
+        for (unsigned Other : DefsOfReg[RegId])
+          if (Other != DefIdx)
+            Kill[B][Other] = true;
+      }
+    }
+    std::vector<Bits> In(NumBlocks, Bits(NumDefs)), Out(NumBlocks,
+                                                        Bits(NumDefs));
+    Bits EntryIn(NumDefs);
+    for (unsigned D = 0; D < F.formals().size(); ++D)
+      EntryIn[D] = true;
+    if (NumBlocks > 0)
+      In[0] = EntryIn;
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      for (unsigned B : Cfg.reversePostOrder()) {
+        Bits NewIn = B == 0 ? EntryIn : Bits(NumDefs);
+        for (unsigned P : Cfg.predecessors(B))
+          for (unsigned D = 0; D < NumDefs; ++D)
+            if (Out[P][D])
+              NewIn[D] = true;
+        Bits NewOut = NewIn;
+        for (unsigned D = 0; D < NumDefs; ++D)
+          NewOut[D] = (NewOut[D] && !Kill[B][D]) || Gen[B][D];
+        if (NewIn != In[B] || NewOut != Out[B]) {
+          In[B] = NewIn;
+          Out[B] = NewOut;
+          Changed = true;
+        }
+      }
+    }
+    for (unsigned B = 0; B < NumBlocks; ++B) {
+      Bits Cur = In[B];
+      for (const auto &I : F.blocks()[B]->instructions()) {
+        I->forEachUse([&](Reg R, UseKind Kind) {
+          unsigned UseIdx = static_cast<unsigned>(Uses.size());
+          Uses.push_back(UseSite{I.get(), R, Kind});
+          auto It = DefsOfReg.find(R.id());
+          if (It == DefsOfReg.end())
+            return;
+          for (unsigned D : It->second)
+            if (Cur[D])
+              Edges.emplace_back(D, UseIdx);
+        });
+        if (I->def().isValid()) {
+          for (unsigned D : DefsOfReg[I->def().id()])
+            Cur[D] = false;
+          Cur[DefIdxOf[I.get()]] = true;
+        }
+      }
+    }
+  }
+};
+
+TEST(ReachingDefs, MatchesReferenceOnCorpus) {
+  size_t Functions = 0, MaxDefs = 0, TotalEdges = 0;
+  for (const fixtures::CorpusModule &Entry : fixtures::analysisCorpus()) {
+    SCOPED_TRACE(Entry.first);
+    for (const auto &F : Entry.second->functions()) {
+      CFG Cfg(*F);
+      ReachingDefs RD(*F, Cfg);
+      ReferenceReachingDefs Ref(*F, Cfg);
+      ASSERT_EQ(RD.defSites().size(), Ref.Defs.size()) << F->name();
+      for (size_t D = 0; D < Ref.Defs.size(); ++D) {
+        ASSERT_EQ(RD.defSites()[D].I, Ref.Defs[D].I) << F->name() << " " << D;
+        ASSERT_EQ(RD.defSites()[D].R, Ref.Defs[D].R) << F->name() << " " << D;
+      }
+      ASSERT_EQ(RD.useSites().size(), Ref.Uses.size()) << F->name();
+      for (size_t U = 0; U < Ref.Uses.size(); ++U) {
+        ASSERT_EQ(RD.useSites()[U].I, Ref.Uses[U].I) << F->name() << " " << U;
+        ASSERT_EQ(RD.useSites()[U].R, Ref.Uses[U].R) << F->name() << " " << U;
+        ASSERT_EQ(RD.useSites()[U].Kind, Ref.Uses[U].Kind)
+            << F->name() << " " << U;
+      }
+      // The edge order sets the order of the RDG's Preds and Succs.
+      ASSERT_EQ(RD.edges(), Ref.Edges) << F->name();
+      ++Functions;
+      MaxDefs = std::max(MaxDefs, Ref.Defs.size());
+      TotalEdges += Ref.Edges.size();
+    }
+  }
+  // The corpus reaches sets of more than one word and is not vacuous.
+  EXPECT_GT(Functions, 600u);
+  EXPECT_GT(MaxDefs, 64u);
+  EXPECT_GT(TotalEdges, 10000u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -177,6 +177,97 @@ TEST(BasicScheme, SatisfiesPartitioningConditions) {
   }
 }
 
+/// Section 5.1's conditions 2 and 3 checked literally: no FPa node's
+/// backward or forward slice holds an INT node. The reference for
+/// satisfiesBasicConditions' edge-local check.
+bool basicConditionsBySlices(const Assignment &A) {
+  const analysis::RDG &G = *A.G;
+  for (unsigned N = 0; N < G.numNodes(); ++N) {
+    if (!A.isFpa(N))
+      continue;
+    std::vector<bool> Back, Fwd;
+    G.backwardSlice(N, Back);
+    G.forwardSlice(N, Fwd);
+    for (unsigned V = 0; V < G.numNodes(); ++V)
+      if ((Back[V] || Fwd[V]) && !A.isFpa(V))
+        return false;
+  }
+  return true;
+}
+
+/// Compares the edge-local and the slice-based check on every RDG of
+/// \p Src (optimised and profiled as the pipeline does) under the basic
+/// and advanced assignments and seeded random ones; counts the outcomes
+/// in \p Held and \p Failed.
+void expectBasicCheckMatchesSlices(const Module &Src,
+                                   const std::vector<int32_t> &TrainArgs,
+                                   uint64_t Seed, unsigned &Held,
+                                   unsigned &Failed) {
+  auto M = Src.clone();
+  opt::optimizeModule(*M);
+  vm::VM::Options Opts;
+  Opts.CollectProfile = true;
+  vm::VM Machine(*M, Opts);
+  Machine.run(TrainArgs);
+  analysis::BlockWeights W(*M, &Machine.profile());
+  Rng R(Seed);
+  auto Expect = [&](const Assignment &A, const std::string &What) {
+    const bool Edge = satisfiesBasicConditions(A);
+    EXPECT_EQ(Edge, basicConditionsBySlices(A)) << What;
+    ++(Edge ? Held : Failed);
+  };
+  for (const auto &F : M->functions()) {
+    analysis::CFG Cfg(*F);
+    analysis::RDG G(*F, Cfg);
+    Expect(partitionBasic(G), F->name() + " basic");
+    Expect(partitionAdvanced(G, W), F->name() + " advanced");
+    for (unsigned Trial = 0; Trial < 4; ++Trial) {
+      // Random node sides: almost always split an edge.
+      Assignment Nodes(G);
+      for (unsigned N = 0; N < G.numNodes(); ++N)
+        Nodes.NodeSide[N] = R.chance(1, 2) ? Side::Fpa : Side::Int;
+      Expect(Nodes, F->name() + " random nodes");
+      // Random whole components: never split an edge, until one node
+      // flips side.
+      std::vector<bool> CompFpa(G.numComponents());
+      for (unsigned C = 0; C < G.numComponents(); ++C)
+        CompFpa[C] = R.chance(1, 2);
+      Assignment Comps(G);
+      for (unsigned N = 0; N < G.numNodes(); ++N)
+        Comps.NodeSide[N] =
+            CompFpa[G.componentOf()[N]] ? Side::Fpa : Side::Int;
+      Expect(Comps, F->name() + " random components");
+      if (G.numNodes() == 0)
+        continue;
+      const unsigned Flip = static_cast<unsigned>(R.nextBelow(G.numNodes()));
+      Comps.NodeSide[Flip] = Comps.isFpa(Flip) ? Side::Int : Side::Fpa;
+      Expect(Comps, F->name() + " random components, node " +
+                        std::to_string(Flip) + " flipped");
+    }
+  }
+}
+
+TEST(BasicScheme, EdgeLocalCheckMatchesSlices) {
+  unsigned Held = 0, Failed = 0;
+  for (const std::string &Name : workloads::allWorkloadNames()) {
+    SCOPED_TRACE(Name);
+    workloads::Workload Wl = workloads::workloadByName(Name);
+    expectBasicCheckMatchesSlices(*Wl.M, Wl.TrainArgs, 1, Held, Failed);
+  }
+  for (const std::string &Preset : testgen::presetNames()) {
+    testgen::GenConfig Config = testgen::presetConfig(Preset);
+    for (uint64_t It = 0; It < 30; ++It) {
+      const uint64_t Seed = testgen::moduleSeed(1, It);
+      SCOPED_TRACE(Preset + " seed " + std::to_string(Seed));
+      auto M = testgen::generateModule(Config, Seed);
+      expectBasicCheckMatchesSlices(*M, {}, Seed, Held, Failed);
+    }
+  }
+  // Both outcomes occur often.
+  EXPECT_GT(Held, 1000u);
+  EXPECT_GT(Failed, 1000u);
+}
+
 TEST(BasicScheme, MemoryFreeCodeFullyOffloads) {
   // Section 6.6: compress's memory-free rand function moves entirely to
   // FPa (here already under the basic scheme: nothing touches memory).

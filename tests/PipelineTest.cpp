@@ -4,6 +4,7 @@
 #include "core/Pipeline.h"
 #include "sir/Parser.h"
 #include "sir/Printer.h"
+#include "support/Hash.h"
 #include "testgen/Generator.h"
 #include "testgen/Oracle.h"
 #include "workloads/Workloads.h"
@@ -299,6 +300,80 @@ TEST(Pipeline, PrefixMemoMatchesFromScratch) {
       expectMemoMatchesLone(*M, batteryConfigs({}, {}));
     }
   }
+}
+
+/// Compiles \p M under every config through a memo seeded with the
+/// fuzz oracle's baseline run (its 20M-step budget) and through an
+/// unseeded one, and expects the two to agree.
+void expectSeededMemoMatchesUnseeded(const sir::Module &M,
+                                     const std::vector<int32_t> &Args) {
+  vm::VM::Options Budget;
+  Budget.MaxSteps = testgen::OracleOptions().BaselineMaxSteps;
+  const vm::VM::Result Baseline = vm::runModule(M, Args, Budget);
+  ASSERT_TRUE(Baseline.Ok || vm::isDeterministicTrap(Baseline.Trap.Kind))
+      << Baseline.Error;
+  std::vector<PipelineConfig> Configs = batteryConfigs(Args, Args);
+  CompileMemo Seeded(M, Configs), Unseeded(M, Configs);
+  Seeded.seedOriginalRun(Args, Baseline);
+  for (size_t I = 0; I < Configs.size(); ++I) {
+    SCOPED_TRACE("variant " + std::to_string(I) + " '" + Configs[I].Passes +
+                 "'");
+    PipelineRun A = compileAndMeasure(M, Configs[I], &Seeded);
+    PipelineRun B = compileAndMeasure(M, Configs[I], &Unseeded);
+    EXPECT_EQ(A.RefResult.Error, B.RefResult.Error);
+    EXPECT_EQ(describe(A), describe(B));
+  }
+}
+
+TEST(Pipeline, SeededOriginalRunMatchesUnseeded) {
+  // Traps after some output: every variant must reproduce the trap.
+  auto Trapping = parseOrDie(R"(
+func main() {
+entry:
+  li %a, 7
+  out %a
+  li %p, -4096
+  lw %v, 0(%p)
+  out %v
+  ret
+}
+)");
+  {
+    SCOPED_TRACE("trapping module");
+    ASSERT_EQ(vm::runModule(*Trapping).Trap.Kind, vm::TrapKind::OobLoad);
+    expectSeededMemoMatchesUnseeded(*Trapping, {});
+  }
+  for (const std::string &Preset : testgen::presetNames()) {
+    testgen::GenConfig Gen = testgen::presetConfig(Preset);
+    for (uint64_t It = 0; It < 30; ++It) {
+      const uint64_t Seed = testgen::moduleSeed(1, It);
+      SCOPED_TRACE(Preset + " seed " + std::to_string(Seed));
+      expectSeededMemoMatchesUnseeded(*testgen::generateModule(Gen, Seed), {});
+    }
+  }
+}
+
+TEST(Pipeline, DefaultBatteryOutputIsPinned) {
+  // What the pipeline emits for the fuzz oracle's default battery:
+  // the printed compiled module and the errors of every variant of the
+  // first 20 seed-1 modules of every generator preset. A change to any
+  // analysis result, partition or allocation moves this digest. It was
+  // computed before liveness and reaching definitions moved to word
+  // bitsets and id-indexed tables, which must not change it.
+  uint64_t H = support::fnv1a64("");
+  for (const std::string &Preset : testgen::presetNames()) {
+    testgen::GenConfig Gen = testgen::presetConfig(Preset);
+    for (uint64_t It = 0; It < 20; ++It) {
+      auto M = testgen::generateModule(Gen, testgen::moduleSeed(1, It));
+      for (const testgen::VariantSpec &V : testgen::defaultVariants()) {
+        PipelineRun Run = compileAndMeasure(*M, V.Config);
+        H = support::fnv1a64(sir::toString(*Run.Compiled), H);
+        for (const std::string &E : Run.Errors)
+          H = support::fnv1a64(E, H);
+      }
+    }
+  }
+  EXPECT_EQ(support::hex64(H), "99f300231fd658e6");
 }
 
 TEST(Pipeline, PrefixMemoRunsShareNoIR) {

@@ -11,9 +11,12 @@
 #include "support/Rng.h"
 #include "vm/VM.h"
 
+#include "AnalysisCorpus.h"
 #include "PaperExamples.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace fpint;
 using namespace fpint::regalloc;
@@ -417,8 +420,9 @@ entry:
   unsigned Prev = ~0u;
   F->forEachInstr([&](const Instruction &I) {
     unsigned P = LI.instrPos(I.id());
-    if (Prev != ~0u)
+    if (Prev != ~0u) {
       EXPECT_EQ(P, Prev + 2);
+    }
     Prev = P;
   });
 
@@ -538,6 +542,99 @@ entry:
   // The preserved CFG survived and was a hit on recompute.
   EXPECT_EQ(ByName.at("cfg").Misses, 1u);
   EXPECT_GE(ByName.at("cfg").Hits, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Liveness: the word-bitset kernel against the set-per-block reference.
+//===----------------------------------------------------------------------===//
+
+/// Live-in/live-out sets as the allocator computed them before its sets
+/// became flat word arrays: one vector<bool> per block, fresh sets per
+/// block visit, visited in reverse layout order until nothing changes.
+struct ReferenceLiveness {
+  std::vector<std::vector<bool>> In, Out;
+
+  ReferenceLiveness(const Function &F, const analysis::CFG &Cfg) {
+    const unsigned NumBlocks = Cfg.numBlocks();
+    const unsigned NumRegs = F.numRegs();
+    In.assign(NumBlocks, std::vector<bool>(NumRegs, false));
+    Out.assign(NumBlocks, std::vector<bool>(NumRegs, false));
+    std::vector<std::vector<bool>> Use(NumBlocks,
+                                       std::vector<bool>(NumRegs, false));
+    std::vector<std::vector<bool>> Def(NumBlocks,
+                                       std::vector<bool>(NumRegs, false));
+    for (unsigned B = 0; B < NumBlocks; ++B) {
+      for (const auto &I : F.blocks()[B]->instructions()) {
+        I->forEachUse([&](Reg R, UseKind) {
+          if (!Def[B][R.id()])
+            Use[B][R.id()] = true;
+        });
+        if (I->def().isValid())
+          Def[B][I->def().id()] = true;
+      }
+    }
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      for (unsigned B = NumBlocks; B-- > 0;) {
+        std::vector<bool> NewOut(NumRegs, false);
+        for (unsigned S : Cfg.successors(B))
+          for (unsigned R = 0; R < NumRegs; ++R)
+            if (In[S][R])
+              NewOut[R] = true;
+        std::vector<bool> NewIn = Use[B];
+        for (unsigned R = 0; R < NumRegs; ++R)
+          if (NewOut[R] && !Def[B][R])
+            NewIn[R] = true;
+        if (NewOut != Out[B] || NewIn != In[B]) {
+          Out[B] = std::move(NewOut);
+          In[B] = std::move(NewIn);
+          Changed = true;
+        }
+      }
+    }
+  }
+};
+
+/// Registers set in \p Set, ascending.
+std::vector<uint32_t> setBits(const std::vector<bool> &Set) {
+  std::vector<uint32_t> Ids;
+  for (uint32_t R = 0; R < Set.size(); ++R)
+    if (Set[R])
+      Ids.push_back(R);
+  return Ids;
+}
+
+TEST(Liveness, MatchesReferenceOnCorpus) {
+  unsigned Functions = 0, MaxRegs = 0, LiveBits = 0;
+  for (const fixtures::CorpusModule &Entry : fixtures::analysisCorpus()) {
+    SCOPED_TRACE(Entry.first);
+    for (const auto &F : Entry.second->functions()) {
+      analysis::CFG Cfg(*F);
+      Liveness Live(*F, Cfg);
+      ReferenceLiveness Ref(*F, Cfg);
+      for (unsigned B = 0; B < Cfg.numBlocks(); ++B) {
+        for (uint32_t R = 1; R < F->numRegs(); ++R) {
+          ASSERT_EQ(Live.liveIn(B, Reg(R)), Ref.In[B][R])
+              << F->name() << " block " << B << " reg " << R;
+          ASSERT_EQ(Live.liveOut(B, Reg(R)), Ref.Out[B][R])
+              << F->name() << " block " << B << " reg " << R;
+        }
+        std::vector<uint32_t> In, Out;
+        Live.forEachLiveIn(B, [&](Reg R) { In.push_back(R.id()); });
+        Live.forEachLiveOut(B, [&](Reg R) { Out.push_back(R.id()); });
+        ASSERT_EQ(In, setBits(Ref.In[B])) << F->name() << " block " << B;
+        ASSERT_EQ(Out, setBits(Ref.Out[B])) << F->name() << " block " << B;
+        LiveBits += static_cast<unsigned>(In.size() + Out.size());
+      }
+      ++Functions;
+      MaxRegs = std::max(MaxRegs, F->numRegs());
+    }
+  }
+  // The corpus reaches sets of more than one word and is not vacuous.
+  EXPECT_GT(Functions, 600u);
+  EXPECT_GT(MaxRegs, 64u);
+  EXPECT_GT(LiveBits, 10000u);
 }
 
 TEST(RegAlloc, PaperCorpusStaysEquivalent) {

@@ -234,8 +234,9 @@ loop:
   // argument register the call consumes is integer class (verified),
   // and any copy-back prints as cp_to_int.
   std::string Text = toString(F);
-  if (!Report.CopyBackInstrs.empty())
+  if (!Report.CopyBackInstrs.empty()) {
     EXPECT_NE(Text.find("cp_to_int"), std::string::npos) << Text;
+  }
 }
 
 TEST(Rewriter, FormalCopyLandsAtEntry) {
