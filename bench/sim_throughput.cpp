@@ -8,7 +8,7 @@
 /// Not a paper figure: measures the timing simulator itself. For each
 /// Figure 10 workload (advanced scheme, 8-way machine) the same packed
 /// trace is simulated with the reference cycle loop and with the fast
-/// path (packed SoA + dense ring + cycle skipping), best-of-N wall
+/// path (packed SoA + dense ring + event-driven issue), best-of-N wall
 /// time each, and the table reports simulated cycles per second plus
 /// the fast/reference speedup. The summary line is the tracked metric:
 /// the fast path must stay >= 2x the reference loop (gated only under

@@ -41,9 +41,6 @@ fi
 rm -rf "$OUT_DIR"
 for b in "$BUILD_DIR"/bench/*; do
   [ -x "$b" ] && [ -f "$b" ] || continue
-  case "$b" in
-    *micro_algorithms) continue ;; # google-benchmark; no JSON report
-  esac
   FPINT_TELEMETRY=1 FPINT_BENCH_OUT="$OUT_DIR" "$b" > /dev/null
 done
 

@@ -35,9 +35,6 @@ failures=0
 total_start=$(now_ms)
 for b in build/bench/*; do
   [ -x "$b" ] && [ -f "$b" ] || continue
-  case "$b" in
-    *micro_algorithms) continue ;; # google-benchmark; run explicitly
-  esac
   start=$(now_ms)
   rc=0
   timeout "$BENCH_TIMEOUT" "$b" >> bench_output.txt || rc=$?

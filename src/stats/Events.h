@@ -138,16 +138,6 @@ class EventSink {
 public:
   virtual ~EventSink() = default;
   virtual void onCycle(const CycleEvent &E) = 0;
-
-  /// \p N consecutive cycles that all observed exactly \p E. The
-  /// fast-path simulator emits skipped idle spans through this hook so
-  /// cycle skipping stays O(1) per span; the default forwards to
-  /// onCycle N times, so any sink remains bit-identical to a per-cycle
-  /// feed.
-  virtual void onCycles(const CycleEvent &E, uint64_t N) {
-    for (uint64_t I = 0; I < N; ++I)
-      onCycle(E);
-  }
 };
 
 /// The standard accumulating sink: stall-attribution counters plus
@@ -179,24 +169,6 @@ public:
     }
   }
 
-  /// O(1) accumulation of a skipped idle span: N cycles that all
-  /// observed E add N to every counter a per-cycle feed would have
-  /// bumped, so fast-path telemetry stays bit-identical to the
-  /// reference loop at any span length.
-  void onCycles(const CycleEvent &E, uint64_t N) override {
-    Cycles += N;
-    bumpN(IntIssueHist, E.IntIssued, N);
-    bumpN(FpIssueHist, E.FpIssued, N);
-    IntWindowOccupancySum += static_cast<uint64_t>(E.IntWindowUsed) * N;
-    FpWindowOccupancySum += static_cast<uint64_t>(E.FpWindowUsed) * N;
-    IntWindowFullCycles += E.IntWindowFull ? N : 0;
-    FpWindowFullCycles += E.FpWindowFull ? N : 0;
-    if (E.IntIssued + E.FpIssued == 0) {
-      NonIssuingCycles += N;
-      StallCycles[static_cast<unsigned>(E.Reason)] += N;
-    }
-  }
-
   /// Sum of all attributed stall cycles (None excluded; the simulator
   /// never attributes None to a non-issuing cycle).
   uint64_t attributedStallCycles() const {
@@ -222,12 +194,6 @@ private:
     if (Hist.size() <= K)
       Hist.resize(K + 1, 0);
     ++Hist[K];
-  }
-
-  static void bumpN(std::vector<uint64_t> &Hist, uint32_t K, uint64_t N) {
-    if (Hist.size() <= K)
-      Hist.resize(K + 1, 0);
-    Hist[K] += N;
   }
 };
 

@@ -189,18 +189,26 @@ private:
     if (C.AllowFp)
       pushFp(S, S.B.fli(randomFloat()));
 
-    genRegion(S, /*Depth=*/0);
+    // The region may run what the cap leaves after the prologue and the
+    // shortest epilogue: the return, and in main one out.
+    const uint64_t Prologue = Entry->instructions().size();
+    const uint64_t Epilogue = IsMain ? 2 : 1;
+    const uint64_t Steps =
+        Prologue +
+        genRegion(S, /*Depth=*/0, MaxModuleSteps - Prologue - Epilogue);
 
     // Make the function's work observable, then return.
     if (IsMain) {
-      unsigned Outs = 1 + static_cast<unsigned>(R.nextBelow(3));
-      for (unsigned I = 0; I < Outs; ++I)
+      uint64_t Outs = 1 + R.nextBelow(3);
+      Outs = std::min(Outs, MaxModuleSteps - Steps - 1);
+      for (uint64_t I = 0; I < Outs; ++I)
         S.B.out(pickInt(S));
       S.B.ret();
     } else {
       S.B.ret(pickInt(S));
       Helpers.push_back(F);
       HelperFormals.push_back(NumFormals);
+      HelperSteps.push_back(Steps + 1);
     }
   }
 
@@ -219,23 +227,28 @@ private:
 
   /// Emits a structured region: a sequence of straight-line
   /// instructions, diamonds, and counted loops. Consumes S.Budget.
-  void genRegion(FnState &S, unsigned Depth) {
+  /// Returns an upper bound on the region's dynamic steps, which stays
+  /// within \p Allowance: each shape gets what is left, and one that
+  /// cannot fit is refused (it emits nothing and costs 0).
+  uint64_t genRegion(FnState &S, unsigned Depth, uint64_t Allowance) {
+    uint64_t Steps = 0;
     // Leave headroom for the enclosing loop/diamond plumbing and the
     // function epilogue.
     while (S.Budget > 4) {
       uint64_t Shape = R.nextBelow(100);
       if (Depth < S.MaxDepth && Shape < C.LoopPct && S.Budget > 12) {
-        genLoop(S, Depth);
+        Steps += genLoop(S, Depth, Allowance - Steps);
       } else if (Depth < S.MaxDepth && Shape < C.LoopPct + C.DiamondPct &&
                  S.Budget > 10) {
-        genDiamond(S, Depth);
+        Steps += genDiamond(S, Depth, Allowance - Steps);
       } else {
-        genStraightline(S, Depth);
+        Steps += genStraightline(S, Depth, Allowance - Steps);
       }
       // Occasionally stop early so region lengths vary.
       if (R.chance(1, 8))
         break;
     }
+    return Steps;
   }
 
   //===--------------------------------------------------------------------===
@@ -252,14 +265,20 @@ private:
   /// after:
   ///
   /// The counter is fresh and never enters the data pool, so nothing in
-  /// the body can change it: the loop always terminates.
-  void genLoop(FnState &S, unsigned Depth) {
-    // Shrink trip counts with nesting depth to bound the dynamic
-    // instruction count of the whole module.
+  /// the body can change it: the loop always terminates, after exactly
+  /// 1 + trip * (body + 2) steps. The trip count is known before the
+  /// body, so the body gets a trip's share of the allowance; a trip
+  /// count under which not even an empty body fits shrinks to one that
+  /// does.
+  uint64_t genLoop(FnState &S, unsigned Depth, uint64_t Allowance) {
+    // Shrink trip counts with nesting depth to keep most modules small.
     unsigned MaxTrip = std::max(2u, C.MaxLoopTrip >> (2 * Depth));
-    int64_t Trip = 1 + static_cast<int64_t>(R.nextBelow(MaxTrip));
+    uint64_t Trip = 1 + R.nextBelow(MaxTrip);
+    if (Allowance < 3)
+      return 0;
+    Trip = std::min(Trip, (Allowance - 1) / 2);
     Reg Counter = S.B.function()->newReg(RegClass::Int);
-    S.B.liInto(Counter, Trip);
+    S.B.liInto(Counter, static_cast<int64_t>(Trip));
 
     BasicBlock *Body = newBlock(S, "loop");
     S.B.setInsertPoint(Body);
@@ -270,7 +289,8 @@ private:
     // straight pool discipline), but discarding keeps the invariant
     // trivially true for nested shapes.
     std::vector<Reg> SavedInt = S.IntPool, SavedFp = S.FpPool;
-    genRegion(S, Depth + 1);
+    const uint64_t BodySteps =
+        genRegion(S, Depth + 1, (Allowance - 1) / Trip - 2);
     S.IntPool = std::move(SavedInt);
     S.FpPool = std::move(SavedFp);
 
@@ -279,6 +299,7 @@ private:
 
     BasicBlock *After = newBlock(S, "after");
     S.B.setInsertPoint(After);
+    return 1 + Trip * (BodySteps + 2);
   }
 
   /// Structured if/then[/else] diamond with a forward branch:
@@ -292,10 +313,15 @@ private:
   ///
   /// Blocks are created strictly in layout order (nested shapes append
   /// their own blocks while an arm is generated), so the branch and
-  /// jump targets are patched in once the arms are complete.
-  void genDiamond(FnState &S, unsigned Depth) {
+  /// jump targets are patched in once the arms are complete. Costs the
+  /// condition plus the longer arm.
+  uint64_t genDiamond(FnState &S, unsigned Depth, uint64_t Allowance) {
     bool HasElse = R.chance(C.ElsePct, 100);
     bool FpCond = C.AllowFp && !S.FpPool.empty() && R.chance(1, 4);
+    // An FP condition is a compare plus an FP branch.
+    const uint64_t CondSteps = FpCond ? 2 : 1;
+    if (Allowance < CondSteps + HasElse)
+      return 0;
 
     Instruction *CondBr;
     if (FpCond) {
@@ -339,7 +365,8 @@ private:
     // branch-taken path, so arm-local defs never escape to the pool.
     std::vector<Reg> SavedInt = S.IntPool, SavedFp = S.FpPool;
     S.B.setInsertPoint(newBlock(S, "then"));
-    genRegion(S, Depth + 1);
+    uint64_t ArmSteps =
+        genRegion(S, Depth + 1, Allowance - CondSteps - HasElse) + HasElse;
 
     Instruction *ThenJmp = nullptr;
     if (HasElse) {
@@ -350,7 +377,8 @@ private:
       S.IntPool = SavedInt;
       S.FpPool = SavedFp;
       S.B.setInsertPoint(Else);
-      genRegion(S, Depth + 1);
+      ArmSteps =
+          std::max(ArmSteps, genRegion(S, Depth + 1, Allowance - CondSteps));
     }
 
     BasicBlock *Join = newBlock(S, "join");
@@ -361,26 +389,34 @@ private:
     S.IntPool = std::move(SavedInt);
     S.FpPool = std::move(SavedFp);
     S.B.setInsertPoint(Join);
+    return CondSteps + ArmSteps;
   }
 
   //===--------------------------------------------------------------------===
   // Straight-line instructions
   //===--------------------------------------------------------------------===
 
-  void genStraightline(FnState &S, unsigned Depth) {
+  /// Emits one straight-line step and returns its dynamic steps: a few
+  /// instructions in the current block, each run once, plus a callee's
+  /// whole run. A step that would pass \p Allowance is taken back whole.
+  uint64_t genStraightline(FnState &S, unsigned Depth, uint64_t Allowance) {
     unsigned WAlu = C.AluWeight;
     unsigned WMulDiv = WAlu + C.MulDivWeight;
     unsigned WMem = WMulDiv + C.MemWeight;
     unsigned WFp = WMem + (C.AllowFp ? C.FpWeight : 0);
-    unsigned WCall = WFp + (C.AllowCalls && !Helpers.empty() &&
-                                    canCall(S, Depth)
+    unsigned WCall = WFp + (C.AllowCalls && !Helpers.empty() && canCall(Depth)
                                 ? C.CallWeight
                                 : 0);
     unsigned WOut = WCall + C.OutWeight;
     if (WOut == 0)
-      return;
+      return 0;
 
     uint64_t Pick = R.nextBelow(WOut);
+    BasicBlock::InstrList &Block = S.B.insertBlock()->instructions();
+    const size_t Mark = Block.size();
+    UndoInt.assign(S.IntPool.begin(), S.IntPool.end());
+    UndoFp.assign(S.FpPool.begin(), S.FpPool.end());
+    uint64_t CalleeSteps = 0;
     if (Pick < WAlu)
       genAlu(S);
     else if (Pick < WMulDiv)
@@ -390,20 +426,24 @@ private:
     else if (Pick < WFp)
       genFp(S);
     else if (Pick < WCall)
-      genCall(S);
+      CalleeSteps = genCall(S);
     else {
       S.B.out(pickInt(S));
       spend(S, 1);
     }
+    const uint64_t Steps = Block.size() - Mark + CalleeSteps;
+    if (Steps <= Allowance)
+      return Steps;
+    Block.resize(Mark);
+    S.IntPool.swap(UndoInt);
+    S.FpPool.swap(UndoFp);
+    return 0;
   }
 
   /// Calls inside deeply nested loops multiply the callee's dynamic
-  /// cost; keep them near the top level so module runtimes stay inside
-  /// the oracle's step budget.
-  bool canCall(const FnState &S, unsigned Depth) const {
-    (void)S;
-    return Depth <= 2;
-  }
+  /// cost, so calls stay near the top level. The step cap itself is
+  /// genStraightline's: it takes back a call whose callee does not fit.
+  bool canCall(unsigned Depth) const { return Depth <= 2; }
 
   void genAlu(FnState &S) {
     static const Opcode Bin[] = {Opcode::Add, Opcode::Sub,  Opcode::And,
@@ -540,11 +580,12 @@ private:
     spend(S, 1);
   }
 
-  void genCall(FnState &S) {
+  /// Returns the callee's steps.
+  uint64_t genCall(FnState &S) {
     // Only strictly lower-index helpers are callable: acyclic graph.
     unsigned Limit = S.HelperIndex;
     if (Limit == 0)
-      return;
+      return 0;
     unsigned Callee = static_cast<unsigned>(R.nextBelow(Limit));
     std::vector<Reg> Args;
     for (unsigned A = 0; A < HelperFormals[Callee]; ++A)
@@ -554,6 +595,7 @@ private:
     if (WantResult)
       pushInt(S, Res);
     spend(S, 1);
+    return HelperSteps[Callee];
   }
 
   const GenConfig &C;
@@ -562,6 +604,9 @@ private:
   std::vector<uint32_t> GlobalWords;
   std::vector<Function *> Helpers;
   std::vector<unsigned> HelperFormals;
+  std::vector<uint64_t> HelperSteps; ///< Each helper's step bound.
+  /// The pools before the straight-line step in progress.
+  std::vector<Reg> UndoInt, UndoFp;
 };
 
 } // namespace

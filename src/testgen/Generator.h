@@ -14,6 +14,9 @@
 ///  * it terminates: all loop backedges belong to counted do-while loops
 ///    over fresh counter registers, conditional forward branches form
 ///    structured diamonds, and the call graph is acyclic;
+///  * it runs at most MaxModuleSteps dynamic instructions: every
+///    function's steps are bounded bottom-up as it is generated, and a
+///    call or loop that would pass the cap is refused or shortened;
 ///  * every memory access is in bounds: addresses are either constant
 ///    offsets into a global or index computations masked to the
 ///    (power-of-two) global size;
@@ -38,6 +41,12 @@
 
 namespace fpint {
 namespace testgen {
+
+/// The most dynamic instructions (VM steps) a generated module runs:
+/// the trace length the fuzz oracle keeps in memory (1.5 MiB of trace
+/// entries). A module whose unconstrained bound fits is generated
+/// exactly as it would be without the cap.
+constexpr uint64_t MaxModuleSteps = 65536;
 
 /// Knobs for the shape and opcode mix of generated modules. All
 /// probabilities are percentages; weights are relative.

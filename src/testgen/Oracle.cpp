@@ -12,8 +12,6 @@
 #include "timing/Simulator.h"
 #include "vm/VM.h"
 
-#include <exception>
-#include <future>
 #include <sstream>
 
 using namespace fpint;
@@ -73,54 +71,40 @@ namespace {
 struct RunImage {
   vm::VM::Result Result;
   std::vector<uint8_t> Globals;
+  std::vector<vm::TraceEntry> Trace; ///< Empty unless asked for.
 };
 
-/// Runs \p M; with a \p Trace sink, streams the dynamic trace to it.
+/// Runs \p M, keeping the dynamic trace if \p KeepTrace. A generated
+/// module runs at most testgen::MaxModuleSteps steps, so its trace fits
+/// in memory.
 RunImage runFunctional(const sir::Module &M, const std::vector<int32_t> &Args,
-                       uint64_t MaxSteps, vm::TraceSink *Trace) {
+                       uint64_t MaxSteps, bool KeepTrace) {
   vm::VM::Options Opts;
   Opts.MaxSteps = MaxSteps;
-  Opts.CollectTrace = Trace != nullptr;
-  Opts.Sink = Trace;
+  Opts.CollectTrace = KeepTrace;
   vm::VM Machine(M, Opts);
   RunImage Image;
   Image.Result = Machine.run(Args);
   Image.Globals = Machine.globalImage();
+  Image.Trace = Machine.takeTrace();
   return Image;
 }
 
-/// What the checks need of a compiled run's dynamic trace, gathered as
-/// the VM streams it. The entries themselves are kept only while the
-/// trace is short; a longer one is generated again, streamed, for the
-/// timing cross-check, so the oracle's memory does not grow with a
-/// module's dynamic instruction count.
-struct TraceSummary final : vm::TraceSink {
-  /// Longest trace kept in memory (1.5 MiB of entries).
-  static constexpr size_t MaxKept = size_t(1) << 16;
-
+/// What the checks count in a compiled run's dynamic trace.
+struct TraceCounts {
   uint64_t Total = 0, Fpa = 0, NativeFp = 0, Loads = 0, Stores = 0;
   uint64_t FpSide = 0; ///< Issued by the FP subsystem.
-  std::vector<vm::TraceEntry> Kept;
-  bool Complete = true; ///< Kept holds the whole trace.
 
-  void consume(const vm::TraceEntry *Entries, size_t Count) override {
-    for (size_t K = 0; K < Count; ++K) {
-      const sir::Instruction &I = *Entries[K].I;
+  explicit TraceCounts(const std::vector<vm::TraceEntry> &Trace)
+      : Total(Trace.size()) {
+    for (const vm::TraceEntry &E : Trace) {
+      const sir::Instruction &I = *E.I;
       const bool Fp = sir::isFpOpcode(I.op());
       Fpa += I.inFpa();
       NativeFp += Fp;
       Loads += I.isLoad();
       Stores += I.isStore();
       FpSide += I.inFpa() || Fp;
-    }
-    Total += Count;
-    if (!Complete)
-      return;
-    if (Kept.size() + Count <= MaxKept) {
-      Kept.insert(Kept.end(), Entries, Entries + Count);
-    } else {
-      Complete = false;
-      std::vector<vm::TraceEntry>().swap(Kept);
     }
   }
 };
@@ -134,7 +118,7 @@ public:
     if (Opts.Progress)
       Opts.Progress("baseline");
     Baseline = runFunctional(M, Opts.Args, Opts.BaselineMaxSteps,
-                             /*Trace=*/nullptr);
+                             /*KeepTrace=*/false);
     if (!Baseline.Result.Ok) {
       // Resource limits say nothing about the program; skip. A
       // deterministic trap is a semantic outcome every variant must
@@ -201,9 +185,8 @@ private:
     // Re-execute the compiled module ourselves: the oracle compares
     // more state than the pipeline does (exit value, memory image) and
     // must observe any mutator-injected bug.
-    TraceSummary Trace;
     RunImage Compiled = runFunctional(*Run.Compiled, Opts.Args,
-                                      compiledBudget(), &Trace);
+                                      compiledBudget(), /*KeepTrace=*/true);
 
     // Trap equivalence: the compiled program must stop exactly the way
     // the original did -- same deterministic kind, or not at all.
@@ -223,9 +206,10 @@ private:
                       /*Trapped=*/Report.BaselineTrap != vm::TrapKind::None);
     if (Report.BaselineTrap != vm::TrapKind::None)
       return; // Stats/timing invariants assume a completed execution.
-    crossCheckStats(V.Name, Run, Trace);
+    const TraceCounts Counts(Compiled.Trace);
+    crossCheckStats(V.Name, Run, Counts);
     if (Opts.CheckTiming && Run.Allocated && Run.Alloc.Errors.empty())
-      crossCheckTiming(V.Name, Run, Trace);
+      crossCheckTiming(V.Name, Run, Compiled.Trace, Counts);
   }
 
   uint64_t compiledBudget() const { return Opts.BaselineMaxSteps * 4 + 10000; }
@@ -275,7 +259,7 @@ private:
   /// The stats subsystem counts dynamic instructions from the block
   /// profile; the trace lists them one by one. Both views must agree.
   void crossCheckStats(const std::string &Name, const core::PipelineRun &Run,
-                       const TraceSummary &Trace) {
+                       const TraceCounts &Counts) {
     auto Check = [&](const char *What, uint64_t StatsVal, uint64_t TraceVal) {
       if (StatsVal != TraceVal)
         mismatch(Name, std::string("stats/trace disagree on ") + What +
@@ -283,51 +267,30 @@ private:
                            std::to_string(TraceVal));
     };
     const partition::DynStats &S = Run.Stats;
-    Check("total dynamic instructions", S.Total, Trace.Total);
-    Check("FPa instructions", S.Fpa, Trace.Fpa);
-    Check("native FP instructions", S.NativeFp, Trace.NativeFp);
-    Check("loads", S.Loads, Trace.Loads);
-    Check("stores", S.Stores, Trace.Stores);
+    Check("total dynamic instructions", S.Total, Counts.Total);
+    Check("FPa instructions", S.Fpa, Counts.Fpa);
+    Check("native FP instructions", S.NativeFp, Counts.NativeFp);
+    Check("loads", S.Loads, Counts.Loads);
+    Check("stores", S.Stores, Counts.Stores);
   }
 
   /// The timing simulator must retire exactly the traced instructions,
   /// and its INT/FP issue split must match the partition bits. Both
   /// cycle loops run -- the fast path is differentially checked against
-  /// the reference loop on every oracle iteration. A trace too long to
-  /// keep is replayed into each loop through Simulator::runStreamed,
-  /// and the two loops then run side by side.
+  /// the reference loop on every oracle iteration.
   void crossCheckTiming(const std::string &Name, const core::PipelineRun &Run,
-                        const TraceSummary &Trace) {
+                        const std::vector<vm::TraceEntry> &Trace,
+                        const TraceCounts &Counts) {
     auto Simulate = [&](bool Fast) {
       timing::Simulator Sim(Opts.Machine, Run.Alloc);
       Sim.setFastPath(Fast);
-      if (Trace.Complete)
-        return Sim.run(Trace.Kept);
-      return Sim.runStreamed(
-          [&](vm::TraceSink &Sink) {
-            runFunctional(*Run.Compiled, Opts.Args, compiledBudget(), &Sink);
-          },
-          Trace.Total);
+      return Sim.run(Trace);
     };
 
     timing::SimStats Stats, FastStats;
     try {
-      if (Trace.Complete) {
-        Stats = Simulate(false);
-        FastStats = Simulate(true);
-      } else {
-        std::future<timing::SimStats> Ref =
-            std::async(std::launch::async, Simulate, false);
-        std::exception_ptr FastFailure;
-        try {
-          FastStats = Simulate(true);
-        } catch (...) {
-          FastFailure = std::current_exception();
-        }
-        Stats = Ref.get(); // The reference loop's failure reports first.
-        if (FastFailure)
-          std::rethrow_exception(FastFailure);
-      }
+      Stats = Simulate(false);
+      FastStats = Simulate(true);
     } catch (const timing::SimulationOverrun &O) {
       mismatch(Name, std::string("simulator overrun: ") + O.what());
       return;
@@ -354,20 +317,20 @@ private:
     CheckEq("int_idle_fp_busy_cycles", Stats.IntIdleFpBusyCycles,
             FastStats.IntIdleFpBusyCycles);
 
-    if (Stats.Instructions != Trace.Total)
+    if (Stats.Instructions != Counts.Total)
       mismatch(Name, "simulator retired " + std::to_string(Stats.Instructions) +
                          " instructions, trace has " +
-                         std::to_string(Trace.Total));
+                         std::to_string(Counts.Total));
     if (Stats.IntIssued + Stats.FpIssued != Stats.Instructions)
       mismatch(Name, "issue counters (" + std::to_string(Stats.IntIssued) +
                          " INT + " + std::to_string(Stats.FpIssued) +
                          " FP) do not sum to retired instructions " +
                          std::to_string(Stats.Instructions));
-    if (Stats.FpIssued != Trace.FpSide)
+    if (Stats.FpIssued != Counts.FpSide)
       mismatch(Name, "simulator issued " + std::to_string(Stats.FpIssued) +
                          " in the FP subsystem, partition bits say " +
-                         std::to_string(Trace.FpSide));
-    if (Trace.Total != 0 && Stats.Cycles == 0)
+                         std::to_string(Counts.FpSide));
+    if (Counts.Total != 0 && Stats.Cycles == 0)
       mismatch(Name, "simulator reported zero cycles for a nonempty trace");
   }
 

@@ -26,7 +26,6 @@ Cache::Cache(CacheConfig ConfigIn) : Config(ConfigIn) {
 }
 
 unsigned Cache::access(uint32_t Addr, bool Write) {
-  ++Accesses;
   ++Tick;
   uint32_t LineAddr = lineOf(Addr);
   uint32_t Set = LineAddr & (NumSets - 1);

@@ -47,11 +47,8 @@ public:
   /// they fall in the same cache line.
   uint32_t lineOf(uint32_t Addr) const { return Addr >> LineShift; }
 
-  /// Calls to access(). The fast cycle loop probes the I-cache once
-  /// per run of fetches within one line, so this counts I-cache line
-  /// changes there, not fetched instructions; misses and writebacks
-  /// are the same on both cycle loops.
-  uint64_t accesses() const { return Accesses; }
+  /// Misses and writebacks are the same on both cycle loops, though
+  /// the fast one probes the I-cache once per run of fetches in a line.
   uint64_t misses() const { return Misses; }
   uint64_t writebacks() const { return Writebacks; }
 
@@ -71,7 +68,6 @@ private:
   unsigned SetShift;  ///< log2(NumSets).
   std::vector<Line> Lines; // NumSets * Assoc.
   uint64_t Tick = 0;
-  uint64_t Accesses = 0;
   uint64_t Misses = 0;
   uint64_t Writebacks = 0;
 };

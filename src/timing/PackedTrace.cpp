@@ -21,8 +21,15 @@ std::vector<vm::TraceEntry> PackedTrace::entries() const {
   return Out;
 }
 
-PackedOp timing::decodeOp(const vm::TraceEntry &TE,
-                          const regalloc::ModuleAlloc &Alloc) {
+namespace {
+
+/// Decodes the static instruction of \p TE against \p Alloc's
+/// architectural register map (every operand must have an ArchIndex
+/// mapping). The reference simulator's per-instruction decode mirrors
+/// this field for field; the two must stay in lockstep (the fuzz
+/// oracle's fast-vs-reference differential would catch a drift).
+PackedOp decodeOp(const vm::TraceEntry &TE,
+                  const regalloc::ModuleAlloc &Alloc) {
   const Instruction &I = *TE.I;
   const sir::Function *F = I.parent()->parent();
   PackedOp Op;
@@ -63,6 +70,8 @@ PackedOp timing::decodeOp(const vm::TraceEntry &TE,
   });
   return Op;
 }
+
+} // namespace
 
 PackedTrace PackedTrace::build(const std::vector<vm::TraceEntry> &Trace,
                                const regalloc::ModuleAlloc &Alloc) {

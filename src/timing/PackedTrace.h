@@ -87,13 +87,6 @@ struct PackedOp {
   bool is(uint8_t Flag) const { return (Flags & Flag) != 0; }
 };
 
-/// Decodes the static instruction of \p TE against \p Alloc's
-/// architectural register map (every operand must have an ArchIndex
-/// mapping). The reference simulator's per-instruction decode mirrors
-/// this field for field; the two must stay in lockstep (the fuzz
-/// oracle's fast-vs-reference differential would catch a drift).
-PackedOp decodeOp(const vm::TraceEntry &TE, const regalloc::ModuleAlloc &Alloc);
-
 /// The packed structure-of-arrays trace (see file comment).
 struct PackedTrace {
   /// Dense static decode table; OpIdx values index into it.

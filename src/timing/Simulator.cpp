@@ -10,12 +10,8 @@
 //    event-driven issue (per-operand consumer lists in the ring, age-
 //    ordered waiting/ready bitsets, an in-flight store FIFO, and a walk
 //    that ends once no subsystem can issue again), one I-cache probe
-//    per run of fetches within a line, incremental window occupancy
-//    counters, and event-driven idle-cycle skipping.
-//
-// Both loops read the trace through a source (an in-memory trace, or a
-// runStreamed window fed by another thread), so each loop has one body
-// for both kinds of input.
+//    per run of fetches within a line, and incremental window occupancy
+//    counters.
 //
 // The fast path is cycle-exact with respect to the reference loop: all
 // SimStats counters and (with a sink attached) every CycleEvent are
@@ -25,7 +21,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "timing/Simulator.h"
-#include "timing/TraceStream.h"
 
 #include <algorithm>
 #include <cassert>
@@ -33,9 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <exception>
 #include <new>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -119,75 +112,11 @@ struct FastEntry {
 };
 
 /// Instructions in flight at once: the ROB plus the fetch queue (which
-/// holds fewer than 3 * FetchWidth entries). Both loops touch trace
-/// entries no older than this behind the fetch position.
+/// holds fewer than 3 * FetchWidth entries).
 uint64_t maxLive(const MachineConfig &Config) {
   return static_cast<uint64_t>(Config.MaxInFlight) +
          3ULL * Config.FetchWidth + 2;
 }
-
-// Trace sources for the cycle loops, passed by value so the loops keep
-// their fields in registers. has(I) says whether dynamic instruction I
-// exists; size() is the trace length the overrun limit is based on.
-
-/// A whole entry vector, for runReference.
-struct EntrySource {
-  const std::vector<TraceEntry> &Trace;
-  bool has(size_t I) const { return I < Trace.size(); }
-  const TraceEntry &operator[](size_t I) const { return Trace[I]; }
-  size_t size() const { return Trace.size(); }
-};
-
-/// A whole packed trace, for runFast.
-struct PackedSource {
-  const PackedTrace &Trace;
-  size_t End;
-  explicit PackedSource(const PackedTrace &T) : Trace(T), End(T.size()) {}
-  bool has(size_t I) const { return I < End; }
-  const PackedOp &op(size_t I) const { return Trace.op(I); }
-  uint32_t memAddr(size_t I) const { return Trace.MemAddr[I]; }
-  bool taken(size_t I) const { return Trace.Taken[I] != 0; }
-  size_t size() const { return End; }
-  bool hasFpa() const { return Trace.HasFpa; }
-};
-
-/// A TraceStream window, for runReference. Entry references stay valid
-/// while their instruction is in flight.
-struct StreamEntrySource {
-  TraceStream *Stream;
-  size_t Size;
-  size_t Avail = 0; ///< Entries known written.
-  bool has(size_t I) { return I < Avail || (Avail = Stream->waitFor(I)) > I; }
-  const TraceEntry &operator[](size_t I) const { return Stream->at(I); }
-  size_t size() const { return Size; }
-};
-
-/// A TraceStream window, for runFast: each static instruction is
-/// decoded on first fetch into a node-based table, so the PackedOp
-/// pointers the in-flight ring keeps stay valid.
-struct StreamPackedSource {
-  TraceStream *Stream;
-  size_t Size;
-  const regalloc::ModuleAlloc *Alloc;
-  std::unordered_map<const Instruction *, PackedOp> *Ops;
-  bool FpaEnabled;
-  size_t Avail = 0;
-  bool has(size_t I) { return I < Avail || (Avail = Stream->waitFor(I)) > I; }
-  const PackedOp &op(size_t I) {
-    const TraceEntry &TE = Stream->at(I);
-    auto [It, New] = Ops->try_emplace(TE.I);
-    if (New) {
-      It->second = decodeOp(TE, *Alloc);
-      assert((FpaEnabled || !It->second.is(PackedOp::InFpa)) &&
-             "partitioned binary on a conventional (non-FPa) machine");
-    }
-    return It->second;
-  }
-  uint32_t memAddr(size_t I) const { return Stream->at(I).MemAddr; }
-  bool taken(size_t I) const { return Stream->at(I).Taken; }
-  size_t size() const { return Size; }
-  bool hasFpa() const { return false; } ///< Checked per op above.
-};
 
 bool fastPathFromEnv() {
   const char *E = std::getenv("FPINT_SIM_FAST");
@@ -257,12 +186,10 @@ Simulator::~Simulator() = default;
 SimStats Simulator::run(const std::vector<TraceEntry> &Trace) {
   auto T0 = std::chrono::steady_clock::now();
   SimStats Stats;
-  if (UseFast) {
-    PackedTrace PT = PackedTrace::build(Trace, Alloc);
-    Stats = runFast(PackedSource(PT));
-  } else {
-    Stats = runReference(EntrySource{Trace});
-  }
+  if (UseFast)
+    Stats = runFast(PackedTrace::build(Trace, Alloc));
+  else
+    Stats = runReference(Trace);
   Stats.SimWallMs = msSince(T0);
   return Stats;
 }
@@ -270,49 +197,10 @@ SimStats Simulator::run(const std::vector<TraceEntry> &Trace) {
 SimStats Simulator::run(const PackedTrace &Trace) {
   auto T0 = std::chrono::steady_clock::now();
   SimStats Stats;
-  if (UseFast) {
-    Stats = runFast(PackedSource(Trace));
-  } else {
-    std::vector<TraceEntry> Entries = Trace.entries();
-    Stats = runReference(EntrySource{Entries});
-  }
-  Stats.SimWallMs = msSince(T0);
-  return Stats;
-}
-
-SimStats Simulator::runStreamed(
-    const std::function<void(vm::TraceSink &)> &Produce, size_t Size) {
-  auto T0 = std::chrono::steady_clock::now();
-  TraceStream Stream(maxLive(Config));
-  std::unordered_map<const Instruction *, PackedOp> Ops;
-  SimStats Stats;
-  std::exception_ptr Failure;
-  std::thread Reader([&] {
-    try {
-      if (UseFast)
-        Stats = runFast(StreamPackedSource{&Stream, Size, &Alloc, &Ops,
-                                           Config.FpaEnabled});
-      else
-        Stats = runReference(StreamEntrySource{&Stream, Size});
-    } catch (...) {
-      Failure = std::current_exception();
-    }
-    Stream.stopReading();
-  });
-  {
-    // Also on a throwing Produce: end the trace, then wait for the loop.
-    struct Finish {
-      TraceStream &Stream;
-      std::thread &Reader;
-      ~Finish() {
-        Stream.close();
-        Reader.join();
-      }
-    } F{Stream, Reader};
-    Produce(Stream);
-  }
-  if (Failure)
-    std::rethrow_exception(Failure);
+  if (UseFast)
+    Stats = runFast(Trace);
+  else
+    Stats = runReference(Trace.entries());
   Stats.SimWallMs = msSince(T0);
   return Stats;
 }
@@ -321,7 +209,7 @@ SimStats Simulator::runStreamed(
 // Reference loop (differential oracle; FPINT_SIM_FAST=0)
 //===----------------------------------------------------------------------===//
 
-template <class Source> SimStats Simulator::runReference(Source Trace) {
+SimStats Simulator::runReference(const std::vector<TraceEntry> &Trace) {
   SimStats Stats;
   Impl &S = *State;
   S.reset(Config);
@@ -410,7 +298,7 @@ template <class Source> SimStats Simulator::runReference(Source Trace) {
   const uint64_t SafetyLimit =
       static_cast<uint64_t>(Trace.size() + 1000) * 400 + 100000;
 
-  while (Trace.has(FetchIdx) || !Rob.empty() || !FetchQ.empty()) {
+  while (FetchIdx < Trace.size() || !Rob.empty() || !FetchQ.empty()) {
     // Per-cycle stall attribution (sink-only): the oldest waiting
     // instruction's issue blockage and the first dispatch blockage.
     stats::StallReason IssueBlock = stats::StallReason::None;
@@ -603,7 +491,7 @@ template <class Source> SimStats Simulator::runReference(Source Trace) {
     //===------------------------------------------------------------===//
     if (Cycle >= FetchResumeCycle && PendingBranchSeq == 0 &&
         FetchQ.size() < 2 * Config.FetchWidth) {
-      for (unsigned N = 0; N < Config.FetchWidth && Trace.has(FetchIdx);
+      for (unsigned N = 0; N < Config.FetchWidth && FetchIdx < Trace.size();
            ++N) {
         const TraceEntry &TE = Trace[FetchIdx];
         const InstrInfo *Info = InfoOf(TE);
@@ -696,7 +584,7 @@ template <class Source> SimStats Simulator::runReference(Source Trace) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fast loop (packed SoA + dense ring + event-driven issue + cycle skipping)
+// Fast loop (packed SoA + dense ring + event-driven issue)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -731,13 +619,13 @@ template <class T> using LineVector = std::vector<T, LineAllocator<T>>;
 
 } // namespace
 
-template <class Source> SimStats Simulator::runFast(Source PT) {
+SimStats Simulator::runFast(const PackedTrace &PT) {
   SimStats Stats;
   Impl &S = *State;
   S.reset(Config);
 
   if (!Config.FpaEnabled)
-    assert(!PT.hasFpa() &&
+    assert(!PT.HasFpa &&
            "partitioned binary on a conventional (non-FPa) machine");
 
   // The in-flight ring. Live sequence numbers are contiguous:
@@ -821,10 +709,10 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
 
   stats::StallReason ResumeKind = stats::StallReason::None;
 
-  const uint64_t SafetyLimit =
-      static_cast<uint64_t>(PT.size() + 1000) * 400 + 100000;
+  const size_t End = PT.size();
+  const uint64_t SafetyLimit = static_cast<uint64_t>(End + 1000) * 400 + 100000;
 
-  while (PT.has(FetchIdx) || RetireSeq != NextSeq) {
+  while (FetchIdx < End || RetireSeq != NextSeq) {
     stats::StallReason IssueBlock = stats::StallReason::None;
     stats::StallReason DispatchBlock = stats::StallReason::None;
 
@@ -838,7 +726,7 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
         break;
       const PackedOp &Op = *Head.Op;
       if (Op.is(PackedOp::IsStore)) {
-        S.DCache->access(PT.memAddr(Head.Idx), /*Write=*/true);
+        S.DCache->access(PT.MemAddr[Head.Idx], /*Write=*/true);
         assert(StoreQ[StoreHead & Mask] == RetireSeq && "store FIFO order");
         ++StoreHead;
       }
@@ -857,14 +745,6 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
     // Issue (per subsystem, oldest first).
     //===------------------------------------------------------------===//
     unsigned IntIssuedNow = 0, FpIssuedNow = 0, PortsUsed = 0;
-    // True when a load completed its memory evaluation (store-forward
-    // scan / D-cache probe, with their counter and cache side effects)
-    // but then found no free unit. The reference loop re-runs that
-    // evaluation every cycle the load retries, so such a cycle must
-    // not be skipped -- the elided cycles would under-count
-    // StoreForwards / D-cache traffic. These spans are short: they
-    // end at a unit-free wakeup, at most an unpipelined divide away.
-    bool LoadEvalNoIssue = false;
     // A subsystem can issue again this cycle while it is under its
     // unit cap and has a dispatched, un-issued entry left: during issue
     // *WindowUsed counts exactly those entries (it is recounted after
@@ -917,7 +797,7 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
         if (Op.is(PackedOp::IsLoad)) {
           bool Blocked = false;
           bool Forwarded = false;
-          const uint32_t MyLine = PT.memAddr(E.Idx) / 4;
+          const uint32_t MyLine = PT.MemAddr[E.Idx] / 4;
           for (uint64_t I = StoreHead; I != StoreTail; ++I) {
             const uint64_t OSq = StoreQ[I & Mask];
             if (OSq >= Sq)
@@ -927,7 +807,7 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
               Blocked = true;
               break;
             }
-            if (PT.memAddr(Older.Idx) / 4 == MyLine)
+            if (PT.MemAddr[Older.Idx] / 4 == MyLine)
               Forwarded = true; // Youngest older match wins.
           }
           if (Blocked) {
@@ -938,7 +818,7 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
           if (Forwarded) {
             ++Stats.StoreForwards;
           } else {
-            unsigned Lat = S.DCache->access(PT.memAddr(E.Idx), false);
+            unsigned Lat = S.DCache->access(PT.MemAddr[E.Idx], false);
             ExtraLatency = Lat - Config.DCache.HitLatency;
             if (ExtraLatency)
               ++Stats.DCacheMisses;
@@ -954,8 +834,6 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
           break;
         }
       if (Unit == ~0u) {
-        if (Op.is(PackedOp::IsLoad))
-          LoadEvalNoIssue = true;
         if (Sink && IssueBlock == stats::StallReason::None)
           IssueBlock = stats::StallReason::UnitBusy;
         return true;
@@ -1081,10 +959,9 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
     //===------------------------------------------------------------===//
     // Fetch (up to FetchWidth, blocked by mispredicts and I-misses).
     //===------------------------------------------------------------===//
-    unsigned Fetched = 0;
     if (Cycle >= FetchResumeCycle && PendingBranchSeq == 0 &&
         NextSeq - DispatchSeq < 2 * Config.FetchWidth) {
-      for (unsigned N = 0; N < Config.FetchWidth && PT.has(FetchIdx); ++N) {
+      for (unsigned N = 0; N < Config.FetchWidth && FetchIdx < End; ++N) {
         const PackedOp &Op = PT.op(FetchIdx);
 
         // Only fetch touches the I-cache, so the line fetched last is
@@ -1113,7 +990,7 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
         E.Issued = false;
         E.Mispredicted = false;
         E.MissedLoad = false;
-        const bool Taken = PT.taken(FetchIdx);
+        const bool Taken = PT.Taken[FetchIdx] != 0;
         if (Op.is(PackedOp::IsCondBranch)) {
           ++Stats.CondBranches;
           bool Correct = S.Predictor->predictAndUpdate(Op.Pc, Taken);
@@ -1133,42 +1010,9 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
         bool StopFetch = E.Mispredicted || FetchResumeCycle > Cycle ||
                          (Config.FetchBreaksOnTaken && TakenTransfer);
         ++NextSeq;
-        ++Fetched;
         if (StopFetch)
           break;
       }
-    }
-
-    //===------------------------------------------------------------===//
-    // Cycle skipping: when nothing retired, issued, dispatched, or
-    // fetched -- and no retrying load re-runs its side-effecting
-    // memory evaluation (LoadEvalNoIssue) -- every phase is a pure
-    // function of state that can only change at the next wakeup
-    // boundary: the earliest in-flight completion, busy-unit free
-    // time, or fetch resume cycle. Jump there directly; the cycles in
-    // between would have replayed this exact cycle (same stall
-    // classification, same occupancy), so they are bulk-emitted
-    // through EventSink::onCycles.
-    //===------------------------------------------------------------===//
-    uint64_t Advance = 1;
-    if (Retired == 0 && IntIssuedNow == 0 && FpIssuedNow == 0 &&
-        Dispatched == 0 && Fetched == 0 && !LoadEvalNoIssue) {
-      uint64_t Next = NeverCycle;
-      for (uint64_t Sq = RetireSeq; Sq != DispatchSeq; ++Sq) {
-        const FastEntry &E = Flight[Sq & Mask];
-        if (E.Issued && E.DoneCycle > Cycle && E.DoneCycle < Next)
-          Next = E.DoneCycle;
-      }
-      for (uint64_t F : IntUnitFree)
-        if (F > Cycle && F < Next)
-          Next = F;
-      for (uint64_t F : FpUnitFree)
-        if (F > Cycle && F < Next)
-          Next = F;
-      if (FetchResumeCycle > Cycle && FetchResumeCycle < Next)
-        Next = FetchResumeCycle;
-      if (Next != NeverCycle && Next > Cycle + 1)
-        Advance = Next - Cycle;
     }
 
     //===------------------------------------------------------------===//
@@ -1201,16 +1045,12 @@ template <class Source> SimStats Simulator::runFast(Source PT) {
                                               : StallReason::FetchMispredict;
         Ev.Reason = R;
       }
-      if (Advance == 1)
-        Sink->onCycle(Ev);
-      else
-        Sink->onCycles(Ev, Advance);
+      Sink->onCycle(Ev);
     }
 
-    Cycle += Advance;
+    ++Cycle;
     if (Cycle > SafetyLimit)
-      throw SimulationOverrun(Cycle, SafetyLimit, Stats.Instructions,
-                              PT.size());
+      throw SimulationOverrun(Cycle, SafetyLimit, Stats.Instructions, End);
   }
 
   Stats.Cycles = Cycle;

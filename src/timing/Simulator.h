@@ -37,11 +37,10 @@
 ///    timing::PackedTrace, keeps all in-flight state in one dense
 ///    seq-indexed ring, issues event-driven (producers wake their
 ///    consumers when they issue, and the issue stage visits only
-///    entries whose producers have all issued), and jumps the cycle
-///    counter over provably idle spans instead of ticking through
-///    them. It is cycle-exact: SimStats and, with a sink attached, the
-///    full stall-attribution telemetry are bit-identical to the
-///    reference loop.
+///    entries whose producers have all issued). It ticks every cycle,
+///    as the reference loop does, and is cycle-exact: SimStats and,
+///    with a sink attached, the full stall-attribution telemetry are
+///    bit-identical to the reference loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +56,6 @@
 #include "timing/PackedTrace.h"
 #include "vm/VM.h"
 
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -157,17 +155,6 @@ public:
   /// loop, so both overloads honor both paths.
   SimStats run(const PackedTrace &Trace);
 
-  /// Simulates the trace that \p Produce feeds to the sink it is
-  /// given, typically by running a VM with Options::Sink set to it.
-  /// Produce runs on the calling thread and the cycle loop on a worker
-  /// thread that sees the trace through a bounded window, so memory
-  /// stays flat however long the trace is. \p Size is the trace's
-  /// length, known from an earlier run; it sets the overrun limit as
-  /// the in-memory overloads do. The statistics equal those of run()
-  /// on the materialized trace, on either path.
-  SimStats runStreamed(const std::function<void(vm::TraceSink &)> &Produce,
-                       size_t Size);
-
   /// Attaches \p S to receive one CycleEvent per simulated cycle
   /// (stall attribution + issue occupancy). Null detaches. With no
   /// sink attached the main loop pays a single pointer test per cycle
@@ -175,9 +162,9 @@ public:
   /// simulator. The sink must outlive run().
   void setEventSink(stats::EventSink *S) { Sink = S; }
 
-  /// Selects the fast (packed SoA + cycle-skipping) or reference cycle
-  /// loop. Defaults to the FPINT_SIM_FAST environment switch (unset or
-  /// nonzero = fast; "0" = reference).
+  /// Selects the fast (packed SoA + event-driven issue) or reference
+  /// cycle loop. Defaults to the FPINT_SIM_FAST environment switch
+  /// (unset or nonzero = fast; "0" = reference).
   void setFastPath(bool On) { UseFast = On; }
   bool fastPath() const { return UseFast; }
 
@@ -191,10 +178,9 @@ private:
   stats::EventSink *Sink = nullptr;
   bool UseFast = true;
 
-  /// The cycle loops, over a trace source: a whole in-memory trace or
-  /// a runStreamed window (see the sources in Simulator.cpp).
-  template <class Source> SimStats runReference(Source Trace);
-  template <class Source> SimStats runFast(Source Trace);
+  /// The two cycle loops (see the file comment).
+  SimStats runReference(const std::vector<vm::TraceEntry> &Trace);
+  SimStats runFast(const PackedTrace &Trace);
 };
 
 /// Convenience: VM-trace + simulate in one call, packing the trace as

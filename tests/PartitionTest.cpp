@@ -532,7 +532,9 @@ TEST(AdvancedScheme, DecisionsArePinned) {
   // the first 200 seed-1 module seeds under every generator preset,
   // each under the default costs, a swept cost point (Section 6.1) and
   // the Section 6.6 share cap. A deliberate heuristic change must
-  // re-pin it.
+  // re-pin it. It was re-pinned when the generator's step cap changed
+  // the `calls` modules 11, 76, 78, 80, 167 and 173; over the other
+  // modules the digest did not move.
   const std::vector<CostParams> Params = {
       CostParams(), CostParams{6.0, 1.5, 1.0}, CostParams{4.0, 2.5, 0.5}};
   uint64_t H = support::fnv1a64("");
@@ -547,7 +549,7 @@ TEST(AdvancedScheme, DecisionsArePinned) {
       hashAdvancedDecisions(*M, {}, Params, H);
     }
   }
-  EXPECT_EQ(support::hex64(H), "ff53b47bccd07009");
+  EXPECT_EQ(support::hex64(H), "e292b52db77d6cd8");
 }
 
 TEST(AdvancedScheme, BudgetBoundPhase1DecisionsArePinned) {

@@ -359,7 +359,9 @@ TEST(Pipeline, DefaultBatteryOutputIsPinned) {
   // first 20 seed-1 modules of every generator preset. A change to any
   // analysis result, partition or allocation moves this digest. It was
   // computed before liveness and reaching definitions moved to word
-  // bitsets and id-indexed tables, which must not change it.
+  // bitsets and id-indexed tables, which must not change it. It was
+  // re-pinned when the generator's step cap changed `calls` module 11;
+  // over the other modules the digest did not move.
   uint64_t H = support::fnv1a64("");
   for (const std::string &Preset : testgen::presetNames()) {
     testgen::GenConfig Gen = testgen::presetConfig(Preset);
@@ -373,7 +375,7 @@ TEST(Pipeline, DefaultBatteryOutputIsPinned) {
       }
     }
   }
-  EXPECT_EQ(support::hex64(H), "99f300231fd658e6");
+  EXPECT_EQ(support::hex64(H), "eac63be31cb472b3");
 }
 
 TEST(Pipeline, PrefixMemoRunsShareNoIR) {

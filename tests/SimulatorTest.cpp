@@ -1,11 +1,11 @@
 //===- tests/SimulatorTest.cpp - Fast-path simulator equivalence ----------===//
 //
 // The fast cycle loop (packed SoA trace, dense in-flight ring,
-// event-driven cycle skipping) must be bit-identical to the reference
-// loop: same SimStats, same telemetry breakdown, on every fixture and
-// machine. These tests pin that contract, the PackedTrace round-trip,
-// streamed simulation, the typed SimulationOverrun condition, and that
-// no environment variable makes the simulator approximate.
+// event-driven issue) must be bit-identical to the reference loop: same
+// SimStats, same telemetry breakdown, on every fixture and machine.
+// These tests pin that contract, the PackedTrace round-trip, the typed
+// SimulationOverrun condition, and that no environment variable makes
+// the simulator approximate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,18 +15,14 @@
 #include "timing/MachineConfig.h"
 #include "timing/PackedTrace.h"
 #include "timing/Simulator.h"
-#include "timing/TraceStream.h"
 #include "workloads/Workloads.h"
 
 #include "PaperExamples.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
-#include <thread>
 
 using namespace fpint;
 using namespace fpint::timing;
@@ -172,13 +168,13 @@ TEST(FastPath, MatchesReferenceAcrossFixturesAndMachines) {
 }
 
 //===----------------------------------------------------------------------===//
-// (b) Telemetry with cycle skipping: the stall partition holds and the
-// whole breakdown is bit-identical to the per-cycle reference feed.
+// (b) Telemetry on long stalls: the stall partition holds and the
+// whole breakdown is bit-identical to the reference loop's.
 //===----------------------------------------------------------------------===//
 
-TEST(FastPath, TelemetryIdenticalWithCycleSkipping) {
+TEST(FastPath, TelemetryIdenticalOnLongStalls) {
   // The multiply chain stalls for long spans (6-cycle dependent ops),
-  // so the fast path exercises bulk-emitted skipped cycles heavily.
+  // so most of its cycles issue nothing and need a stall reason.
   std::string Mul = "func main() {\nentry:\n  li %a, 3\n";
   for (int I = 0; I < 200; ++I)
     Mul += "  mul %a, %a, %a\n";
@@ -515,159 +511,6 @@ TEST(ExactOnly, SampleEnvironmentVariableHasNoEffect) {
 
   EXPECT_EQ(WithVar.Instructions, Run.RefResult.Steps);
   expectStatsEqual(Without, WithVar, std::string(Var) + " set vs unset");
-}
-
-//===----------------------------------------------------------------------===//
-// Streamed simulation: a bounded window over a trace produced as the
-// loop runs gives the in-memory result on both paths.
-//===----------------------------------------------------------------------===//
-
-/// About 270k dynamic instructions -- many times the stream's window --
-/// with loads, stores, FPa candidates and a data-dependent branch.
-const char *LongLoop = R"(
-global a 16 = 3 1 4 1 5 9 2 6 5 3 5 8 9 7 9 3
-global b 16 = 2 7 1 8 2 8 1 8 2 8 4 5 9 0 4 5
-global c 16
-
-func main() {
-entry:
-  li %k, 0
-  li %reps, 1200
-  li %n, 16
-  li %sum, 0
-  la %pa, a
-  la %pb, b
-  la %pc, c
-outer:
-  li %i, 0
-loop:
-  sll %off, %i, 2
-  add %ea, %pa, %off
-  lw %va, 0(%ea)
-  add %eb, %pb, %off
-  lw %vb, 0(%eb)
-  add %vc, %va, %vb
-  add %vc, %vc, %k
-  add %ec, %pc, %off
-  sw %vc, 0(%ec)
-  andi %odd, %vc, 1
-  beq %odd, %zero, even
-  addi %sum, %sum, 1
-even:
-  addi %i, %i, 1
-  slt %t, %i, %n
-  bne %t, %zero, loop
-  addi %k, %k, 1
-  slt %t2, %k, %reps
-  bne %t2, %zero, outer
-  out %sum
-  ret
-}
-)";
-
-TEST(Streamed, MatchesInMemoryRunOnBothPaths) {
-  PipelineRun Run = compileSrc(LongLoop, partition::Scheme::Advanced);
-  const std::vector<vm::TraceEntry> Trace = Run.packedTrace().entries();
-  ASSERT_GT(Trace.size(), 200000u);
-  ASSERT_GT(Run.Stats.Fpa, 0u);
-
-  // The VM feeds fixed batches; the second producer feeds irregular
-  // ones (single entries up to whole ring-fulls).
-  auto FromVM = [&](vm::TraceSink &Sink) {
-    vm::VM::Options Opts;
-    Opts.CollectTrace = true;
-    Opts.Sink = &Sink;
-    vm::VM Machine(*Run.Compiled, Opts);
-    Machine.run(Run.Config.RefArgs);
-  };
-  auto Irregular = [&](vm::TraceSink &Sink) {
-    size_t Pos = 0, Step = 1;
-    while (Pos < Trace.size()) {
-      size_t Count = std::min(Step, Trace.size() - Pos);
-      Sink.consume(&Trace[Pos], Count);
-      Pos += Count;
-      Step = Step * 7 % 70001 + 1;
-    }
-  };
-  for (const MachineConfig &M :
-       {MachineConfig::fourWay(), MachineConfig::eightWay()})
-    for (bool Fast : {false, true}) {
-      stats::StallBreakdown Whole;
-      SimStats Expect = runPath(Run, M, Fast, &Whole);
-      for (int P = 0; P < 2; ++P) {
-        std::string Label = std::string(M.Name) +
-                            (Fast ? "/fast" : "/reference") +
-                            (P ? "/irregular" : "/vm");
-        stats::StallBreakdown Streamed;
-        Simulator Sim(M, Run.Alloc);
-        Sim.setFastPath(Fast);
-        Sim.setEventSink(&Streamed);
-        SimStats Got = P ? Sim.runStreamed(Irregular, Trace.size())
-                         : Sim.runStreamed(FromVM, Trace.size());
-        expectStatsEqual(Expect, Got, Label);
-        expectBreakdownsEqual(Whole, Streamed, Label);
-      }
-    }
-}
-
-TEST(Streamed, WriterNeverOverwritesTheReadersWindow) {
-  const size_t Window = 100;
-  TraceStream Stream(Window);
-  const size_t N = 3 * Stream.capacity();
-  std::vector<vm::TraceEntry> Entries(N);
-  for (size_t I = 0; I < N; ++I)
-    Entries[I].Pc = static_cast<uint32_t>(I);
-  std::thread Writer([&] {
-    Stream.consume(Entries.data(), N);
-    Stream.close();
-  });
-  size_t Pos = 0;
-  while (Pos < N) {
-    size_t Written = Stream.waitFor(Pos);
-    ASSERT_GT(Written, Pos);
-    // Let the writer run as far ahead as it may, then check that what
-    // the reader may still read is intact.
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    for (size_t J = Pos >= Window ? Pos - Window : 0; J < Written; ++J)
-      ASSERT_EQ(Stream.at(J).Pc, J) << "read position " << Pos;
-    Pos = Written;
-  }
-  EXPECT_EQ(Stream.waitFor(N), N);
-  Writer.join();
-}
-
-TEST(Streamed, FailuresOnEitherSideReachTheCaller) {
-  PipelineRun Run =
-      compileSrc(fixtures::IntVectorSum, partition::Scheme::None);
-  const std::vector<vm::TraceEntry> Trace = Run.packedTrace().entries();
-  auto Feed = [&](vm::TraceSink &Sink) {
-    Sink.consume(Trace.data(), Trace.size());
-  };
-
-  // A loop that cannot drain throws; the producer is released.
-  MachineConfig Wedged = MachineConfig::fourWay();
-  Wedged.IntUnits = 0;
-  for (bool Fast : {false, true}) {
-    Simulator Sim(Wedged, Run.Alloc);
-    Sim.setFastPath(Fast);
-    try {
-      Sim.runStreamed(Feed, Trace.size());
-      FAIL() << "expected SimulationOverrun (fast=" << Fast << ")";
-    } catch (const SimulationOverrun &O) {
-      EXPECT_EQ(O.TraceSize, Trace.size());
-      EXPECT_LT(O.Retired, O.TraceSize);
-    }
-  }
-
-  // A producer that throws ends the trace; its exception propagates.
-  Simulator Sim(MachineConfig::fourWay(), Run.Alloc);
-  EXPECT_THROW(Sim.runStreamed(
-                   [&](vm::TraceSink &Sink) {
-                     Sink.consume(Trace.data(), Trace.size() / 2);
-                     throw std::runtime_error("producer failed");
-                   },
-                   Trace.size()),
-               std::runtime_error);
 }
 
 //===----------------------------------------------------------------------===//

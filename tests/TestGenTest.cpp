@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Tests the differential harness itself: the generator's contract
-/// (determinism, strict verifier cleanliness, termination), the oracle's
+/// (determinism, strict verifier cleanliness, a bounded run), the oracle's
 /// ability to catch an injected miscompile, and the reducer's ability to
 /// shrink such a failure to a small repro -- the PR's acceptance gate.
 ///
@@ -18,6 +18,7 @@
 #include "testgen/Generator.h"
 #include "testgen/Oracle.h"
 #include "testgen/Reducer.h"
+#include "vm/VM.h"
 
 #include <set>
 #include <string>
@@ -120,6 +121,30 @@ TEST(GeneratorTest, EveryPresetIsStrictVerifierClean) {
   }
 }
 
+TEST(GeneratorTest, EveryModuleRunsWithinTheStepCap) {
+  // Four seeds in fpint-fuzz's order (preset It % 7). Before generation
+  // bounded each function's steps, 3-12 modules per 3,000 of these ran
+  // longer, the largest 4.4M steps.
+  std::vector<std::string> Over;
+  auto Check = [&](const std::string &Preset, uint64_t Seed) {
+    auto M = testgen::generateModule(testgen::presetConfig(Preset), Seed);
+    vm::VM::Options Opts;
+    Opts.MaxSteps = testgen::MaxModuleSteps;
+    vm::VM Machine(*M, Opts);
+    if (!Machine.run().Ok)
+      Over.push_back(Preset + " " + std::to_string(Seed));
+  };
+  const std::vector<std::string> &Presets = testgen::presetNames();
+  for (uint64_t Base : {1, 3, 7, 9})
+    for (uint64_t It = 0; It < 3200; ++It)
+      Check(Presets[It % Presets.size()], testgen::moduleSeed(Base, It));
+  // The two longest modules of seeds 3 and 9 before the cap.
+  Check("calls", 0xa5a6c45e80e29accULL);
+  Check("calls", 0xa424b262f67fdf00ULL);
+  EXPECT_TRUE(Over.empty()) << Over.size() << " modules passed the cap, "
+                            << "first: " << Over.front();
+}
+
 TEST(GeneratorTest, GeneratedTextRoundTripsThroughParser) {
   testgen::GenConfig Config;
   for (uint64_t It = 0; It < 6; ++It) {
@@ -189,10 +214,11 @@ TEST(OracleTest, CatchesInjectedMiscompile) {
       << "oracle accepted a module whose compiled add was flipped to sub";
 }
 
-TEST(OracleTest, StreamsLongTracesThroughTheTimingCheck) {
-  // 120k dynamic instructions: more than the oracle keeps in memory, so
-  // both cycle loops get the trace replayed through a bounded window
-  // and must still retire exactly the counted instructions.
+TEST(OracleTest, ChecksLongHandWrittenTracesInMemory) {
+  // 120k dynamic instructions, more than a generated module may run:
+  // hand-written inputs are not capped. The oracle keeps the whole
+  // trace, and both cycle loops must retire exactly the counted
+  // instructions.
   sir::ParseResult PR = sir::parseModule(R"(
 global buf 1
 

@@ -29,7 +29,6 @@ TEST(Cache, HitsAfterFill) {
   EXPECT_EQ(C.access(0x11F), 1u);
   EXPECT_EQ(C.access(0x120), 7u); // Next line.
   EXPECT_EQ(C.misses(), 2u);
-  EXPECT_EQ(C.accesses(), 4u);
 }
 
 TEST(Cache, LruEviction) {
@@ -60,7 +59,7 @@ TEST(Cache, ProbeDoesNotMutate) {
   EXPECT_FALSE(C.probe(0));
   C.access(0);
   EXPECT_TRUE(C.probe(0));
-  EXPECT_EQ(C.accesses(), 1u);
+  EXPECT_EQ(C.misses(), 1u); // The probe did not fill the line.
 }
 
 TEST(Cache, ShiftIndexingAtEveryLineSize) {

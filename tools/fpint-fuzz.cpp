@@ -453,10 +453,11 @@ int main(int argc, char **argv) {
 
   // --journal: resume an interrupted campaign from its last completed
   // batch. The campaign identity covers everything that changes what
-  // the batches check -- iteration count, preset, variant battery,
-  // timing machine draw, batch size -- but NOT the seed: on resume the journaled header's
-  // seed is adopted, so a restarted nightly run continues the exact
-  // random sequence it started with (docs/CAMPAIGNS.md).
+  // the batches check -- iteration count, preset, generator step cap,
+  // variant battery, timing machine draw, batch size -- but NOT the
+  // seed: on resume the journaled header's seed is adopted, so a
+  // restarted nightly run continues the exact random sequence it
+  // started with (docs/CAMPAIGNS.md).
   const bool UseJournal = !JournalDir.empty() && !HaveOne;
   campaign::Journal Journal;
   std::set<uint64_t> DoneBatches;
@@ -468,6 +469,7 @@ int main(int argc, char **argv) {
     Fold(campaign::JournalSchema);
     Fold(std::to_string(Iters));
     Fold(Preset);
+    Fold(std::to_string(testgen::MaxModuleSteps));
     Fold(testgen::batteryKey(OracleOpts.Variants));
     Fold(std::to_string(CheckTiming));
     for (const campaign::MachinePoint &P : fuzzMachines())
