@@ -73,11 +73,11 @@ bool parseCellRecord(const json::Value &R, std::string &Key,
 std::string campaign::cellKey(const std::string &Workload,
                               const std::string &PipelineKey,
                               const std::string &MachineKey) {
-  uint64_t H = support::fnv1a64(Workload);
-  H = support::fnv1a64("\x1f" + PipelineKey, H);
-  H = support::fnv1a64("\x1f" + MachineKey, H);
-  H = support::fnv1a64("\x1f" + std::string(JournalSchema), H);
-  return support::hex64(H);
+  return support::ChainedKey(Workload)
+      .add(PipelineKey)
+      .add(MachineKey)
+      .add(JournalSchema)
+      .hex();
 }
 
 json::Value campaign::summaryToJson(const Summary &S) {

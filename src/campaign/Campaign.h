@@ -130,8 +130,8 @@ struct Summary {
 
 /// Content address of one (workload, pipeline, machine) cell:
 /// 16 lower-case hex digits, stable across processes and platforms
-/// (chained FNV-1a with 0x1f separators over support/Hash.h, folded
-/// with JournalSchema so a layout bump re-runs every cell).
+/// (a support::ChainedKey over the three parts and JournalSchema, so a
+/// layout bump re-runs every cell).
 std::string cellKey(const std::string &Workload,
                     const std::string &PipelineKey,
                     const std::string &MachineKey);

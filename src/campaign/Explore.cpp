@@ -255,8 +255,8 @@ int campaign::runExplore(const ExploreOptions &Opts, Summary *OutSummary) {
   };
   std::vector<Cell> Cells;
   std::map<std::string, CellTarget> Targets;
-  uint64_t CampaignHash = support::fnv1a64(ExploreSchema);
-  CampaignHash = support::fnv1a64("\x1f" + Opts.Grid, CampaignHash);
+  support::ChainedKey CampaignKey(ExploreSchema);
+  CampaignKey.add(Opts.Grid);
   for (size_t MI = 0; MI < Grid.size(); ++MI) {
     const MachinePoint &P = Grid[MI];
     const std::string MachineKey = P.M.canonicalKey();
@@ -264,7 +264,7 @@ int campaign::runExplore(const ExploreOptions &Opts, Summary *OutSummary) {
       Cell C;
       C.Key = cellKey(Name, PipelineKeys[Name], MachineKey);
       C.Label = Name + "@" + P.Label;
-      CampaignHash = support::fnv1a64("\x1f" + C.Key, CampaignHash);
+      CampaignKey.add(C.Key);
       Targets[C.Key] = {Name, &P.M, MI};
       Cells.push_back(std::move(C));
     }
@@ -272,7 +272,7 @@ int campaign::runExplore(const ExploreOptions &Opts, Summary *OutSummary) {
 
   Options RunnerOpts;
   RunnerOpts.Dir = Opts.StateDir;
-  RunnerOpts.CampaignKey = support::hex64(CampaignHash);
+  RunnerOpts.CampaignKey = CampaignKey.hex();
   RunnerOpts.Jobs = Opts.Jobs;
 
   Runner R(RunnerOpts);

@@ -8,6 +8,7 @@
 #include "sir/Verifier.h"
 #include "transform/Transforms.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -44,23 +45,6 @@ private:
   unsigned LastChanges = 0;
 };
 
-/// One individual optimization as a FunctionPass.
-class SingleOptPass : public FunctionPass {
-public:
-  SingleOptPass(const char *Name, unsigned (*Fn)(sir::Function &))
-      : Name(Name), Fn(Fn) {}
-
-  std::string name() const override { return Name; }
-  unsigned runOnFunction(sir::Function &F,
-                         analysis::AnalysisManager &) override {
-    return Fn(F);
-  }
-
-private:
-  const char *Name;
-  unsigned (*Fn)(sir::Function &);
-};
-
 /// Profiles the (not yet partitioned) module on the training input. A
 /// non-deterministic failure is fatal -- there is nothing meaningful to
 /// compile against; a deterministic trap leaves a valid prefix profile
@@ -90,12 +74,7 @@ public:
     return analysis::PreservedAnalyses::all();
   }
 
-  std::string configKey(const PipelineConfig &Config) const override {
-    std::string Key = "train=";
-    for (int32_t A : Config.TrainArgs)
-      Key += std::to_string(A) + ",";
-    return Key;
-  }
+  unsigned configFields() const override { return FieldTrainArgs; }
 };
 
 /// Partitions with Config.Scheme (None: no-op).
@@ -126,14 +105,7 @@ public:
                    : analysis::PreservedAnalyses::all();
   }
 
-  std::string configKey(const PipelineConfig &Config) const override {
-    // Hex floats are exact: distinct costs never share a key.
-    char Buf[128];
-    std::snprintf(Buf, sizeof(Buf), "scheme=%d,costs=%a,%a,%a",
-                  static_cast<int>(Config.Scheme), Config.Costs.CopyOverhead,
-                  Config.Costs.DupOverhead, Config.Costs.FpaShareCap);
-    return Buf;
-  }
+  unsigned configFields() const override { return FieldScheme | FieldCosts; }
 
 private:
   bool Mutated = false;
@@ -240,102 +212,7 @@ private:
   unsigned LastChanges = 0;
 };
 
-/// Structural verification as an explicit pipeline stage (the final
-/// compileAndMeasure verify is separate and unconditional).
-class VerifyPass : public ModulePass {
-public:
-  std::string name() const override { return "verify"; }
-
-  unsigned run(sir::Module &M, analysis::AnalysisManager &,
-               PassState &State) override {
-    for (const std::string &E : sir::verify(M))
-      State.Errors.push_back("verify: " + E);
-    return 0;
-  }
-
-  analysis::PreservedAnalyses preserved() const override {
-    return analysis::PreservedAnalyses::all();
-  }
-};
-
-std::unique_ptr<ModulePass> makeSingleOpt(const char *Name,
-                                          unsigned (*Fn)(sir::Function &)) {
-  return std::make_unique<FunctionPassAdaptor>(
-      std::make_unique<SingleOptPass>(Name, Fn));
-}
-
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// FunctionPassAdaptor / FixpointPass.
-//===----------------------------------------------------------------------===//
-
-unsigned FunctionPassAdaptor::run(sir::Module &M,
-                                  analysis::AnalysisManager &AM,
-                                  PassState &) {
-  unsigned Total = 0;
-  for (const auto &F : M.functions()) {
-    unsigned Changes = FP->runOnFunction(*F, AM);
-    if (Changes)
-      AM.invalidateFunction(*F);
-    Total += Changes;
-  }
-  // Downstream stages require renumbered IR; renumbering an unmutated
-  // function is id-stable, so cached analyses of untouched functions
-  // survive it.
-  if (Total)
-    M.renumber();
-  Mutated = Total != 0;
-  return Total;
-}
-
-std::string FixpointPass::name() const {
-  std::string Name = "fixpoint(";
-  for (size_t I = 0; I < Passes.size(); ++I) {
-    if (I)
-      Name += ",";
-    Name += Passes[I]->name();
-  }
-  Name += ")";
-  return Name;
-}
-
-std::string FixpointPass::configKey(const PipelineConfig &Config) const {
-  std::string Key;
-  for (const auto &P : Passes)
-    Key += P->configKey(Config) + ";";
-  return Key;
-}
-
-unsigned FixpointPass::run(sir::Module &M, analysis::AnalysisManager &AM,
-                           PassState &State) {
-  unsigned Total = 0;
-  Iterations = 0;
-  Converged = false;
-  Mutated = false;
-  while (Iterations < MaxIterations) {
-    unsigned RoundChanges = 0;
-    for (const auto &P : Passes) {
-      RoundChanges += P->run(M, AM, State);
-      // Inner boundaries invalidate like outer ones; the per-pass
-      // telemetry row covers the whole fixpoint.
-      AM.invalidate(P->preserved());
-      if (State.Fatal) {
-        Total += RoundChanges;
-        Mutated = Mutated || Total != 0;
-        return Total;
-      }
-    }
-    ++Iterations;
-    Total += RoundChanges;
-    if (!RoundChanges) {
-      Converged = true;
-      break;
-    }
-    Mutated = true;
-  }
-  return Total;
-}
 
 //===----------------------------------------------------------------------===//
 // PassRegistry.
@@ -345,18 +222,6 @@ PassRegistry &PassRegistry::global() {
   static PassRegistry *R = [] {
     auto *Reg = new PassRegistry();
     Reg->registerPass("opt", [] { return std::make_unique<OptPass>(); });
-    Reg->registerPass("copy-prop", [] {
-      return makeSingleOpt("copy-prop", opt::propagateCopies);
-    });
-    Reg->registerPass("const-fold", [] {
-      return makeSingleOpt("const-fold", opt::foldConstants);
-    });
-    Reg->registerPass("cse", [] {
-      return makeSingleOpt("cse", opt::eliminateCommonSubexpressions);
-    });
-    Reg->registerPass("dce", [] {
-      return makeSingleOpt("dce", opt::eliminateDeadCode);
-    });
     Reg->registerPass("licm", [] { return std::make_unique<LicmPass>(); });
     Reg->registerPass("inline",
                       [] { return std::make_unique<InlinePass>(); });
@@ -368,8 +233,6 @@ PassRegistry &PassRegistry::global() {
                       [] { return std::make_unique<FpArgPassingPass>(); });
     Reg->registerPass("regalloc",
                       [] { return std::make_unique<RegAllocPass>(); });
-    Reg->registerPass("verify",
-                      [] { return std::make_unique<VerifyPass>(); });
     return Reg;
   }();
   return *R;
@@ -383,17 +246,6 @@ std::unique_ptr<ModulePass>
 PassRegistry::create(const std::string &Name) const {
   auto It = Factories.find(Name);
   return It == Factories.end() ? nullptr : It->second();
-}
-
-bool PassRegistry::contains(const std::string &Name) const {
-  return Factories.count(Name) != 0;
-}
-
-std::vector<std::string> PassRegistry::names() const {
-  std::vector<std::string> Names;
-  for (const auto &KV : Factories)
-    Names.push_back(KV.first);
-  return Names;
 }
 
 //===----------------------------------------------------------------------===//
@@ -410,44 +262,14 @@ std::string trim(const std::string &S) {
   return S.substr(B, E - B + 1);
 }
 
-/// Splits \p Text on top-level commas (commas inside parentheses stay
-/// with their token). Returns false on unbalanced parentheses.
-bool splitTopLevel(const std::string &Text, std::vector<std::string> &Out,
-                   std::string &Error) {
-  int Depth = 0;
-  std::string Cur;
-  for (char C : Text) {
-    if (C == '(')
-      ++Depth;
-    else if (C == ')') {
-      if (--Depth < 0) {
-        Error = "unbalanced ')' in pipeline text";
-        return false;
-      }
-    }
-    if (C == ',' && Depth == 0) {
-      Out.push_back(Cur);
-      Cur.clear();
-    } else {
-      Cur += C;
-    }
-  }
-  if (Depth != 0) {
-    Error = "unbalanced '(' in pipeline text";
-    return false;
-  }
-  Out.push_back(Cur);
-  return true;
-}
-
 bool parseInto(const std::string &Text,
                std::vector<std::unique_ptr<ModulePass>> &Out,
                std::string &Error, const PassRegistry &Registry) {
-  std::vector<std::string> Tokens;
-  if (!splitTopLevel(Text, Tokens, Error))
-    return false;
-  for (const std::string &Raw : Tokens) {
-    std::string Tok = trim(Raw);
+  size_t Pos = 0;
+  while (Pos <= Text.size()) {
+    size_t Comma = std::min(Text.find(',', Pos), Text.size());
+    std::string Tok = trim(Text.substr(Pos, Comma - Pos));
+    Pos = Comma + 1;
     if (Tok.empty()) {
       Error = "empty pass name in pipeline text '" + Text + "'";
       return false;
@@ -457,16 +279,6 @@ bool parseInto(const std::string &Text,
       // plain pipeline text does.
       if (!parseInto(core::opt2PipelineText(), Out, Error, Registry))
         return false;
-      continue;
-    }
-    const std::string FixpointHead = "fixpoint(";
-    if (Tok.rfind(FixpointHead, 0) == 0 && Tok.back() == ')') {
-      std::string Inner = Tok.substr(
-          FixpointHead.size(), Tok.size() - FixpointHead.size() - 1);
-      std::vector<std::unique_ptr<ModulePass>> Sub;
-      if (!parseInto(Inner, Sub, Error, Registry))
-        return false;
-      Out.push_back(std::make_unique<FixpointPass>(std::move(Sub)));
       continue;
     }
     std::unique_ptr<ModulePass> P = Registry.create(Tok);
@@ -548,7 +360,9 @@ PassManager::prefixKeys(const PipelineConfig &Config) const {
   std::vector<std::string> Keys;
   std::string Key;
   for (const auto &P : Passes) {
-    Key += P->name() + "{" + P->configKey(Config) + "},";
+    Key += P->name() + '{';
+    appendConfigFields(Key, Config, P->configFields());
+    Key += "},";
     Keys.push_back(Key);
   }
   return Keys;

@@ -14,7 +14,7 @@
 ///
 /// Every registered stage is available by name (PassRegistry), so the
 /// pipeline is configurable as *pipeline text*: a comma-separated pass
-/// list with a fixpoint(...) combinator, parsed by parsePipeline().
+/// list, parsed by parsePipeline().
 /// The text is the one description of which stages run: a stage runs
 /// exactly when its token is in the text. PipelineConfig supplies only
 /// the data the stages consume (scheme, cost parameters, inputs).
@@ -91,8 +91,7 @@ class ModulePass {
 public:
   virtual ~ModulePass() = default;
 
-  /// Stable name; for combinators this is the full round-trip text
-  /// (e.g. "fixpoint(copy-prop,dce)").
+  /// Stable name: the pass's token in pipeline text.
   virtual std::string name() const = 0;
 
   /// Runs over \p M. Returns the number of IR changes made (0 for
@@ -108,89 +107,22 @@ public:
     return analysis::PreservedAnalyses::none();
   }
 
-  /// The PipelineConfig fields this pass reads, as exact text ("" for
-  /// none, the default). Part of PassManager::prefixKeys(), so a pass
-  /// that reads a config field must name it here.
-  virtual std::string configKey(const PipelineConfig &) const { return {}; }
-};
-
-/// One transformation over a single function, lifted to a ModulePass by
-/// FunctionPassAdaptor.
-class FunctionPass {
-public:
-  virtual ~FunctionPass() = default;
-  virtual std::string name() const = 0;
-  /// Returns the number of changes made to \p F.
-  virtual unsigned runOnFunction(sir::Function &F,
-                                 analysis::AnalysisManager &AM) = 0;
-};
-
-/// Runs a FunctionPass over every function, invalidating each mutated
-/// function's cached analyses and renumbering the module if anything
-/// changed (downstream stages require renumbered IR).
-class FunctionPassAdaptor : public ModulePass {
-public:
-  explicit FunctionPassAdaptor(std::unique_ptr<FunctionPass> FP)
-      : FP(std::move(FP)) {}
-
-  std::string name() const override { return FP->name(); }
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override;
-  analysis::PreservedAnalyses preserved() const override {
-    return Mutated ? analysis::PreservedAnalyses::none()
-                   : analysis::PreservedAnalyses::all();
-  }
-
-private:
-  std::unique_ptr<FunctionPass> FP;
-  bool Mutated = false;
-};
-
-/// Repeats a sub-pipeline until a full iteration makes no changes, or
-/// the iteration cap cuts it off. Round-trips as
-/// "fixpoint(a,b,...)". Convergence telemetry (iterations run, whether
-/// the cap was hit) is folded into the pass's PassStat.
-class FixpointPass : public ModulePass {
-public:
-  static constexpr unsigned DefaultMaxIterations = 8;
-
-  FixpointPass(std::vector<std::unique_ptr<ModulePass>> Passes,
-               unsigned MaxIterations = DefaultMaxIterations)
-      : Passes(std::move(Passes)), MaxIterations(MaxIterations) {}
-
-  std::string name() const override;
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override;
-  analysis::PreservedAnalyses preserved() const override {
-    return Mutated ? analysis::PreservedAnalyses::none()
-                   : analysis::PreservedAnalyses::all();
-  }
-  std::string configKey(const PipelineConfig &Config) const override;
-
-  unsigned iterations() const { return Iterations; }
-  bool converged() const { return Converged; }
-
-private:
-  std::vector<std::unique_ptr<ModulePass>> Passes;
-  unsigned MaxIterations;
-  unsigned Iterations = 0;
-  bool Converged = true;
-  bool Mutated = false;
+  /// The PipelineConfig fields this pass reads, as ConfigField bits (0,
+  /// the default, for none). Part of PassManager::prefixKeys(), so a
+  /// pass that reads a config field must name it here.
+  virtual unsigned configFields() const { return 0; }
 };
 
 /// Name -> factory map of every available pass. The global() registry
 /// is pre-populated with the built-in stages:
 ///
-///   opt             fixpoint optimizer (opt::optimizeModule)
-///   copy-prop, const-fold, cse, dce
-///                   the individual optimizations
+///   opt             the optimizer (opt::optimizeModule)
 ///   licm, inline    the mid-end transforms (src/transform)
 ///   profile         training-input profiling run (fatal on failure)
 ///   partition       the Config.Scheme partitioner (None: no-op)
 ///   fp-arg-passing  Section 6.6 extension (no-op unless an advanced
 ///                   partition ran before it)
 ///   regalloc        register allocation (regalloc::allocateModule)
-///   verify          structural verification as a pipeline stage
 ///
 /// Tests may registerPass() additional names; re-registering a name
 /// replaces the factory (latest wins).
@@ -203,21 +135,18 @@ public:
   void registerPass(const std::string &Name, Factory F);
   /// Null if \p Name is unknown.
   std::unique_ptr<ModulePass> create(const std::string &Name) const;
-  bool contains(const std::string &Name) const;
-  std::vector<std::string> names() const;
 
 private:
   std::map<std::string, Factory> Factories;
 };
 
 /// Parses pipeline text -- comma-separated registered pass names with
-/// optional whitespace and the fixpoint(...) combinator, e.g.
+/// optional whitespace, where "opt2" expands to opt2PipelineText(), e.g.
 ///
 ///   "opt, profile, partition, regalloc"
-///   "fixpoint(copy-prop,const-fold,cse,dce),profile,partition"
 ///
 /// into pass instances from \p Registry. Returns false and sets
-/// \p Error (mentioning the offending token) on malformed text or an
+/// \p Error (mentioning the offending token) on an empty token or an
 /// unknown pass name.
 bool parsePipeline(const std::string &Text,
                    std::vector<std::unique_ptr<ModulePass>> &Out,
@@ -258,7 +187,6 @@ public:
   PassManager() = default;
   explicit PassManager(Options Opts) : Opts(std::move(Opts)) {}
 
-  void add(std::unique_ptr<ModulePass> P) { Passes.push_back(std::move(P)); }
   /// Parses \p Text into this manager. Existing passes are kept (text
   /// appends). Returns false and sets \p Error on a parse failure.
   bool parse(const std::string &Text, std::string &Error,
@@ -268,8 +196,9 @@ public:
   std::string text() const;
 
   /// One key per pass: Keys[K] names the state after passes 0..K under
-  /// \p Config -- each pass's name() and configKey(). Two compiles of
-  /// one module whose keys agree at K reach the same state there.
+  /// \p Config -- each pass's name() and its configFields() of
+  /// \p Config. Two compiles of one module whose keys agree at K reach
+  /// the same state there.
   std::vector<std::string> prefixKeys(const PipelineConfig &Config) const;
 
   /// Called after each pass, once its boundary work is done, with the

@@ -8,12 +8,39 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <map>
 #include <stdexcept>
 #include <unordered_map>
 
 using namespace fpint;
 using namespace fpint::core;
+
+void core::appendConfigFields(std::string &Key, const PipelineConfig &Config,
+                              unsigned Fields) {
+  auto Double = [&Key](double V) {
+    char Buf[48];
+    std::snprintf(Buf, sizeof(Buf), "|%a", V);
+    Key += Buf;
+  };
+  auto Args = [&Key](const std::vector<int32_t> &Values) {
+    Key += "|[";
+    for (int32_t A : Values)
+      Key += std::to_string(A) + ',';
+    Key += ']';
+  };
+  if (Fields & FieldScheme)
+    Key += '|' + std::to_string(static_cast<int>(Config.Scheme));
+  if (Fields & FieldCosts) {
+    Double(Config.Costs.CopyOverhead);
+    Double(Config.Costs.DupOverhead);
+    Double(Config.Costs.FpaShareCap);
+  }
+  if (Fields & FieldTrainArgs)
+    Args(Config.TrainArgs);
+  if (Fields & FieldRefArgs)
+    Args(Config.RefArgs);
+}
 
 //===----------------------------------------------------------------------===//
 // CompileMemo.

@@ -57,6 +57,23 @@ struct PipelineConfig {
   std::string Passes;
 };
 
+/// The PipelineConfig fields a content key can carry, as bits.
+enum ConfigField : unsigned {
+  FieldScheme = 1u << 0,
+  FieldCosts = 1u << 1,
+  FieldTrainArgs = 1u << 2,
+  FieldRefArgs = 1u << 3,
+  AllConfigFields = FieldScheme | FieldCosts | FieldTrainArgs | FieldRefArgs,
+};
+
+/// Appends the \p Fields of \p Config to \p Key, each after a '|', in
+/// the order Scheme, Costs, TrainArgs, RefArgs. Costs print as three
+/// hex floats, which are exact, and args as "[a,b,]". The one spelling
+/// of config fields in a key: RunCache::runKey and
+/// PassManager::prefixKeys both use it.
+void appendConfigFields(std::string &Key, const PipelineConfig &Config,
+                        unsigned Fields);
+
 /// Per-pass boundary telemetry, one row per executed pass. Flows into
 /// PipelineRun, stats::RunRecord, and the bench_out JSON "passes"
 /// section; deterministic fields (Changes, cache counters) are diffed

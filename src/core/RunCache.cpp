@@ -4,47 +4,13 @@
 
 #include "core/PassManager.h"
 
-#include <cstdio>
-
 using namespace fpint;
 using namespace fpint::core;
-
-namespace {
-
-void appendDouble(std::string &Out, double V) {
-  // Hex-float form is exact: distinct doubles never collide, equal
-  // doubles always serialize identically.
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "%a", V);
-  Out += Buf;
-}
-
-void appendArgs(std::string &Out, const std::vector<int32_t> &Args) {
-  Out += '[';
-  for (int32_t A : Args) {
-    Out += std::to_string(A);
-    Out += ',';
-  }
-  Out += ']';
-}
-
-} // namespace
 
 std::string RunCache::runKey(const std::string &ModuleName,
                              const PipelineConfig &Config) {
   std::string Key = ModuleName;
-  Key += '|';
-  Key += std::to_string(static_cast<int>(Config.Scheme));
-  Key += '|';
-  appendDouble(Key, Config.Costs.CopyOverhead);
-  Key += '|';
-  appendDouble(Key, Config.Costs.DupOverhead);
-  Key += '|';
-  appendDouble(Key, Config.Costs.FpaShareCap);
-  Key += '|';
-  appendArgs(Key, Config.TrainArgs);
-  Key += '|';
-  appendArgs(Key, Config.RefArgs);
+  appendConfigFields(Key, Config, AllConfigFields);
   Key += '|';
   Key += effectivePipelineText(Config);
   return Key;

@@ -63,9 +63,9 @@ public:
   timing::SimStats simulate(const RunPtr &Run,
                             const timing::MachineConfig &Machine);
 
-  /// Canonical compile-cache key: every Config field, serialized
-  /// exactly (doubles in hex-float form), with the pipeline text
-  /// resolved by effectivePipelineText(). Exposed for tests.
+  /// Canonical compile-cache key: \p ModuleName, every Config field
+  /// as appendConfigFields() spells it, and the pipeline text resolved
+  /// by effectivePipelineText(). Exposed for tests.
   static std::string runKey(const std::string &ModuleName,
                             const PipelineConfig &Config);
 

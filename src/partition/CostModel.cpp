@@ -3,11 +3,23 @@
 #include "partition/CostModel.h"
 
 #include <cassert>
+#include <cstdio>
 #include <limits>
 
 using namespace fpint;
 using namespace fpint::partition;
 using analysis::RDG;
+
+std::string partition::costParamsError(const CostParams &Params) {
+  if (Params.DupOverhead < Params.CopyOverhead)
+    return "";
+  char Buf[128];
+  std::snprintf(Buf, sizeof(Buf),
+                "cost parameters need o_dupl < o_copy, got o_copy=%g "
+                "o_dupl=%g",
+                Params.CopyOverhead, Params.DupOverhead);
+  return Buf;
+}
 
 CostModel::CostModel(const RDG &G, const analysis::BlockWeights &Weights,
                      CostParams Params)

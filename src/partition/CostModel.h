@@ -32,6 +32,7 @@
 #include "analysis/RDG.h"
 #include "partition/Assignment.h"
 
+#include <string>
 #include <vector>
 
 namespace fpint {
@@ -50,6 +51,12 @@ struct CostParams {
   /// extension and reproduces the paper's greedy behaviour.
   double FpaShareCap = 1.0;
 };
+
+/// Why \p Params cannot drive a CostModel ("" when it can). The paper
+/// requires o_dupl < o_copy; a NaN overhead fails that too. Callers
+/// that take costs from input check here instead of reaching the
+/// constructor's assert.
+std::string costParamsError(const CostParams &Params);
 
 /// Cost-model state for one function's RDG under fixed block weights.
 class CostModel {

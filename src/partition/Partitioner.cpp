@@ -32,6 +32,13 @@ ModuleRewrite partition::partitionModule(sir::Module &M, Scheme S,
   ModuleRewrite Result;
   if (S == Scheme::None)
     return Result;
+  if (S == Scheme::Advanced) {
+    std::string Error = costParamsError(Params);
+    if (!Error.empty()) {
+      Result.Errors.push_back(std::move(Error));
+      return Result;
+    }
+  }
 
   // Block weights and per-function graphs come from the analysis
   // manager when the caller runs under one (the pass pipeline), and

@@ -54,7 +54,8 @@ struct ModuleRewrite {
 /// be renumbered and verify cleanly. When \p AM is non-null the CFG /
 /// ReachingDefs / RDG / BlockWeights analyses are fetched through it
 /// (cache-aware); each rewritten function's entries are invalidated in
-/// place.
+/// place. Advanced-scheme \p Params that costParamsError() rejects
+/// leave \p M untouched and are reported in Errors.
 ModuleRewrite partitionModule(sir::Module &M, Scheme S,
                               const vm::Profile *ProfileWeights,
                               CostParams Params = CostParams(),

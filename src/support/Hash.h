@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The repository's one content-hash primitive: 64-bit FNV-1a.
-/// std::hash is not stable across standard-library implementations,
-/// but these hashes leak into artifacts that outlive a process --
-/// golden-baseline run ids (stats::runId) and the durable campaign
-/// cell keys (campaign::cellKey) -- so a fixed, platform-independent
-/// function is required.
+/// The repository's one content-hash primitive, 64-bit FNV-1a, and
+/// its one way to key a list of parts, ChainedKey. std::hash is not
+/// stable across standard-library implementations, but these hashes
+/// leak into artifacts that outlive a process -- golden-baseline run
+/// ids (stats::runId), the durable campaign cell keys
+/// (campaign::cellKey), the fuzz battery key (testgen::batteryKey) and
+/// the campaign keys of both journals (fpint-explore, fpint-fuzz) --
+/// so a fixed, platform-independent function is required.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +46,24 @@ inline std::string hex64(uint64_t H) {
                 static_cast<unsigned long long>(H));
   return Buf;
 }
+
+/// A content key over an ordered list of parts: FNV-1a of the first
+/// part, then of a 0x1f separator plus each later part, chained. The
+/// separator keeps ("ab", "c") and ("a", "bc") apart.
+class ChainedKey {
+public:
+  explicit ChainedKey(const std::string &First) : H(fnv1a64(First)) {}
+
+  ChainedKey &add(const std::string &Part) {
+    H = fnv1a64(Part, fnv1a64("\x1f", H));
+    return *this;
+  }
+
+  std::string hex() const { return hex64(H); }
+
+private:
+  uint64_t H;
+};
 
 } // namespace support
 } // namespace fpint

@@ -2,6 +2,8 @@
 
 #include "support/Subprocess.h"
 
+#include "support/ParseNumber.h"
+
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -129,15 +131,7 @@ void applyRlimits(const SandboxLimits &Limits) {
 /// otherwise (unless unset) warns and keeps the default.
 template <typename T> void readKnob(const char *Name, T Min, T Max, T &Value) {
   const char *E = std::getenv(Name);
-  if (!E || !*E)
-    return;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(E, &End, 10);
-  if (errno == 0 && *End == '\0' && V >= static_cast<long long>(Min) &&
-      V <= static_cast<long long>(Max))
-    Value = static_cast<T>(V);
-  else
+  if (E && *E && !parseNumber(E, Min, Max, Value))
     std::fprintf(stderr,
                  "[sandbox] ignoring %s='%s': want an integer in [%lld, "
                  "%lld]; using %lld\n",

@@ -57,12 +57,10 @@ std::vector<VariantSpec> testgen::midendVariants() {
 }
 
 std::string testgen::batteryKey(const std::vector<VariantSpec> &Variants) {
-  uint64_t H = support::fnv1a64("battery");
-  for (const VariantSpec &V : Variants) {
-    H = support::fnv1a64("\x1f" + V.Name, H);
-    H = support::fnv1a64("\x1f" + core::RunCache::runKey("", V.Config), H);
-  }
-  return support::hex64(H);
+  support::ChainedKey Key("battery");
+  for (const VariantSpec &V : Variants)
+    Key.add(V.Name).add(core::RunCache::runKey("", V.Config));
+  return Key.hex();
 }
 
 namespace {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -27,6 +28,18 @@ std::unique_ptr<sir::Module> parseOrDie(const char *Src) {
   sir::ParseResult PR = sir::parseModule(Src);
   EXPECT_TRUE(PR.ok()) << PR.Error;
   return std::move(PR.M);
+}
+
+/// Runs \p Cmd through the shell, stderr folded into \p Out, and
+/// returns its exit status (-1 when it did not exit normally).
+int runCommand(const std::string &Cmd, std::string &Out) {
+  std::FILE *P = popen((Cmd + " 2>&1").c_str(), "r");
+  if (!P)
+    return -1;
+  for (int C; (C = std::fgetc(P)) != EOF;)
+    Out += static_cast<char>(C);
+  const int Status = pclose(P);
+  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
 }
 
 TEST(Pipeline, OriginalModuleIsUntouched) {
@@ -155,15 +168,12 @@ TEST(Pipeline, SimulatingUnallocatedCodeIsTypedError) {
 
 TEST(Pipeline, FpintcSimulateWithoutRegallocExitsCleanly) {
   // A message and exit status 1, never an abort.
-  std::FILE *P = popen(FPINTC_PATH " @compress --passes=profile,partition"
-                                   " --simulate=4way 2>&1",
-                       "r");
-  ASSERT_NE(P, nullptr);
   std::string Out;
-  for (int C; (C = std::fgetc(P)) != EOF;)
-    Out += static_cast<char>(C);
-  const int Status = pclose(P);
-  EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 1) << Out;
+  EXPECT_EQ(runCommand(FPINTC_PATH " @compress --passes=profile,partition"
+                                   " --simulate=4way",
+                       Out),
+            1)
+      << Out;
   EXPECT_NE(Out.find("register-allocated"), std::string::npos) << Out;
 }
 
@@ -209,6 +219,66 @@ TEST(Pipeline, CostParamsFlowThrough) {
   EXPECT_LE(TightRun.Stats.fpaFraction(), LooseRun.Stats.fpaFraction());
   EXPECT_LE(TightRun.Stats.Copies + TightRun.Stats.Dups,
             LooseRun.Stats.Copies + LooseRun.Stats.Dups);
+
+  // Costs the cost model cannot take are a partition error, never an
+  // abort: o_dupl >= o_copy, and a NaN overhead.
+  for (double Dup : {2.0, std::nan("")}) {
+    PipelineConfig Bad;
+    Bad.Costs.CopyOverhead = 1.0;
+    Bad.Costs.DupOverhead = Dup;
+    PipelineRun BadRun = compileAndMeasure(*M, Bad);
+    EXPECT_FALSE(BadRun.ok());
+    ASSERT_EQ(BadRun.Errors.size(), 1u) << Dup;
+    EXPECT_EQ(BadRun.Errors[0].rfind("partition: ", 0), 0u) << BadRun.Errors[0];
+    EXPECT_NE(BadRun.Errors[0].find("o_dupl < o_copy"), std::string::npos)
+        << BadRun.Errors[0];
+  }
+}
+
+TEST(Pipeline, FpintcBadCostsExitCleanly) {
+  // A message and exit status 1, never an abort, whether the costs
+  // reach the pass pipeline or the --dot dump.
+  for (const char *Extra : {" --stats", " --dot=main"}) {
+    std::string Out;
+    EXPECT_EQ(runCommand(std::string(FPINTC_PATH) +
+                             " @compress --ocopy=1 --odupl=2" + Extra,
+                         Out),
+              1)
+        << Out;
+    EXPECT_NE(Out.find("partition: cost parameters need o_dupl < o_copy"),
+              std::string::npos)
+        << Out;
+  }
+}
+
+TEST(Pipeline, ToolsRejectMalformedNumbers) {
+  // Each flag's value must be all number: a typo exits 2 naming the
+  // flag instead of running with the digits before it, or with 0.
+  const std::string Fuzz = FPINT_FUZZ_PATH " --quiet --no-timing";
+  const std::pair<std::string, const char *> Cases[] = {
+      {Fuzz + " --iters 5OO --seed 1", "--iters"},
+      {Fuzz + " --iters abc --seed 1", "--iters"},
+      {Fuzz + " --iters 1 --seed 0x1g", "--seed"},
+      {Fuzz + " --one 12z", "--one"},
+      {Fuzz + " --iters 1 --timeout-ms 10s", "--timeout-ms"},
+      {Fuzz + " --iters 1 --batch -3", "--batch"},
+      {FPINTC_PATH " @compress --ocopy=4x", "--ocopy"},
+      {FPINTC_PATH " @compress --odupl=", "--odupl"},
+      {FPINTC_PATH " @compress --fpa-cap=nan", "--fpa-cap"},
+      {FPINTC_PATH " @compress --trace=1e3", "--trace"},
+      {FPINT_EXPLORE_PATH " --list --jobs two", "--jobs"},
+      {FPINT_REPORT_PATH " --tolerance=0.1% a b", "--tolerance"},
+  };
+  for (const auto &[Cmd, Flag] : Cases) {
+    std::string Out;
+    EXPECT_EQ(runCommand(Cmd, Out), 2) << Cmd << "\n" << Out;
+    EXPECT_NE(Out.find("bad value"), std::string::npos) << Out;
+    EXPECT_NE(Out.find(Flag), std::string::npos) << Out;
+  }
+  // Seeds still read hex.
+  std::string Out;
+  EXPECT_EQ(runCommand(Fuzz + " --iters 1 --seed 0x10 --no-sandbox", Out), 0)
+      << Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -430,12 +500,12 @@ entry:
   }
 }
 
-/// Counts its runs; reads no config field, so its prefix key is the
-/// passes before it.
+/// Counts its runs in a counter it is given; reads no config field,
+/// so its prefix key is the passes before it.
 class CountingPass : public ModulePass {
 public:
-  static unsigned Runs;
-  std::string name() const override { return "test-count"; }
+  CountingPass(const char *Name, unsigned &Runs) : Name(Name), Runs(Runs) {}
+  std::string name() const override { return Name; }
   unsigned run(sir::Module &, analysis::AnalysisManager &,
                PassState &) override {
     ++Runs;
@@ -444,12 +514,21 @@ public:
   analysis::PreservedAnalyses preserved() const override {
     return analysis::PreservedAnalyses::all();
   }
+
+private:
+  const char *Name;
+  unsigned &Runs;
 };
-unsigned CountingPass::Runs = 0;
 
 TEST(Pipeline, PrefixMemoRunsEachSharedPrefixOnce) {
-  PassRegistry::global().registerPass(
-      "test-count", [] { return std::make_unique<CountingPass>(); });
+  // Early runs before partition, Late after it.
+  static unsigned Early = 0, Late = 0;
+  PassRegistry::global().registerPass("test-count", [] {
+    return std::make_unique<CountingPass>("test-count", Early);
+  });
+  PassRegistry::global().registerPass("test-count-late", [] {
+    return std::make_unique<CountingPass>("test-count-late", Late);
+  });
   auto M = parseOrDie(R"(
 func main(%n) {
 entry:
@@ -471,33 +550,41 @@ loop:
     C.Passes = Passes;
     return C;
   };
-  const char *Text = "profile,test-count,partition,regalloc";
+  const char *Text = "profile,test-count,partition,test-count-late,regalloc";
+  PipelineConfig OtherCosts = Config(partition::Scheme::Advanced, 5, Text);
+  OtherCosts.Costs.CopyOverhead = 5.0;
   std::vector<PipelineConfig> Configs = {
       Config(partition::Scheme::Basic, 5, Text),
       Config(partition::Scheme::Advanced, 5, Text),
       Config(partition::Scheme::Advanced, 5,
-             "profile,test-count,partition,fp-arg-passing,regalloc"),
+             "profile,test-count,partition,test-count-late,fp-arg-passing,"
+             "regalloc"),
       // Another training input is another profile: its prefix differs.
       Config(partition::Scheme::Advanced, 6, Text),
       // A repeat resumes after its last pass, allocation included.
       Config(partition::Scheme::Basic, 5, Text),
+      // Other costs are another partition, but the same profile.
+      OtherCosts,
   };
 
-  CountingPass::Runs = 0;
+  Early = Late = 0;
   std::vector<std::string> Lone;
   for (const PipelineConfig &C : Configs)
     Lone.push_back(describe(compileAndMeasure(*M, C)));
-  EXPECT_EQ(CountingPass::Runs, 5u) << "a lone compile runs every pass";
+  EXPECT_EQ(Early, 6u) << "a lone compile runs every pass";
+  EXPECT_EQ(Late, 6u);
 
-  CountingPass::Runs = 0;
+  Early = Late = 0;
   CompileMemo Memo(*M, Configs);
   for (size_t I = 0; I < Configs.size(); ++I)
     EXPECT_EQ(describe(compileAndMeasure(*M, Configs[I], &Memo)), Lone[I]);
-  EXPECT_EQ(CountingPass::Runs, 2u);
+  EXPECT_EQ(Early, 2u);
+  EXPECT_EQ(Late, 4u) << "basic, advanced, train 6 and the other costs";
 
   // A compile past the plan shares nothing.
   compileAndMeasure(*M, Configs[0], &Memo);
-  EXPECT_EQ(CountingPass::Runs, 3u);
+  EXPECT_EQ(Early, 3u);
+  EXPECT_EQ(Late, 5u);
 }
 
 } // namespace

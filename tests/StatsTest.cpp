@@ -383,6 +383,8 @@ TEST(Report, RunIdsDistinguishOtherwiseIdenticalLabels) {
   OtherCosts.Costs.CopyOverhead = 6.0;
   EXPECT_NE(stats::runId("w", Cfg, WithFpa),
             stats::runId("w", OtherCosts, WithFpa));
+  // Pinned: golden reports are keyed by run id.
+  EXPECT_EQ(stats::runId("w", Cfg, WithFpa), "w/advanced/4-way#b54c2f65");
 }
 
 //===----------------------------------------------------------------------===//

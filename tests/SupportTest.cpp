@@ -1,5 +1,6 @@
-//===- tests/SupportTest.cpp - RNG and table utilities --------------------===//
+//===- tests/SupportTest.cpp - RNG, table and number parsing --------------===//
 
+#include "support/ParseNumber.h"
 #include "support/Rng.h"
 #include "support/Table.h"
 
@@ -125,6 +126,29 @@ TEST(Table, ToleratesShortRows) {
   std::string Out(Buf, Size);
   free(Buf);
   EXPECT_NE(Out.find("only-one"), std::string::npos);
+}
+
+TEST(ParseNumber, TakesOnlyAWholeNumberInRange) {
+  using support::parseNumber;
+  int I = 7;
+  EXPECT_TRUE(parseNumber("42", 0, 100, I));
+  EXPECT_EQ(I, 42);
+  for (const char *Bad : {"", "5OO", "abc", " 5", "5 ", "101", "-1", "1e2"})
+    EXPECT_FALSE(parseNumber(Bad, 0, 100, I)) << Bad;
+  EXPECT_EQ(I, 42);
+
+  uint64_t Seed = 0;
+  EXPECT_TRUE(parseNumber<uint64_t>("0xffffffffffffffff", 0, UINT64_MAX,
+                                    Seed, 0));
+  EXPECT_EQ(Seed, UINT64_MAX);
+  EXPECT_FALSE(parseNumber<uint64_t>("-1", 0, UINT64_MAX, Seed, 0));
+  EXPECT_FALSE(parseNumber<uint64_t>("0x1g", 0, UINT64_MAX, Seed, 0));
+
+  double D = 0;
+  EXPECT_TRUE(parseNumber("2.5", 0.0, 10.0, D));
+  EXPECT_EQ(D, 2.5);
+  for (const char *Bad : {"nan", "inf", "2.5x", "11"})
+    EXPECT_FALSE(parseNumber(Bad, 0.0, 10.0, D)) << Bad;
 }
 
 } // namespace

@@ -33,6 +33,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "campaign/Explore.h"
+#include "support/ParseNumber.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -95,7 +96,8 @@ int main(int argc, char **argv) {
     } else if (A == "--fresh") {
       Fresh = true;
     } else if (A == "--jobs") {
-      Opts.Jobs = std::atoi(needArg("--jobs"));
+      Opts.Jobs = support::flagNumber<int>("fpint-explore", "--jobs",
+                                           needArg("--jobs"));
     } else if (A == "--strict") {
       Opts.Strict = true;
     } else if (A == "--list") {

@@ -41,6 +41,7 @@
 #include "sir/Printer.h"
 #include "sir/Verifier.h"
 #include "support/Hash.h"
+#include "support/ParseNumber.h"
 #include "support/Subprocess.h"
 #include "testgen/Generator.h"
 #include "testgen/Oracle.h"
@@ -97,8 +98,10 @@ void usage() {
       "  --quiet              only print failures and the final summary\n");
 }
 
-uint64_t parseSeed(const char *S) {
-  return std::strtoull(S, nullptr, 0);
+/// A seed: any 64-bit value, hex with a 0x prefix.
+uint64_t parseSeed(const char *Flag, const char *S) {
+  return support::flagNumber<uint64_t>("fpint-fuzz", Flag, S, 0, UINT64_MAX,
+                                       0);
 }
 
 struct FuzzStats {
@@ -362,7 +365,7 @@ int main(int argc, char **argv) {
   uint64_t Iters = 100;
   uint64_t BaseSeed = 1;
   if (const char *Env = std::getenv("FPINT_FUZZ_SEED"))
-    BaseSeed = parseSeed(Env);
+    BaseSeed = parseSeed("$FPINT_FUZZ_SEED", Env);
   bool HaveOne = false;
   uint64_t OneSeed = 0;
   std::string Preset; // Empty: cycle through all presets.
@@ -385,22 +388,22 @@ int main(int argc, char **argv) {
       return argv[++A];
     };
     if (!std::strcmp(Arg, "--iters"))
-      Iters = parseSeed(Value());
+      Iters = support::flagNumber<uint64_t>("fpint-fuzz", Arg, Value());
     else if (!std::strcmp(Arg, "--seed"))
-      BaseSeed = parseSeed(Value());
+      BaseSeed = parseSeed(Arg, Value());
     else if (!std::strcmp(Arg, "--one")) {
       HaveOne = true;
-      OneSeed = parseSeed(Value());
+      OneSeed = parseSeed(Arg, Value());
     } else if (!std::strcmp(Arg, "--preset"))
       Preset = Value();
     else if (!std::strcmp(Arg, "--write-repro"))
       ReproDir = Value();
     else if (!std::strcmp(Arg, "--timeout-ms"))
-      TimeoutMs = static_cast<int>(parseSeed(Value()));
+      TimeoutMs = support::flagNumber("fpint-fuzz", Arg, Value(), 1, 86400000);
     else if (!std::strcmp(Arg, "--journal"))
       JournalDir = Value();
     else if (!std::strcmp(Arg, "--batch"))
-      BatchSize = std::max<uint64_t>(1, parseSeed(Value()));
+      BatchSize = support::flagNumber<uint64_t>("fpint-fuzz", Arg, Value(), 1);
     else if (!std::strcmp(Arg, "--no-sandbox"))
       Sandbox = false;
     else if (!std::strcmp(Arg, "--no-reduce"))
@@ -462,19 +465,16 @@ int main(int argc, char **argv) {
   campaign::Journal Journal;
   std::set<uint64_t> DoneBatches;
   if (UseJournal) {
-    uint64_t KeyH = support::fnv1a64("fpint-fuzz");
-    auto Fold = [&KeyH](const std::string &Part) {
-      KeyH = support::fnv1a64("\x1f" + Part, KeyH);
-    };
-    Fold(campaign::JournalSchema);
-    Fold(std::to_string(Iters));
-    Fold(Preset);
-    Fold(std::to_string(testgen::MaxModuleSteps));
-    Fold(testgen::batteryKey(OracleOpts.Variants));
-    Fold(std::to_string(CheckTiming));
+    support::ChainedKey Key("fpint-fuzz");
+    Key.add(campaign::JournalSchema)
+        .add(std::to_string(Iters))
+        .add(Preset)
+        .add(std::to_string(testgen::MaxModuleSteps))
+        .add(testgen::batteryKey(OracleOpts.Variants))
+        .add(std::to_string(CheckTiming));
     for (const campaign::MachinePoint &P : fuzzMachines())
-      Fold(P.M.canonicalKey()); // The timing machine draw.
-    Fold(std::to_string(BatchSize));
+      Key.add(P.M.canonicalKey()); // The timing machine draw.
+    Key.add(std::to_string(BatchSize));
 
     json::Value Header = json::Value::object();
     char SeedBuf[32];
@@ -482,9 +482,8 @@ int main(int argc, char **argv) {
     Header.set("seed", SeedBuf);
     campaign::CampaignReplay Replay;
     std::string Err;
-    if (!campaign::openCampaignJournal(Journal, JournalDir,
-                                       support::hex64(KeyH), Header, Replay,
-                                       &Err)) {
+    if (!campaign::openCampaignJournal(Journal, JournalDir, Key.hex(), Header,
+                                       Replay, &Err)) {
       std::fprintf(stderr, "fpint-fuzz: journal: %s\n", Err.c_str());
       return 2;
     }
@@ -493,7 +492,8 @@ int main(int argc, char **argv) {
                            "campaign; starting fresh\n");
     // A fresh header carries this run's seed; a resumed one the seed the
     // campaign started with.
-    BaseSeed = parseSeed(Replay.Header.strOr("seed", "1").c_str());
+    BaseSeed =
+        parseSeed("the journal seed", Replay.Header.strOr("seed", "1").c_str());
     for (const json::Value &R : Replay.Records) {
       if (R.strOr("type", "") != "batch")
         continue;

@@ -36,6 +36,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "stats/Report.h"
+#include "support/ParseNumber.h"
 #include "support/Table.h"
 
 #include <algorithm>
@@ -117,7 +118,9 @@ int main(int argc, char **argv) {
     } else if (A == "--all") {
       ShowAll = true;
     } else if (A.rfind("--tolerance=", 0) == 0) {
-      Opts.TolerancePct = std::atof(A.c_str() + std::strlen("--tolerance="));
+      const char *V = A.c_str() + std::strlen("--tolerance=");
+      Opts.TolerancePct =
+          support::flagNumber<double>("fpint-report", "--tolerance", V);
     } else if (A == "--help" || A == "-h") {
       std::printf("usage: fpint-report [--tolerance=PCT] [--check] [--all] "
                   "BASELINE CURRENT\n");

@@ -27,6 +27,7 @@
 #include "partition/DotExport.h"
 #include "sir/Parser.h"
 #include "sir/Printer.h"
+#include "support/ParseNumber.h"
 #include "support/Table.h"
 #include "workloads/Workloads.h"
 
@@ -61,8 +62,8 @@ void usage() {
       "  --args=a,b           main() arguments for measurement runs\n"
       "  --train-args=a,b     main() arguments for the profiling run\n"
       "  --passes=TEXT        explicit pass pipeline (comma-separated\n"
-      "                       names, fixpoint(...) combinator, the opt2\n"
-      "                       mid-end preset; see docs/PASSES.md and\n"
+      "                       pass names or the opt2 mid-end preset;\n"
+      "                       see docs/PASSES.md and\n"
       "                       docs/TRANSFORMS.md; overrides $FPINT_PASSES;\n"
       "                       default opt,profile,partition,regalloc)\n"
       "\n"
@@ -85,11 +86,10 @@ bool parseIntList(const std::string &Text, std::vector<int32_t> &Out) {
   std::stringstream In(Text);
   std::string Item;
   while (std::getline(In, Item, ',')) {
-    try {
-      Out.push_back(static_cast<int32_t>(std::stol(Item)));
-    } catch (...) {
+    int32_t V;
+    if (!support::parseNumber(Item.c_str(), INT32_MIN, INT32_MAX, V))
       return false;
-    }
+    Out.push_back(V);
   }
   return true;
 }
@@ -144,11 +144,12 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (const char *V = Value("--ocopy=")) {
-      Costs.CopyOverhead = std::atof(V);
+      Costs.CopyOverhead = support::flagNumber<double>("fpintc", "--ocopy", V);
     } else if (const char *V = Value("--odupl=")) {
-      Costs.DupOverhead = std::atof(V);
+      Costs.DupOverhead = support::flagNumber<double>("fpintc", "--odupl", V);
     } else if (const char *V = Value("--fpa-cap=")) {
-      Costs.FpaShareCap = std::atof(V);
+      Costs.FpaShareCap =
+          support::flagNumber("fpintc", "--fpa-cap", V, 0.0, 1.0);
     } else if (const char *V = Value("--passes=")) {
       Passes = V;
     } else if (const char *V = Value("--print-after=")) {
@@ -158,7 +159,7 @@ int main(int argc, char **argv) {
     } else if (const char *V = Value("--simulate=")) {
       SimMachine = V;
     } else if (const char *V = Value("--trace=")) {
-      TraceCount = static_cast<unsigned>(std::atoi(V));
+      TraceCount = support::flagNumber<unsigned>("fpintc", "--trace", V);
     } else if (const char *V = Value("--args=")) {
       if (!parseIntList(V, Args)) {
         std::fprintf(stderr, "fpintc: bad --args list\n");
@@ -227,6 +228,12 @@ int main(int argc, char **argv) {
     if (Scheme == partition::Scheme::None) {
       std::fputs(partition::toDot(G).c_str(), stdout);
       return 0;
+    }
+    const std::string CostError = partition::costParamsError(Costs);
+    if (Scheme == partition::Scheme::Advanced && !CostError.empty()) {
+      std::fprintf(stderr, "fpintc: error: partition: %s\n",
+                   CostError.c_str());
+      return 1;
     }
     analysis::BlockWeights Weights(*M, nullptr);
     partition::Assignment A =
