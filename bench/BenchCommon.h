@@ -53,6 +53,7 @@
 #include "core/RunCache.h"
 #include "stats/StatsRegistry.h"
 #include "support/FaultInject.h"
+#include "support/ParseNumber.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
@@ -96,12 +97,10 @@ struct HarnessState {
   }
 };
 
-/// Integer environment knob with a default.
-inline int envInt(const char *Name, int Def) {
-  const char *E = std::getenv(Name);
-  if (!E || !*E)
-    return Def;
-  return std::atoi(E);
+/// Integer environment knob: its value when it is an integer in
+/// [Min, Max], else \p Def (a malformed value warns once).
+inline int envInt(const char *Name, int Def, int Min, int Max) {
+  return support::envNumber("bench", Name, Min, Max, Def);
 }
 
 /// Whether matrix cells run fork-isolated. FPINT_SANDBOX=1 forces on,
@@ -322,7 +321,7 @@ public:
   explicit ScopedBenchReport(const char *Name, int Argc = 0,
                              char **Argv = nullptr)
       : Name(Name), Start(std::chrono::steady_clock::now()) {
-    bool Strict = envInt("FPINT_STRICT", 0) != 0;
+    bool Strict = envInt("FPINT_STRICT", 0, 0, 1) != 0;
     for (int A = 1; A < Argc; ++A)
       if (std::strcmp(Argv[A], "--strict") == 0)
         Strict = true;

@@ -62,7 +62,7 @@ int main(int argc, char **argv) {
               "(fig10 workloads, 8-way)\n\n");
 
   const timing::MachineConfig Machine = timing::MachineConfig::eightWay();
-  const int Reps = bench::envInt("FPINT_SIM_REPS", 5);
+  const int Reps = bench::envInt("FPINT_SIM_REPS", 5, 1, 1000);
 
   std::vector<workloads::Workload> Ws = workloads::intWorkloads();
   Table T({"benchmark", "dyn instrs", "cycles", "ref Mcyc/s", "fast Mcyc/s",

@@ -20,12 +20,7 @@ unsigned RDG::addNode(const Instruction *I, NodeKind Kind, Reg Def,
 }
 
 void RDG::addEdge(unsigned From, unsigned To) {
-  // Avoid duplicate parallel edges (a def may reach the same use through
-  // several operand slots).
-  auto &Out = Nodes[From].Succs;
-  if (std::find(Out.begin(), Out.end(), To) != Out.end())
-    return;
-  Out.push_back(To);
+  Nodes[From].Succs.push_back(To);
   Nodes[To].Preds.push_back(From);
 }
 
@@ -81,15 +76,16 @@ void RDG::build(const ReachingDefs &RD) {
     }
   });
 
-  // Wire def-use edges through the split-node mapping.
+  // Wire def-use edges through the split-node mapping. A formal's def
+  // site names its register; the first formal naming it owns the node.
+  std::vector<unsigned> FormalNodeOf(F.numRegs(), ~0u);
+  for (size_t FI = Formals.size(); FI-- > 0;)
+    FormalNodeOf[F.formals()[FI].id()] = Formals[FI];
   auto ProducerNode = [&](const DefSite &DS) -> unsigned {
     if (!DS.I) {
-      // Formal parameter dummy node.
-      for (size_t FI = 0; FI < F.formals().size(); ++FI)
-        if (F.formals()[FI] == DS.R)
-          return Formals[FI];
-      assert(false && "formal def site without formal node");
-      return ~0u;
+      assert(FormalNodeOf[DS.R.id()] != ~0u &&
+             "formal def site without formal node");
+      return FormalNodeOf[DS.R.id()];
     }
     const unsigned Id = DS.I->id();
     if (DS.I->isLoad())
@@ -109,11 +105,19 @@ void RDG::build(const ReachingDefs &RD) {
     return ~0u;
   };
 
+  // A def may reach one consumer node through several operand slots;
+  // keep one edge. Edges come grouped by use site, and the use sites
+  // that feed one consumer node are adjacent (an instruction's operands,
+  // then its address base), so a repeated edge always repeats the
+  // producer's latest consumer: LastTo[From] == To.
+  std::vector<unsigned> LastTo(Nodes.size(), ~0u);
   for (const auto &[DefIdx, UseIdx] : RD.edges()) {
     unsigned From = ProducerNode(RD.defSites()[DefIdx]);
     unsigned To = ConsumerNode(RD.useSites()[UseIdx]);
-    if (From != ~0u && To != ~0u)
-      addEdge(From, To);
+    if (From == ~0u || To == ~0u || LastTo[From] == To)
+      continue;
+    LastTo[From] = To;
+    addEdge(From, To);
   }
 
   computeComponents();

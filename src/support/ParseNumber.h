@@ -81,6 +81,31 @@ T flagNumber(const char *Tool, const char *Flag, const char *S, T Min = 0,
   std::exit(2);
 }
 
+/// The value of integer knob \p Name given its text \p Text (null or
+/// empty when unset): the number when all of \p Text is one in
+/// [Min, Max], else \p Default. A value that is set but malformed or
+/// out of range prints one warning tagged \p Tag naming the knob, what
+/// it wants and the default kept.
+template <typename T>
+T knobNumber(const char *Tag, const char *Name, const char *Text, T Min,
+             T Max, T Default) {
+  static_assert(std::is_integral_v<T>, "knobs are integers");
+  T V = Default;
+  if (Text && *Text && !parseNumber(Text, Min, Max, V))
+    std::fprintf(stderr,
+                 "[%s] ignoring %s='%s': want an integer in [%lld, %lld]; "
+                 "using %lld\n",
+                 Tag, Name, Text, static_cast<long long>(Min),
+                 static_cast<long long>(Max), static_cast<long long>(Default));
+  return V;
+}
+
+/// knobNumber() of environment variable \p Name.
+template <typename T>
+T envNumber(const char *Tag, const char *Name, T Min, T Max, T Default) {
+  return knobNumber(Tag, Name, std::getenv(Name), Min, Max, Default);
+}
+
 } // namespace support
 } // namespace fpint
 

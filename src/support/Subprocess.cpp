@@ -127,25 +127,15 @@ void applyRlimits(const SandboxLimits &Limits) {
 #endif
 }
 
-/// Sets \p Value from knob \p Name when it is an integer in [Min, Max];
-/// otherwise (unless unset) warns and keeps the default.
-template <typename T> void readKnob(const char *Name, T Min, T Max, T &Value) {
-  const char *E = std::getenv(Name);
-  if (E && *E && !parseNumber(E, Min, Max, Value))
-    std::fprintf(stderr,
-                 "[sandbox] ignoring %s='%s': want an integer in [%lld, "
-                 "%lld]; using %lld\n",
-                 Name, E, static_cast<long long>(Min),
-                 static_cast<long long>(Max), static_cast<long long>(Value));
-}
-
 } // namespace
 
 SandboxPolicy SandboxPolicy::fromEnv() {
   SandboxPolicy P;
-  readKnob("FPINT_CELL_RETRIES", 0, 10, P.Retries);
-  readKnob("FPINT_CELL_TIMEOUT_MS", 1, 86400000, P.Limits.WallMs);
-  readKnob<uint64_t>("FPINT_CELL_AS_MB", 1, 1u << 20, P.Limits.AddressSpaceMb);
+  P.Retries = envNumber("sandbox", "FPINT_CELL_RETRIES", 0, 10, P.Retries);
+  P.Limits.WallMs = envNumber("sandbox", "FPINT_CELL_TIMEOUT_MS", 1, 86400000,
+                              P.Limits.WallMs);
+  P.Limits.AddressSpaceMb = envNumber<uint64_t>(
+      "sandbox", "FPINT_CELL_AS_MB", 1, 1u << 20, P.Limits.AddressSpaceMb);
   return P;
 }
 

@@ -2,20 +2,14 @@
 
 #include "support/ThreadPool.h"
 
-#include <cstdlib>
+#include "support/ParseNumber.h"
 
 using namespace fpint;
 using namespace fpint::support;
 
 unsigned ThreadPool::defaultThreadCount() {
-  if (const char *Env = std::getenv("FPINT_JOBS")) {
-    long N = std::strtol(Env, nullptr, 10);
-    if (N >= 1)
-      return static_cast<unsigned>(N);
-    return 1; // Malformed or non-positive: degenerate single worker.
-  }
-  unsigned HW = std::thread::hardware_concurrency();
-  return HW ? HW : 1;
+  const unsigned HW = std::thread::hardware_concurrency();
+  return envNumber("jobs", "FPINT_JOBS", 1u, MaxJobs, HW ? HW : 1u);
 }
 
 ThreadPool &ThreadPool::global() {

@@ -70,8 +70,12 @@ public:
 
   unsigned threadCount() const { return static_cast<unsigned>(Workers.size()); }
 
-  /// FPINT_JOBS if set (clamped to >= 1), else hardware_concurrency()
-  /// (or 1 if that reports 0).
+  /// Largest worker count FPINT_JOBS may ask for.
+  static constexpr unsigned MaxJobs = 256;
+
+  /// FPINT_JOBS when it is an integer in [1, MaxJobs], else
+  /// hardware_concurrency() (or 1 if that reports 0); a malformed or
+  /// out-of-range FPINT_JOBS prints one warning.
   static unsigned defaultThreadCount();
 
   /// Process-wide pool shared by the bench harness (constructed on

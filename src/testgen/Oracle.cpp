@@ -12,6 +12,7 @@
 #include "timing/Simulator.h"
 #include "vm/VM.h"
 
+#include <cstring>
 #include <sstream>
 
 using namespace fpint;
@@ -65,6 +66,101 @@ std::string testgen::batteryKey(const std::vector<VariantSpec> &Variants) {
 
 namespace {
 
+/// A flat encoding of everything sameCompiledProgram compares: numbers
+/// as LEB128 varints, and every variable-length part after its length,
+/// so equal keys are equal programs. A key takes a few bytes per
+/// instruction: the oracle keeps one per distinct program rather than
+/// the module, whose scattered heap pages each cost a copy-on-write
+/// fault in a forked sandbox child.
+class ProgramKey {
+public:
+  explicit ProgramKey(const core::PipelineRun &Run) {
+    const sir::Module &M = *Run.Compiled;
+    add(Run.Allocated && Run.Alloc.Errors.empty()); // Timing applies.
+    add(M.globals().size());
+    for (const sir::Global &G : M.globals()) {
+      add(G.Name);
+      add(G.SizeWords);
+      add(G.Init.size());
+      for (int32_t V : G.Init)
+        addSigned(V);
+    }
+    add(M.functions().size());
+    for (const auto &F : M.functions()) {
+      add(F->name());
+      add(F->frameWords());
+      add(F->numRegs());
+      for (uint32_t R = 1; R < F->numRegs(); ++R)
+        add(static_cast<uint64_t>(F->regClass(sir::Reg(R))));
+      add(F->formals().size());
+      for (sir::Reg R : F->formals())
+        add(R.rawId());
+      auto It = Run.Alloc.Funcs.find(F.get());
+      add(It != Run.Alloc.Funcs.end());
+      if (It != Run.Alloc.Funcs.end()) {
+        add(It->second.ArchIndex.size());
+        for (unsigned A : It->second.ArchIndex)
+          add(A);
+      }
+      add(F->blocks().size());
+      for (const auto &BB : F->blocks()) {
+        add(BB->name());
+        add(BB->instructions().size());
+        for (const auto &I : BB->instructions())
+          add(*I);
+      }
+    }
+  }
+
+  bool operator==(const ProgramKey &O) const { return Bytes == O.Bytes; }
+
+private:
+  void add(uint64_t V) {
+    for (; V >= 0x80; V >>= 7)
+      Bytes.push_back(static_cast<char>(V | 0x80));
+    Bytes.push_back(static_cast<char>(V));
+  }
+  void addSigned(int64_t V) { // Zigzag: small negatives stay short.
+    add((static_cast<uint64_t>(V) << 1) ^ static_cast<uint64_t>(V >> 63));
+  }
+  void add(const std::string &S) {
+    add(S.size());
+    Bytes += S;
+  }
+  void add(const sir::Instruction &I) {
+    add(static_cast<uint64_t>(I.op()));
+    add(I.inFpa());
+    add(I.def().rawId());
+    add(I.uses().size());
+    for (sir::Reg R : I.uses())
+      add(R.rawId());
+    addSigned(I.imm());
+    // Bitwise: -0.0 and 0.0 load different bits into the FP file.
+    const float FImm = I.fimm();
+    uint32_t FBits;
+    std::memcpy(&FBits, &FImm, sizeof(FBits));
+    add(FBits);
+    const sir::MemOperand &Mem = I.mem();
+    add(Mem.IsFrame);
+    add(Mem.Base.rawId());
+    addSigned(Mem.Offset);
+    add(Mem.Symbol);
+    add(I.callee());
+    add(I.target() ? I.target()->index() + 1 : 0);
+  }
+
+  std::string Bytes;
+};
+
+} // namespace
+
+bool testgen::sameCompiledProgram(const core::PipelineRun &A,
+                                  const core::PipelineRun &B) {
+  return ProgramKey(A) == ProgramKey(B);
+}
+
+namespace {
+
 /// Everything observable about one functional execution.
 struct RunImage {
   vm::VM::Result Result;
@@ -93,6 +189,7 @@ struct TraceCounts {
   uint64_t Total = 0, Fpa = 0, NativeFp = 0, Loads = 0, Stores = 0;
   uint64_t FpSide = 0; ///< Issued by the FP subsystem.
 
+  TraceCounts() = default;
   explicit TraceCounts(const std::vector<vm::TraceEntry> &Trace)
       : Total(Trace.size()) {
     for (const vm::TraceEntry &E : Trace) {
@@ -105,6 +202,21 @@ struct TraceCounts {
       FpSide += I.inFpa() || Fp;
     }
   }
+};
+
+/// What the checks after compiling found in one distinct compiled
+/// program: messages without the "[variant] " prefix.
+struct ProgramFindings {
+  explicit ProgramFindings(ProgramKey Key) : Key(std::move(Key)) {}
+
+  ProgramKey Key;
+  /// A trap divergence, or the functional comparison's findings.
+  std::vector<std::string> Functional;
+  /// The compiled run completed, as the original did: the stats and
+  /// timing checks apply.
+  bool Completed = false;
+  TraceCounts Counts;
+  std::vector<std::string> Timing;
 };
 
 class OracleRun {
@@ -180,6 +292,31 @@ private:
         return; // Caught structurally; the VM may not survive it.
     }
 
+    // Variants often compile to the same program (a scheme that moves
+    // nothing, fp-arg-passing with no call to rewrite): check each
+    // distinct program once. The stats check reads this variant's own
+    // profile, so it runs for every variant.
+    const ProgramFindings &P = findingsFor(Run);
+    for (const std::string &Msg : P.Functional)
+      mismatch(V.Name, Msg);
+    if (!P.Completed)
+      return;
+    crossCheckStats(V.Name, Run.Stats, P.Counts);
+    for (const std::string &Msg : P.Timing)
+      mismatch(V.Name, Msg);
+  }
+
+  const ProgramFindings &findingsFor(const core::PipelineRun &Run) {
+    ProgramKey Key(Run);
+    for (const ProgramFindings &P : Programs)
+      if (P.Key == Key)
+        return P;
+    ProgramFindings &P = Programs.emplace_back(std::move(Key));
+    checkProgram(Run, P);
+    return P;
+  }
+
+  void checkProgram(const core::PipelineRun &Run, ProgramFindings &P) {
     // Re-execute the compiled module ourselves: the oracle compares
     // more state than the pipeline does (exit value, memory image) and
     // must observe any mutator-injected bug.
@@ -190,57 +327,58 @@ private:
     // the original did -- same deterministic kind, or not at all.
     const vm::TrapKind CompTrap = Compiled.Result.Trap.Kind;
     if (CompTrap != Report.BaselineTrap) {
-      mismatch(V.Name,
-               std::string("trap divergence: original ") +
-                   vm::trapKindName(Report.BaselineTrap) + ", compiled " +
-                   vm::trapKindName(CompTrap) +
-                   (Compiled.Result.Error.empty()
-                        ? std::string()
-                        : " (" + Compiled.Result.Error + ")"));
+      P.Functional.push_back(
+          std::string("trap divergence: original ") +
+          vm::trapKindName(Report.BaselineTrap) + ", compiled " +
+          vm::trapKindName(CompTrap) +
+          (Compiled.Result.Error.empty()
+               ? std::string()
+               : " (" + Compiled.Result.Error + ")"));
       return;
     }
 
-    compareFunctional(V.Name, Compiled,
-                      /*Trapped=*/Report.BaselineTrap != vm::TrapKind::None);
+    compareFunctional(Compiled,
+                      /*Trapped=*/Report.BaselineTrap != vm::TrapKind::None,
+                      P.Functional);
     if (Report.BaselineTrap != vm::TrapKind::None)
       return; // Stats/timing invariants assume a completed execution.
-    const TraceCounts Counts(Compiled.Trace);
-    crossCheckStats(V.Name, Run, Counts);
+    P.Completed = true;
+    P.Counts = TraceCounts(Compiled.Trace);
     if (Opts.CheckTiming && Run.Allocated && Run.Alloc.Errors.empty())
-      crossCheckTiming(V.Name, Run, Compiled.Trace, Counts);
+      crossCheckTiming(Run, Compiled.Trace, P.Counts, P.Timing);
   }
 
   uint64_t compiledBudget() const { return Opts.BaselineMaxSteps * 4 + 10000; }
 
-  void compareFunctional(const std::string &Name, const RunImage &Compiled,
-                         bool Trapped) {
+  void compareFunctional(const RunImage &Compiled, bool Trapped,
+                         std::vector<std::string> &Out) {
     // Output stream.
     const auto &Want = Baseline.Result.Output;
     const auto &Got = Compiled.Result.Output;
     if (Want.size() != Got.size()) {
-      mismatch(Name, "output length differs: original " +
-                         std::to_string(Want.size()) + ", compiled " +
-                         std::to_string(Got.size()));
+      Out.push_back("output length differs: original " +
+                        std::to_string(Want.size()) + ", compiled " +
+                        std::to_string(Got.size()));
     } else {
       for (size_t I = 0; I < Want.size(); ++I)
         if (Want[I] != Got[I]) {
-          mismatch(Name, "output[" + std::to_string(I) + "] differs: original " +
-                             std::to_string(Want[I]) + ", compiled " +
-                             std::to_string(Got[I]));
+          Out.push_back("output[" + std::to_string(I) + "] differs: original " +
+                            std::to_string(Want[I]) + ", compiled " +
+                            std::to_string(Got[I]));
           break;
         }
     }
 
     // Architectural exit state (trapped runs never reach `ret`).
     if (!Trapped && Baseline.Result.ExitValue != Compiled.Result.ExitValue)
-      mismatch(Name, "exit value differs: original " +
-                         std::to_string(Baseline.Result.ExitValue) +
-                         ", compiled " +
-                         std::to_string(Compiled.Result.ExitValue));
+      Out.push_back("exit value differs: original " +
+                        std::to_string(Baseline.Result.ExitValue) +
+                        ", compiled " +
+                        std::to_string(Compiled.Result.ExitValue));
 
     // Memory image of the globals region.
     if (Baseline.Globals.size() != Compiled.Globals.size()) {
-      mismatch(Name, "globals image size differs");
+      Out.push_back("globals image size differs");
     } else {
       for (size_t A = 0; A < Baseline.Globals.size(); ++A)
         if (Baseline.Globals[A] != Compiled.Globals[A]) {
@@ -248,7 +386,7 @@ private:
           OS << "memory image differs at globals+0x" << std::hex << A
              << ": original 0x" << static_cast<unsigned>(Baseline.Globals[A])
              << ", compiled 0x" << static_cast<unsigned>(Compiled.Globals[A]);
-          mismatch(Name, OS.str());
+          Out.push_back(OS.str());
           break;
         }
     }
@@ -256,7 +394,7 @@ private:
 
   /// The stats subsystem counts dynamic instructions from the block
   /// profile; the trace lists them one by one. Both views must agree.
-  void crossCheckStats(const std::string &Name, const core::PipelineRun &Run,
+  void crossCheckStats(const std::string &Name, const partition::DynStats &S,
                        const TraceCounts &Counts) {
     auto Check = [&](const char *What, uint64_t StatsVal, uint64_t TraceVal) {
       if (StatsVal != TraceVal)
@@ -264,7 +402,6 @@ private:
                            ": stats " + std::to_string(StatsVal) + ", trace " +
                            std::to_string(TraceVal));
     };
-    const partition::DynStats &S = Run.Stats;
     Check("total dynamic instructions", S.Total, Counts.Total);
     Check("FPa instructions", S.Fpa, Counts.Fpa);
     Check("native FP instructions", S.NativeFp, Counts.NativeFp);
@@ -276,9 +413,10 @@ private:
   /// and its INT/FP issue split must match the partition bits. Both
   /// cycle loops run -- the fast path is differentially checked against
   /// the reference loop on every oracle iteration.
-  void crossCheckTiming(const std::string &Name, const core::PipelineRun &Run,
+  void crossCheckTiming(const core::PipelineRun &Run,
                         const std::vector<vm::TraceEntry> &Trace,
-                        const TraceCounts &Counts) {
+                        const TraceCounts &Counts,
+                        std::vector<std::string> &Out) {
     auto Simulate = [&](bool Fast) {
       timing::Simulator Sim(Opts.Machine, Run.Alloc);
       Sim.setFastPath(Fast);
@@ -290,15 +428,15 @@ private:
       Stats = Simulate(false);
       FastStats = Simulate(true);
     } catch (const timing::SimulationOverrun &O) {
-      mismatch(Name, std::string("simulator overrun: ") + O.what());
+      Out.push_back(std::string("simulator overrun: ") + O.what());
       return;
     }
 
     auto CheckEq = [&](const char *What, uint64_t Ref, uint64_t Fast) {
       if (Ref != Fast)
-        mismatch(Name, std::string("fast-path simulator diverges on ") + What +
-                           ": reference " + std::to_string(Ref) + ", fast " +
-                           std::to_string(Fast));
+        Out.push_back(std::string("fast-path simulator diverges on ") + What +
+                          ": reference " + std::to_string(Ref) + ", fast " +
+                          std::to_string(Fast));
     };
     CheckEq("cycles", Stats.Cycles, FastStats.Cycles);
     CheckEq("instructions", Stats.Instructions, FastStats.Instructions);
@@ -316,25 +454,26 @@ private:
             FastStats.IntIdleFpBusyCycles);
 
     if (Stats.Instructions != Counts.Total)
-      mismatch(Name, "simulator retired " + std::to_string(Stats.Instructions) +
-                         " instructions, trace has " +
-                         std::to_string(Counts.Total));
+      Out.push_back("simulator retired " + std::to_string(Stats.Instructions) +
+                        " instructions, trace has " +
+                        std::to_string(Counts.Total));
     if (Stats.IntIssued + Stats.FpIssued != Stats.Instructions)
-      mismatch(Name, "issue counters (" + std::to_string(Stats.IntIssued) +
-                         " INT + " + std::to_string(Stats.FpIssued) +
-                         " FP) do not sum to retired instructions " +
-                         std::to_string(Stats.Instructions));
+      Out.push_back("issue counters (" + std::to_string(Stats.IntIssued) +
+                        " INT + " + std::to_string(Stats.FpIssued) +
+                        " FP) do not sum to retired instructions " +
+                        std::to_string(Stats.Instructions));
     if (Stats.FpIssued != Counts.FpSide)
-      mismatch(Name, "simulator issued " + std::to_string(Stats.FpIssued) +
-                         " in the FP subsystem, partition bits say " +
-                         std::to_string(Counts.FpSide));
+      Out.push_back("simulator issued " + std::to_string(Stats.FpIssued) +
+                        " in the FP subsystem, partition bits say " +
+                        std::to_string(Counts.FpSide));
     if (Counts.Total != 0 && Stats.Cycles == 0)
-      mismatch(Name, "simulator reported zero cycles for a nonempty trace");
+      Out.push_back("simulator reported zero cycles for a nonempty trace");
   }
 
   const sir::Module &M;
   const OracleOptions &Opts;
   RunImage Baseline;
+  std::vector<ProgramFindings> Programs;
   OracleReport Report;
 };
 

@@ -21,6 +21,10 @@
 ///    traced instruction count, and its per-subsystem issue counters
 ///    must match the partition bits in the trace.
 ///
+/// Variants that compile to the same program (sameCompiledProgram) are
+/// run and simulated once; each reports the findings under its own
+/// name.
+///
 /// A hook (CompiledMutator) lets tests and the acceptance gate inject a
 /// deliberate miscompile into the compiled module and confirm the
 /// oracle catches it.
@@ -100,6 +104,17 @@ struct OracleReport {
 
   bool ok() const { return !BaselineSkipped && Mismatches.empty(); }
 };
+
+/// Whether compiled variants \p A and \p B are one program to every
+/// check runOracle makes after compiling: the same globals; the same
+/// functions in the same order, each with the same name, formals,
+/// register classes, frame size, blocks and instructions; the same
+/// architectural register for every register; and the same answer to
+/// whether timing applies (register-allocated without errors).
+/// runOracle checks such a program once and reports its findings under
+/// every variant that compiled to it.
+bool sameCompiledProgram(const core::PipelineRun &A,
+                         const core::PipelineRun &B);
 
 /// Runs the full differential check of \p M under \p Opts.
 OracleReport runOracle(const sir::Module &M,

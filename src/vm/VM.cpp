@@ -11,6 +11,7 @@
 #include <limits>
 #include <new>
 #include <unordered_map>
+#include <utility>
 
 #include <sys/mman.h>
 
@@ -32,21 +33,77 @@ uint32_t dataSlot(const sir::Function &F, Reg R) {
     return 0;
   return F.regClass(R) == RegClass::Fp ? F.numRegs() + R.id() : R.id();
 }
+
+/// The thread's idle guest mapping (VM::GuestMemory), unmapped when the
+/// thread exits.
+struct IdleMapping {
+  uint8_t *Base = nullptr;
+  size_t Bytes = 0;
+  std::vector<uint64_t> DirtyBits; ///< All clear.
+  uint64_t Mapped = 0;             ///< VM::threadMappings().
+
+  ~IdleMapping() {
+    if (Base)
+      munmap(Base, Bytes);
+  }
+};
+thread_local IdleMapping Idle;
 } // namespace
 
 VM::GuestMemory::GuestMemory(size_t Bytes) : Bytes(Bytes) {
   if (Bytes == 0)
     return; // mmap rejects empty mappings; every access traps anyway.
+  if (Idle.Base && Idle.Bytes == Bytes) {
+    Base = std::exchange(Idle.Base, nullptr);
+    DirtyBits = std::move(Idle.DirtyBits);
+    return;
+  }
   void *P = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   if (P == MAP_FAILED)
     throw std::bad_alloc();
+  ++Idle.Mapped;
   Base = static_cast<uint8_t *>(P);
+  const size_t Pages = (Bytes + PageBytes - 1) / PageBytes;
+  DirtyBits.assign((Pages + 63) / 64, 0);
 }
 
 VM::GuestMemory::~GuestMemory() {
-  if (Base)
+  if (!Base)
+    return;
+  if (NumDirty > MaxKeptPages || Idle.Base) {
     munmap(Base, Bytes);
+    return;
+  }
+  // Every set bit is a listed page, so clearing whole words is exact.
+  for (uint32_t K = 0; K < NumDirty; ++K) {
+    const size_t Start = size_t(DirtyPages[K]) * PageBytes;
+    std::memset(Base + Start, 0, std::min<size_t>(PageBytes, Bytes - Start));
+    DirtyBits[DirtyPages[K] / 64] = 0;
+  }
+  Idle.Base = Base;
+  Idle.Bytes = Bytes;
+  Idle.DirtyBits = std::move(DirtyBits);
+}
+
+void VM::GuestMemory::markDirty(uint32_t Page) {
+  uint64_t &Word = DirtyBits[Page / 64];
+  const uint64_t Bit = uint64_t(1) << (Page % 64);
+  if (Word & Bit)
+    return;
+  Word |= Bit;
+  if (NumDirty < MaxKeptPages)
+    DirtyPages[NumDirty] = Page;
+  ++NumDirty;
+}
+
+void VM::GuestMemory::write(uint32_t Addr, const void *Src, uint32_t N) {
+  std::memcpy(Base + Addr, Src, N);
+  if (NumDirty > MaxKeptPages)
+    return; // To be unmapped: which pages no longer matters.
+  markDirty(Addr / PageBytes);
+  if ((Addr + N - 1) / PageBytes != Addr / PageBytes)
+    markDirty((Addr + N - 1) / PageBytes);
 }
 
 VM::VM(const sir::Module &M, Options Opts)
@@ -63,7 +120,7 @@ VM::VM(const sir::Module &M, Options Opts)
     for (size_t W = 0; W < G.Init.size(); ++W) {
       uint32_t A = Next + static_cast<uint32_t>(W) * 4;
       if (A + 4 <= Mem.size())
-        std::memcpy(Mem.data() + A, &G.Init[W], 4);
+        Mem.write(A, &G.Init[W], 4);
     }
     Next += G.SizeWords * 4;
   }
@@ -112,6 +169,8 @@ VM::VM(const sir::Module &M, Options Opts)
     Static.resize(Slot);
   }
 }
+
+uint64_t VM::threadMappings() { return Idle.Mapped; }
 
 uint32_t VM::globalAddress(const std::string &Name) const {
   const sir::Global *G = M.globalByName(Name);
@@ -166,7 +225,7 @@ bool VM::storeWord(uint32_t Addr, int32_t Value) {
   if (Addr + 4 > Mem.size() || Addr + 4 < Addr) {
     return trap(TrapKind::OobStore, "store out of bounds at " + std::to_string(Addr));
   }
-  std::memcpy(Mem.data() + Addr, &Value, 4);
+  Mem.write(Addr, &Value, 4);
   return true;
 }
 
@@ -182,7 +241,7 @@ bool VM::storeByte(uint32_t Addr, uint8_t Value) {
   if (Addr >= Mem.size()) {
     return trap(TrapKind::OobStore, "store out of bounds at " + std::to_string(Addr));
   }
-  Mem.data()[Addr] = Value;
+  Mem.write(Addr, &Value, 1);
   return true;
 }
 

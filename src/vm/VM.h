@@ -28,7 +28,13 @@
 /// private anonymous mapping that the kernel zero-fills a page at a
 /// time on first touch, so pages a run never touches cost nothing. A
 /// small module touches a few pages of globals and stack, not the
-/// whole space, which keeps constructing many VMs per module cheap.
+/// whole space. Stores and global initialisers mark the pages they
+/// write; a VM that dirtied at most GuestMemory::MaxKeptPages pages
+/// zeroes just those when it is destroyed and leaves the mapping to the
+/// next VM of the same size on its thread (one idle mapping per
+/// thread), so constructing many VMs per module costs neither an mmap
+/// nor page faults. A VM that wrote more unmaps, as does one whose
+/// thread already holds an idle mapping (a nested VM).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -159,22 +165,45 @@ public:
   /// they legitimately differ between compilations.
   std::vector<uint8_t> globalImage() const;
 
+  /// Guest mappings the calling thread has mmapped so far. A VM that
+  /// takes its thread's idle mapping maps none.
+  static uint64_t threadMappings();
+
 private:
-  /// Owns the guest memory mapping (see the file comment); unmaps it on
-  /// destruction. Being non-copyable, it makes the VM non-copyable.
+  /// Owns the guest memory mapping (see the file comment): takes the
+  /// thread's idle mapping of its size or maps a fresh one, and on
+  /// destruction zeroes what it wrote and leaves the mapping idle, or
+  /// unmaps it. Being non-copyable, it makes the VM non-copyable.
   class GuestMemory {
   public:
+    /// Granule of the dirty bitmap.
+    static constexpr uint32_t PageBytes = 4096;
+    /// A mapping with more dirtied pages is unmapped, not kept: an idle
+    /// mapping holds at most this many resident pages. A generated
+    /// module's VM dirties one or two (globals, top of the stack).
+    static constexpr uint32_t MaxKeptPages = 4;
+
     explicit GuestMemory(size_t Bytes);
     ~GuestMemory();
     GuestMemory(const GuestMemory &) = delete;
     GuestMemory &operator=(const GuestMemory &) = delete;
 
-    uint8_t *data() const { return Base; }
+    const uint8_t *data() const { return Base; }
     size_t size() const { return Bytes; }
 
+    /// Copies \p N bytes to guest address \p Addr (in bounds) and marks
+    /// the pages they land on dirty.
+    void write(uint32_t Addr, const void *Src, uint32_t N);
+
   private:
+    void markDirty(uint32_t Page);
+
     uint8_t *Base = nullptr;
     size_t Bytes = 0;
+    std::vector<uint64_t> DirtyBits; ///< One bit per page.
+    uint32_t NumDirty = 0;
+    /// The first MaxKeptPages pages dirtied.
+    uint32_t DirtyPages[MaxKeptPages] = {};
   };
 
   struct Frame {

@@ -51,23 +51,35 @@ inline void addCompiledForms(const std::string &Name, const sir::Module &M,
   }
 }
 
-/// Every figure program and the first \p PerPreset seed-1 modules of
-/// every generator preset, in the three forms of addCompiledForms.
-inline std::vector<CorpusModule> analysisCorpus(unsigned PerPreset = 30) {
-  std::vector<CorpusModule> Out;
+/// Calls \p Fn(Name, Module, TrainArgs, RefArgs) for every figure
+/// program and the first \p PerPreset seed-1 modules of every
+/// generator preset.
+template <typename FnT> void forEachCorpusSource(unsigned PerPreset, FnT Fn) {
   for (const std::string &Name : workloads::allWorkloadNames()) {
     workloads::Workload W = workloads::workloadByName(Name);
-    addCompiledForms(Name, *W.M, W.TrainArgs, W.RefArgs, Out);
+    Fn(Name, *W.M, W.TrainArgs, W.RefArgs);
   }
   for (const std::string &Preset : testgen::presetNames()) {
     testgen::GenConfig Gen = testgen::presetConfig(Preset);
     for (uint64_t It = 0; It < PerPreset; ++It) {
       const uint64_t Seed = testgen::moduleSeed(1, It);
       auto M = testgen::generateModule(Gen, Seed);
-      addCompiledForms(Preset + " seed " + std::to_string(Seed), *M, {}, {},
-                       Out);
+      Fn(Preset + " seed " + std::to_string(Seed), *M,
+         std::vector<int32_t>(), std::vector<int32_t>());
     }
   }
+}
+
+/// Every figure program and the first \p PerPreset seed-1 modules of
+/// every generator preset, in the three forms of addCompiledForms.
+inline std::vector<CorpusModule> analysisCorpus(unsigned PerPreset = 30) {
+  std::vector<CorpusModule> Out;
+  forEachCorpusSource(PerPreset, [&](const std::string &Name,
+                                     const sir::Module &M,
+                                     const std::vector<int32_t> &Train,
+                                     const std::vector<int32_t> &Ref) {
+    addCompiledForms(Name, M, Train, Ref, Out);
+  });
   return Out;
 }
 

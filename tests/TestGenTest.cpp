@@ -12,14 +12,19 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "AnalysisCorpus.h"
+#include "core/Pipeline.h"
 #include "sir/Parser.h"
 #include "sir/Printer.h"
 #include "sir/Verifier.h"
+#include "support/Hash.h"
 #include "testgen/Generator.h"
 #include "testgen/Oracle.h"
 #include "testgen/Reducer.h"
 #include "vm/VM.h"
 
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
 
@@ -66,6 +71,22 @@ void flipFirstAdd(sir::Module &M) {
   }
 }
 
+/// Simulates a scheduler bug that computes the same values with one
+/// instruction more: the first `li` in main runs twice. The dynamic
+/// counts no longer match the profile the stats were computed from.
+void duplicateFirstLi(sir::Module &M) {
+  sir::Function *Main = M.functionByName("main");
+  if (!Main)
+    return;
+  for (auto &BB : Main->blocks())
+    for (size_t K = 0; K < BB->instructions().size(); ++K)
+      if (BB->instructions()[K]->op() == sir::Opcode::Li) {
+        BB->insertAt(K + 1, std::make_unique<sir::Instruction>(
+                                *BB->instructions()[K]));
+        return;
+      }
+}
+
 testgen::OracleOptions fastOracle() {
   testgen::OracleOptions Opts;
   // One partitioned variant is enough for the miscompile tests and keeps
@@ -76,6 +97,41 @@ testgen::OracleOptions fastOracle() {
       Keep.push_back(V);
   Opts.Variants = Keep;
   return Opts;
+}
+
+/// Each variant's messages, with the "[variant] " prefix taken off.
+std::map<std::string, std::vector<std::string>>
+messagesByVariant(const testgen::OracleReport &Report) {
+  std::map<std::string, std::vector<std::string>> By;
+  for (const std::string &Msg : Report.Mismatches) {
+    const size_t Close = Msg.find("] ");
+    EXPECT_TRUE(Msg[0] == '[' && Close != std::string::npos) << Msg;
+    By[Msg.substr(1, Close - 1)].push_back(Msg.substr(Close + 2));
+  }
+  return By;
+}
+
+/// The reference for sameCompiledProgram: equal printed modules, equal
+/// architectural registers, and timing applying to both or neither.
+bool samePrintedProgram(const core::PipelineRun &A,
+                        const core::PipelineRun &B) {
+  if (sir::toString(*A.Compiled) != sir::toString(*B.Compiled))
+    return false;
+  auto Timed = [](const core::PipelineRun &R) {
+    return R.Allocated && R.Alloc.Errors.empty();
+  };
+  if (Timed(A) != Timed(B))
+    return false;
+  const auto &FA = A.Compiled->functions(), &FB = B.Compiled->functions();
+  for (size_t K = 0; K < FA.size(); ++K) {
+    auto IA = A.Alloc.Funcs.find(FA[K].get());
+    auto IB = B.Alloc.Funcs.find(FB[K].get());
+    const bool HasA = IA != A.Alloc.Funcs.end();
+    const bool HasB = IB != B.Alloc.Funcs.end();
+    if (HasA != HasB || (HasA && IA->second.ArchIndex != IB->second.ArchIndex))
+      return false;
+  }
+  return true;
 }
 
 } // namespace
@@ -249,6 +305,220 @@ loop:
   testgen::OracleOptions Buggy = fastOracle();
   Buggy.CompiledMutator = flipFirstAdd;
   EXPECT_FALSE(testgen::runOracle(*PR.M, Buggy).Mismatches.empty());
+}
+
+TEST(OracleTest, SharedProgramReportsUnderEveryVariant) {
+  // `x` comes from memory, so the optimizer cannot fold the add away
+  // and every variant keeps one for flipFirstAdd to flip.
+  sir::ParseResult PR = sir::parseModule(R"(
+global buf 4
+
+func main() {
+entry:
+  la %p, buf
+  lw %x, 4(%p)
+  li %b, 23
+  add %c, %x, %b
+  sw %c, 0(%p)
+  out %c
+  ret
+}
+)");
+  ASSERT_TRUE(PR.ok()) << PR.Error;
+  testgen::OracleOptions Buggy; // The whole default battery.
+  Buggy.CompiledMutator = flipFirstAdd;
+  auto By = messagesByVariant(testgen::runOracle(*PR.M, Buggy));
+
+  std::vector<core::PipelineRun> Runs;
+  for (const testgen::VariantSpec &V : Buggy.Variants) {
+    Runs.push_back(core::compileAndMeasure(*PR.M, V.Config));
+    ASSERT_TRUE(Runs.back().Errors.empty()) << V.Name;
+    flipFirstAdd(*Runs.back().Compiled);
+    Runs.back().Compiled->renumber();
+    EXPECT_FALSE(By[V.Name].empty())
+        << V.Name << " did not report the flipped add";
+  }
+  unsigned Shared = 0;
+  for (size_t I = 0; I < Runs.size(); ++I)
+    for (size_t J = I + 1; J < Runs.size(); ++J) {
+      const std::string &A = Buggy.Variants[I].Name;
+      const std::string &B = Buggy.Variants[J].Name;
+      ASSERT_EQ(testgen::sameCompiledProgram(Runs[I], Runs[J]),
+                samePrintedProgram(Runs[I], Runs[J]))
+          << A << " vs " << B;
+      if (!samePrintedProgram(Runs[I], Runs[J]))
+        continue;
+      ++Shared;
+      EXPECT_EQ(By[A], By[B]) << A << " and " << B << " share a program";
+    }
+  EXPECT_GE(Shared, 1u) << "no two variants compiled to one program";
+}
+
+TEST(OracleTest, MismatchReportsArePinned) {
+  // Everything the oracle reports over the first 20 seed-1 modules of
+  // every preset, in order: which variant, which check, what text. Each
+  // module is checked clean, with the flipped add (functional findings)
+  // and with the flipped add and a duplicated `li` (functional, then
+  // stats findings). Computed before the oracle checked each distinct
+  // compiled program once, which must not change it.
+  const std::function<void(sir::Module &)> Mutators[] = {
+      nullptr, flipFirstAdd, [](sir::Module &M) {
+        flipFirstAdd(M);
+        duplicateFirstLi(M);
+      }};
+  uint64_t H = support::fnv1a64("");
+  size_t Messages = 0;
+  for (const std::string &Preset : testgen::presetNames()) {
+    testgen::GenConfig Gen = testgen::presetConfig(Preset);
+    for (uint64_t It = 0; It < 20; ++It) {
+      auto M = testgen::generateModule(Gen, testgen::moduleSeed(1, It));
+      for (const auto &Mutator : Mutators) {
+        testgen::OracleOptions Opts;
+        Opts.CompiledMutator = Mutator;
+        testgen::OracleReport Report = testgen::runOracle(*M, Opts);
+        H = support::fnv1a64(Report.BaselineSkipped ? "skipped" : "ran", H);
+        for (const std::string &Msg : Report.Mismatches)
+          H = support::fnv1a64(Msg + "\n", H);
+        Messages += Report.Mismatches.size();
+      }
+    }
+  }
+  EXPECT_EQ(Messages, 1289u);
+  EXPECT_EQ(support::hex64(H), "b751ac9c064560c8");
+}
+
+TEST(OracleTest, SameCompiledProgramAgreesWithPrintedModules) {
+  // Over the analysis corpus, each program compiled by the default
+  // battery: every pair of its variants, and each variant against the
+  // same variant of the previous program.
+  const std::vector<testgen::VariantSpec> Variants =
+      testgen::defaultVariants();
+  std::vector<core::PipelineRun> Prev;
+  unsigned Same = 0, Different = 0;
+  fixtures::forEachCorpusSource(30, [&](const std::string &Name,
+                                        const sir::Module &M,
+                                        const std::vector<int32_t> &Train,
+                                        const std::vector<int32_t> &Ref) {
+    std::vector<core::PipelineConfig> Plan;
+    for (const testgen::VariantSpec &V : Variants) {
+      Plan.push_back(V.Config);
+      Plan.back().TrainArgs = Train;
+      Plan.back().RefArgs = Ref;
+    }
+    core::CompileMemo Memo(M, Plan);
+    std::vector<core::PipelineRun> Runs;
+    for (const core::PipelineConfig &C : Plan)
+      Runs.push_back(core::compileAndMeasure(M, C, &Memo));
+    auto Check = [&](const core::PipelineRun &A, const core::PipelineRun &B,
+                     const std::string &What) {
+      const bool Want = samePrintedProgram(A, B);
+      EXPECT_EQ(testgen::sameCompiledProgram(A, B), Want)
+          << Name << ": " << What;
+      ++(Want ? Same : Different);
+    };
+    for (size_t I = 0; I < Runs.size(); ++I) {
+      for (size_t J = I + 1; J < Runs.size(); ++J)
+        Check(Runs[I], Runs[J], Variants[I].Name + " vs " + Variants[J].Name);
+      if (!Prev.empty())
+        Check(Prev[I], Runs[I], Variants[I].Name + " vs the previous program");
+    }
+    Prev = std::move(Runs);
+  });
+  EXPECT_GT(Same, 0u);
+  EXPECT_GT(Different, 0u);
+}
+
+TEST(OracleTest, SameCompiledProgramSeesEachField) {
+  // A change to any one field the checks read makes a different program.
+  auto M = testgen::generateModule(testgen::presetConfig("fp"),
+                                   testgen::moduleSeed(1, 0));
+  core::PipelineConfig Config;
+  auto Compile = [&] { return core::compileAndMeasure(*M, Config); };
+  const core::PipelineRun Base = Compile();
+  ASSERT_TRUE(Base.Errors.empty());
+  ASSERT_TRUE(testgen::sameCompiledProgram(Base, Compile()));
+
+  using Edit = std::function<void(core::PipelineRun &)>;
+  auto ExpectDifferent = [&](const char *What, const Edit &Change) {
+    core::PipelineRun Run = Compile();
+    Change(Run);
+    EXPECT_FALSE(testgen::sameCompiledProgram(Base, Run)) << What;
+    EXPECT_FALSE(testgen::sameCompiledProgram(Run, Base)) << What;
+  };
+  auto Main = [](core::PipelineRun &R) {
+    return R.Compiled->functionByName("main");
+  };
+  auto FirstWith = [&](core::PipelineRun &R, auto Pred) -> sir::Instruction * {
+    for (const auto &F : R.Compiled->functions())
+      for (const auto &BB : F->blocks())
+        for (const auto &I : BB->instructions())
+          if (Pred(*I))
+            return I.get();
+    ADD_FAILURE() << "no instruction to edit";
+    static sir::Instruction Dummy;
+    return &Dummy;
+  };
+  auto Any = [](const sir::Instruction &) { return true; };
+  ExpectDifferent("opcode", [&](core::PipelineRun &R) {
+    sir::Instruction *I = FirstWith(R, [](const sir::Instruction &I) {
+      return I.op() == sir::Opcode::Add;
+    });
+    I->setOp(sir::Opcode::Sub);
+  });
+  ExpectDifferent("inFpa", [&](core::PipelineRun &R) {
+    sir::Instruction *I = FirstWith(R, Any);
+    I->setInFpa(!I->inFpa());
+  });
+  ExpectDifferent("imm", [&](core::PipelineRun &R) {
+    sir::Instruction *I = FirstWith(R, Any);
+    I->setImm(I->imm() + 1);
+  });
+  ExpectDifferent("fimm sign", [&](core::PipelineRun &R) {
+    sir::Instruction *I = FirstWith(R, Any);
+    I->setFImm(I->fimm() == 0.0f ? -0.0f : -I->fimm());
+  });
+  ExpectDifferent("mem offset", [&](core::PipelineRun &R) {
+    FirstWith(R, Any)->mem().Offset += 4;
+  });
+  ExpectDifferent("callee", [&](core::PipelineRun &R) {
+    sir::Instruction *I = FirstWith(R, Any);
+    I->setCallee(I->callee() + "_");
+  });
+  ExpectDifferent("use", [&](core::PipelineRun &R) {
+    sir::Instruction *I = FirstWith(R, [](const sir::Instruction &I) {
+      return !I.uses().empty();
+    });
+    I->uses().push_back(I->uses().front());
+  });
+  ExpectDifferent("branch target", [&](core::PipelineRun &R) {
+    sir::Instruction *I = FirstWith(R, [](const sir::Instruction &I) {
+      return I.target() != nullptr;
+    });
+    sir::Function &F = *I->parent()->parent();
+    I->setTarget(I->target() == F.entry() ? F.blocks().back().get()
+                                          : F.entry());
+  });
+  ExpectDifferent("register class", [&](core::PipelineRun &R) {
+    sir::Function &F = *Main(R);
+    const sir::Reg Last(F.numRegs() - 1);
+    F.setRegClass(Last, F.regClass(Last) == sir::RegClass::Fp
+                            ? sir::RegClass::Int
+                            : sir::RegClass::Fp);
+  });
+  ExpectDifferent("frame size", [&](core::PipelineRun &R) {
+    Main(R)->setFrameWords(Main(R)->frameWords() + 1);
+  });
+  ExpectDifferent("globals", [&](core::PipelineRun &R) {
+    R.Compiled->addGlobal("extra", 1, {7});
+  });
+  ExpectDifferent("architectural register", [&](core::PipelineRun &R) {
+    std::vector<unsigned> &Arch = R.Alloc.Funcs.at(Main(R)).ArchIndex;
+    ASSERT_GT(Arch.size(), 1u);
+    Arch[1] ^= 1;
+  });
+  ExpectDifferent("timing applies", [&](core::PipelineRun &R) {
+    R.Alloc.Errors.push_back("x");
+  });
 }
 
 TEST(ReducerTest, ShrinksInjectedMiscompileToSmallRepro) {

@@ -1,13 +1,16 @@
 //===- tests/ThreadPoolTest.cpp - support::ThreadPool tests ---------------===//
 
+#include "support/ParseNumber.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 using namespace fpint;
@@ -85,14 +88,45 @@ TEST(ThreadPoolTest, FpintJobsEnvOverridesDefaultCount) {
   ASSERT_EQ(setenv("FPINT_JOBS", "1", 1), 0);
   EXPECT_EQ(ThreadPool::defaultThreadCount(), 1u);
 
-  // Malformed / non-positive values degrade to one worker.
-  ASSERT_EQ(setenv("FPINT_JOBS", "0", 1), 0);
-  EXPECT_EQ(ThreadPool::defaultThreadCount(), 1u);
-  ASSERT_EQ(setenv("FPINT_JOBS", "bogus", 1), 0);
-  EXPECT_EQ(ThreadPool::defaultThreadCount(), 1u);
-
   ASSERT_EQ(unsetenv("FPINT_JOBS"), 0);
-  EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+  const unsigned Default = ThreadPool::defaultThreadCount();
+  EXPECT_GE(Default, 1u);
+
+  // Malformed or out-of-range values keep the default. Only the count
+  // is computed: no pool is started with it.
+  for (const char *Bad : {"0", "bogus", "2x", " 3", "257", "100000"}) {
+    ASSERT_EQ(setenv("FPINT_JOBS", Bad, 1), 0);
+    EXPECT_EQ(ThreadPool::defaultThreadCount(), Default) << Bad;
+  }
+  ASSERT_EQ(unsetenv("FPINT_JOBS"), 0);
+}
+
+TEST(ThreadPoolTest, KnobNumberWarnsOnceAndKeepsTheDefault) {
+  using support::knobNumber;
+  const unsigned Max = ThreadPool::MaxJobs;
+  EXPECT_EQ(knobNumber("jobs", "FPINT_JOBS", nullptr, 1u, Max, 4u), 4u);
+  EXPECT_EQ(knobNumber("jobs", "FPINT_JOBS", "", 1u, Max, 4u), 4u);
+  EXPECT_EQ(knobNumber("jobs", "FPINT_JOBS", "1", 1u, Max, 4u), 1u);
+  EXPECT_EQ(knobNumber("jobs", "FPINT_JOBS", "256", 1u, Max, 4u), 256u);
+
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(knobNumber("jobs", "FPINT_JOBS", "2x", 1u, Max, 4u), 4u);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[jobs] ignoring FPINT_JOBS='2x': want an integer in [1, 256]; "
+            "using 4\n");
+  for (const char *Bad : {"0", "-1", "257", "99999999999999999999", "4.0"}) {
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(knobNumber("jobs", "FPINT_JOBS", Bad, 1u, Max, 4u), 4u) << Bad;
+    const std::string Err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(std::count(Err.begin(), Err.end(), '\n'), 1) << Err;
+  }
+  // Signed knobs (bench::envInt) take the same path.
+  EXPECT_EQ(knobNumber("bench", "FPINT_SIM_REPS", "7", 1, 1000, 5), 7);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(knobNumber("bench", "FPINT_SIM_REPS", "5OO", 1, 1000, 5), 5);
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                "[bench] ignoring FPINT_SIM_REPS='5OO'"),
+            std::string::npos);
 }
 
 TEST(ThreadPoolTest, TasksMaySubmitSubtasks) {

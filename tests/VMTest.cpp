@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <type_traits>
 
@@ -597,6 +598,173 @@ TEST(VMMemory, SeparateVMsDoNotShareMemory) {
   EXPECT_EQ(Second.run().Output, Fresh);
   EXPECT_EQ(First.globalImage(), (std::vector<uint8_t>{41, 0, 0, 0}));
   EXPECT_EQ(Second.globalImage(), (std::vector<uint8_t>{41, 0, 0, 0}));
+}
+
+//===----------------------------------------------------------------------===//
+// Reused guest mappings: a VM that dirtied few pages leaves its mapping,
+// zeroed, to the thread's next VM of its size. That VM must see exactly
+// what a freshly mapped one would.
+//===----------------------------------------------------------------------===//
+
+/// Runs a main with body \p Body in a VM of \p Opts on this thread.
+VM::Result runBody(const std::string &Body, VM::Options Opts = {},
+                   const std::string &Globals = "") {
+  auto M = parseOrDie((Globals + "func main() {\nentry:\n" + Body +
+                       "  ret\n}\n")
+                          .c_str());
+  VM Machine(*M, Opts);
+  return Machine.run();
+}
+
+/// Stores \p Value as a word (or a byte) at each of \p Addrs.
+std::string storesAt(const std::vector<uint32_t> &Addrs, int32_t Value,
+                     bool Byte = false) {
+  std::string Body = "  li %v, " + std::to_string(Value) + "\n";
+  for (uint32_t A : Addrs)
+    Body += "  li %p, " + std::to_string(A) + "\n  " +
+            (Byte ? "sb" : "sw") + " %v, 0(%p)\n";
+  return Body;
+}
+
+/// The words at \p Addrs, read by the thread's next VM of \p Opts.
+std::vector<int32_t> wordsAt(const std::vector<uint32_t> &Addrs,
+                             VM::Options Opts = {}) {
+  std::string Body;
+  for (size_t K = 0; K < Addrs.size(); ++K) {
+    const std::string R = "%w" + std::to_string(K);
+    Body += "  li %p, " + std::to_string(Addrs[K]) + "\n  lw " + R +
+            ", 0(%p)\n  out " + R + "\n";
+  }
+  VM::Result R = runBody(Body, Opts);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  return R.Output;
+}
+
+std::vector<int32_t> zeros(size_t N) { return std::vector<int32_t>(N, 0); }
+
+TEST(VMReuse, WrittenPagesReadZeroInTheNextVM) {
+  const uint32_t Page = 4096;
+  struct Case {
+    const char *What;
+    std::string Body;
+    std::vector<uint32_t> Probe; ///< Word addresses written.
+  };
+  const std::vector<Case> Cases = {
+      {"global-area stores", storesAt({0x1000, 0x1ffc, 0x2000}, -1),
+       {0x1000, 0x1ffc, 0x2000}},
+      {"deep-stack stores", storesAt({MemTop - 4, MemTop - 9 * Page}, 5),
+       {MemTop - 4, MemTop - 9 * Page}},
+      {"a word store straddling a page",
+       storesAt({3 * Page - 2}, -1), {3 * Page - 4, 3 * Page}},
+      {"byte stores", storesAt({0x1001, 5 * Page - 1, MemTop - 1}, 0xab, true),
+       {0x1000, 5 * Page - 4, MemTop - 4}},
+      {"stores before an out-of-bounds trap",
+       storesAt({0x1000, MemTop - 8}, 3) + storesAt({MemTop - 3}, 4) +
+           storesAt({0x1004}, 6),
+       {0x1000, 0x1004, MemTop - 8}},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.What);
+    runBody(""); // Leaves this thread an idle mapping.
+    const uint64_t Mapped = VM::threadMappings();
+    runBody(C.Body);
+    EXPECT_EQ(wordsAt(C.Probe), zeros(C.Probe.size()));
+    EXPECT_EQ(VM::threadMappings(), Mapped) << "the mapping was not reused";
+  }
+}
+
+TEST(VMReuse, GlobalImageMatchesAFreshVM) {
+  auto M = parseOrDie(R"(
+global a 4 = 1 -2
+global b 1027 = 5
+
+func main() {
+entry:
+  li %v, 99
+  sw %v, a+8
+  sw %v, b+4104
+  sb %v, b+1
+  ret
+}
+)");
+  {
+    VM Dirty(*M);
+    ASSERT_TRUE(Dirty.run().Ok);
+  }
+  VM Reused(*M);
+  VM Fresh(*M); // Maps anew: Reused holds the thread's idle mapping.
+  EXPECT_EQ(Reused.globalImage(), Fresh.globalImage());
+  std::vector<uint8_t> Initial(4 * (4 + 1027), 0);
+  const int32_t Init[] = {1, -2, 0, 0, 5};
+  std::memcpy(Initial.data(), Init, sizeof(Init));
+  EXPECT_EQ(Fresh.globalImage(), Initial);
+}
+
+TEST(VMReuse, TwoLiveVMsOnOneThread) {
+  auto M = parseOrDie(R"(
+global g 1
+
+func main(%x) {
+entry:
+  lw %old, g
+  out %old
+  sw %x, g
+  ret
+}
+)");
+  for (bool FirstDiesFirst : {true, false}) {
+    SCOPED_TRACE(FirstDiesFirst ? "first dies first" : "second dies first");
+    auto A = std::make_unique<VM>(*M);
+    auto B = std::make_unique<VM>(*M);
+    EXPECT_EQ(A->run({1}).Output, (std::vector<int32_t>{0}));
+    EXPECT_EQ(B->run({2}).Output, (std::vector<int32_t>{0}));
+    EXPECT_EQ(A->run({3}).Output, (std::vector<int32_t>{1}));
+    EXPECT_EQ(B->run({4}).Output, (std::vector<int32_t>{2}));
+    if (FirstDiesFirst) {
+      A.reset();
+      B.reset();
+    } else {
+      B.reset();
+      A.reset();
+    }
+    EXPECT_EQ(VM(*M).run({5}).Output, (std::vector<int32_t>{0}));
+    EXPECT_EQ(VM(*M).run({6}).Output, (std::vector<int32_t>{0}));
+  }
+}
+
+TEST(VMReuse, ManyDirtyPagesUnmapInsteadOfZeroing) {
+  std::vector<uint32_t> Addrs;
+  for (uint32_t K = 0; K < 40; ++K)
+    Addrs.push_back(0x1000 + K * 4096);
+  runBody("");
+  const uint64_t Mapped = VM::threadMappings();
+  runBody(storesAt(Addrs, 7));
+  EXPECT_EQ(wordsAt(Addrs), zeros(Addrs.size()));
+  EXPECT_EQ(VM::threadMappings(), Mapped + 1) << "the next VM maps afresh";
+}
+
+TEST(VMReuse, NonDefaultMemBytes) {
+  VM::Options Small;
+  Small.MemBytes = 3 * 4096 + 100; // A partial last page.
+  const uint32_t Top = Small.MemBytes;
+  {
+    // Holding the thread's idle default-size mapping empties its one
+    // idle slot, so the small VM leaves its mapping there.
+    auto Empty = parseOrDie("func main() {\nentry:\n  ret\n}\n");
+    VM Holder(*Empty);
+    runBody(storesAt({0x1000, Top - 4}, 8), Small);
+  }
+  const uint64_t Mapped = VM::threadMappings();
+  EXPECT_EQ(wordsAt({0x1000, Top - 4}, Small), zeros(2));
+  EXPECT_EQ(VM::threadMappings(), Mapped) << "the small mapping was reused";
+  // A default-size VM never takes the small mapping, and the reverse.
+  EXPECT_EQ(wordsAt({0x1000, Top - 4, MemTop - 4}), zeros(3));
+  EXPECT_EQ(VM::threadMappings(), Mapped + 1);
+  runBody(storesAt({0x1000, Top - 4}, 9));
+  EXPECT_EQ(wordsAt({0x1000, Top - 4}, Small), zeros(2));
+  EXPECT_EQ(wordsAt({0x1000, Top - 4}), zeros(2));
+  VM::Result Past = runBody(storesAt({Top - 3}, 1), Small);
+  EXPECT_EQ(Past.Trap.Kind, TrapKind::OobStore);
 }
 
 } // namespace
