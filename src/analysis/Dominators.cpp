@@ -2,8 +2,6 @@
 
 #include "analysis/Dominators.h"
 
-#include "analysis/AnalysisManager.h"
-
 #include <algorithm>
 
 using namespace fpint;
@@ -74,15 +72,4 @@ DominatorTree::DominatorTree(const sir::Function &F, const CFG &Cfg) {
     std::sort(DF.begin(), DF.end());
     DF.erase(std::unique(DF.begin(), DF.end()), DF.end());
   }
-}
-
-const AnalysisKey *DominatorTreeAnalysis::id() {
-  static AnalysisKey Key;
-  return &Key;
-}
-
-std::unique_ptr<DominatorTree>
-DominatorTreeAnalysis::run(const sir::Function &F, AnalysisManager &AM) {
-  const CFG &Cfg = AM.getResult<CFGAnalysis>(F);
-  return std::make_unique<DominatorTree>(F, Cfg);
 }

@@ -13,10 +13,6 @@
 /// dominance frontiers. LICM's exit-domination check and LoopInfo's
 /// back-edge discovery consume it.
 ///
-/// Registered in the AnalysisManager as "domtree"; computing it
-/// consults "cfg", so invalidating the CFG transitively drops the tree
-/// (and everything built on it, e.g. "loops").
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef FPINT_ANALYSIS_DOMINATORS_H
@@ -25,14 +21,10 @@
 #include "analysis/CFG.h"
 #include "sir/IR.h"
 
-#include <memory>
 #include <vector>
 
 namespace fpint {
 namespace analysis {
-
-class AnalysisManager;
-struct AnalysisKey;
 
 /// The dominator tree of one renumbered function. Block identity is the
 /// layout index, like CFG. Unreachable blocks are not part of the tree:
@@ -87,16 +79,6 @@ private:
   std::vector<unsigned> In, Out; ///< DFS interval stamps.
   std::vector<unsigned> Pre;
   std::vector<bool> Reach;
-};
-
-/// AnalysisManager adapter (consults CFGAnalysis, so a dropped "cfg"
-/// transitively drops "domtree").
-struct DominatorTreeAnalysis {
-  using Result = DominatorTree;
-  static const AnalysisKey *id();
-  static const char *name() { return "domtree"; }
-  static std::unique_ptr<Result> run(const sir::Function &F,
-                                     AnalysisManager &AM);
 };
 
 } // namespace analysis

@@ -2,8 +2,6 @@
 
 #include "analysis/LoopInfo.h"
 
-#include "analysis/AnalysisManager.h"
-
 #include <algorithm>
 #include <map>
 
@@ -116,16 +114,4 @@ LoopInfo::LoopInfo(const sir::Function &F, const CFG &Cfg,
     for (unsigned B : Loops[I].Blocks)
       Innermost[B] = static_cast<int>(I);
   }
-}
-
-const AnalysisKey *LoopInfoAnalysis::id() {
-  static AnalysisKey Key;
-  return &Key;
-}
-
-std::unique_ptr<LoopInfo> LoopInfoAnalysis::run(const sir::Function &F,
-                                                AnalysisManager &AM) {
-  const CFG &Cfg = AM.getResult<CFGAnalysis>(F);
-  const DominatorTree &DT = AM.getResult<DominatorTreeAnalysis>(F);
-  return std::make_unique<LoopInfo>(F, Cfg, DT);
 }

@@ -17,9 +17,6 @@
 /// ignored; multiple back edges into one header merge into a single
 /// loop with several latches.
 ///
-/// Registered as "loops"; computing it consults "cfg" and "domtree",
-/// so invalidating the CFG transitively drops loop info too.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef FPINT_ANALYSIS_LOOPINFO_H
@@ -29,14 +26,10 @@
 #include "analysis/Dominators.h"
 #include "sir/IR.h"
 
-#include <memory>
 #include <vector>
 
 namespace fpint {
 namespace analysis {
-
-class AnalysisManager;
-struct AnalysisKey;
 
 /// One natural loop. Block identity is the layout index.
 struct Loop {
@@ -87,16 +80,6 @@ public:
 private:
   std::vector<Loop> Loops;
   std::vector<int> Innermost; ///< Per block: innermost loop or NoLoop.
-};
-
-/// AnalysisManager adapter (consults CFGAnalysis and
-/// DominatorTreeAnalysis; either being dropped drops "loops" too).
-struct LoopInfoAnalysis {
-  using Result = LoopInfo;
-  static const AnalysisKey *id();
-  static const char *name() { return "loops"; }
-  static std::unique_ptr<Result> run(const sir::Function &F,
-                                     AnalysisManager &AM);
 };
 
 } // namespace analysis

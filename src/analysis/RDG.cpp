@@ -29,11 +29,6 @@ RDG::RDG(const sir::Function &F, const CFG &Cfg) : F(F) {
   build(RD);
 }
 
-RDG::RDG(const sir::Function &F, const CFG &, const ReachingDefs &RD)
-    : F(F) {
-  build(RD);
-}
-
 void RDG::build(const ReachingDefs &RD) {
   const unsigned NumInstrs = F.numInstrIds();
   Primary.assign(NumInstrs, ~0u);

@@ -60,10 +60,6 @@ struct RDGNode {
 class RDG {
 public:
   RDG(const sir::Function &F, const CFG &Cfg);
-  /// As above, but reuses a prebuilt reaching-definitions result (the
-  /// analysis manager caches both; the CFG parameter documents the
-  /// dependency and keeps the overloads symmetric).
-  RDG(const sir::Function &F, const CFG &Cfg, const ReachingDefs &RD);
 
   const sir::Function &function() const { return F; }
   unsigned numNodes() const { return static_cast<unsigned>(Nodes.size()); }

@@ -27,22 +27,10 @@ class OptPass : public ModulePass {
 public:
   std::string name() const override { return "opt"; }
 
-  unsigned run(sir::Module &M, analysis::AnalysisManager &,
-               PassState &State) override {
+  unsigned run(sir::Module &M, PassState &State) override {
     State.Opt = opt::optimizeModule(M);
-    LastChanges = State.Opt.total();
-    return LastChanges;
+    return State.Opt.total();
   }
-
-  analysis::PreservedAnalyses preserved() const override {
-    // renumber() is idempotent on an unmutated module, so a changeless
-    // optimizer run leaves cached analyses intact.
-    return LastChanges == 0 ? analysis::PreservedAnalyses::all()
-                            : analysis::PreservedAnalyses::none();
-  }
-
-private:
-  unsigned LastChanges = 0;
 };
 
 /// Profiles the (not yet partitioned) module on the training input. A
@@ -54,8 +42,7 @@ class ProfilePass : public ModulePass {
 public:
   std::string name() const override { return "profile"; }
 
-  unsigned run(sir::Module &M, analysis::AnalysisManager &,
-               PassState &State) override {
+  unsigned run(sir::Module &M, PassState &State) override {
     vm::VM::Options Opts;
     Opts.CollectProfile = true;
     vm::VM Trainer(M, Opts);
@@ -70,10 +57,6 @@ public:
     return 0;
   }
 
-  analysis::PreservedAnalyses preserved() const override {
-    return analysis::PreservedAnalyses::all();
-  }
-
   unsigned configFields() const override { return FieldTrainArgs; }
 };
 
@@ -82,16 +65,14 @@ class PartitionPass : public ModulePass {
 public:
   std::string name() const override { return "partition"; }
 
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override {
+  unsigned run(sir::Module &M, PassState &State) override {
     const PipelineConfig &Config = State.Config;
     State.Rewrite = partition::partitionModule(
         M, Config.Scheme, State.HaveProfile ? &State.Profile : nullptr,
-        Config.Costs, &AM);
+        Config.Costs);
     State.RanScheme = Config.Scheme;
     for (const std::string &E : State.Rewrite.Errors)
       State.Errors.push_back("partition: " + E);
-    Mutated = !State.Rewrite.Reports.empty();
     // The basic scheme mutates without inserting instructions (it only
     // flips FPa bits), so count rewritten functions alongside the
     // inserted copy / dup traffic.
@@ -100,15 +81,7 @@ public:
            State.Rewrite.StaticCopyBacks;
   }
 
-  analysis::PreservedAnalyses preserved() const override {
-    return Mutated ? analysis::PreservedAnalyses::none()
-                   : analysis::PreservedAnalyses::all();
-  }
-
   unsigned configFields() const override { return FieldScheme | FieldCosts; }
-
-private:
-  bool Mutated = false;
 };
 
 /// Section 6.6 interprocedural extension. It needs an advanced
@@ -118,25 +91,13 @@ class FpArgPassingPass : public ModulePass {
 public:
   std::string name() const override { return "fp-arg-passing"; }
 
-  unsigned run(sir::Module &M, analysis::AnalysisManager &,
-               PassState &State) override {
-    LastChanges = 0;
+  unsigned run(sir::Module &M, PassState &State) override {
     if (State.RanScheme != partition::Scheme::Advanced)
       return 0;
     State.FpArgs = partition::passArgsInFpRegisters(M, State.Rewrite);
-    LastChanges = State.FpArgs.ArgsConverted +
-                  State.FpArgs.EntryCopiesRemoved +
-                  State.FpArgs.CopyBacksRemoved;
-    return LastChanges;
+    return State.FpArgs.ArgsConverted + State.FpArgs.EntryCopiesRemoved +
+           State.FpArgs.CopyBacksRemoved;
   }
-
-  analysis::PreservedAnalyses preserved() const override {
-    return LastChanges == 0 ? analysis::PreservedAnalyses::all()
-                            : analysis::PreservedAnalyses::none();
-  }
-
-private:
-  unsigned LastChanges = 0;
 };
 
 /// Register allocation (regalloc::allocateModule).
@@ -144,17 +105,17 @@ class RegAllocPass : public ModulePass {
 public:
   std::string name() const override { return "regalloc"; }
 
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override {
-    State.Alloc = regalloc::allocateModule(M, &AM);
+  unsigned run(sir::Module &M, PassState &State) override {
+    State.Alloc = regalloc::allocateModule(M);
     State.Allocated = true;
     for (const std::string &E : State.Alloc.Errors)
       State.Errors.push_back("regalloc: " + E);
+    // Calling-convention lowering rewrites every function, so each
+    // allocated function counts as a change even when no spill code
+    // lands.
     unsigned Changes = static_cast<unsigned>(State.Alloc.Funcs.size());
     for (const auto &KV : State.Alloc.Funcs)
       Changes += KV.second.SpillCode;
-    // Calling-convention lowering rewrites every function even when no
-    // spill code lands, so the default preserved() (none) holds.
     return Changes;
   }
 };
@@ -168,24 +129,15 @@ class LicmPass : public ModulePass {
 public:
   std::string name() const override { return "licm"; }
 
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override {
-    LastChanges = 0;
+  unsigned run(sir::Module &M, PassState &State) override {
+    unsigned Hoisted = 0;
     for (const auto &F : M.functions())
-      LastChanges += transform::runLICM(*F, AM);
-    if (LastChanges)
+      Hoisted += transform::runLICM(*F);
+    if (Hoisted)
       M.renumber();
-    State.Transform.LicmHoisted += LastChanges;
-    return LastChanges;
+    State.Transform.LicmHoisted += Hoisted;
+    return Hoisted;
   }
-
-  analysis::PreservedAnalyses preserved() const override {
-    return LastChanges == 0 ? analysis::PreservedAnalyses::all()
-                            : analysis::PreservedAnalyses::none();
-  }
-
-private:
-  unsigned LastChanges = 0;
 };
 
 /// Bottom-up acyclic call-graph inlining.
@@ -193,23 +145,13 @@ class InlinePass : public ModulePass {
 public:
   std::string name() const override { return "inline"; }
 
-  unsigned run(sir::Module &M, analysis::AnalysisManager &,
-               PassState &State) override {
+  unsigned run(sir::Module &M, PassState &State) override {
     transform::InlineResult R = transform::runInline(M);
     State.Transform.CallsInlined += R.CallsInlined;
     State.Transform.InlineSkippedRecursive += R.SkippedRecursive;
     State.Transform.InlineSkippedBudget += R.SkippedBudget;
-    LastChanges = R.CallsInlined;
-    return LastChanges;
+    return R.CallsInlined;
   }
-
-  analysis::PreservedAnalyses preserved() const override {
-    return LastChanges == 0 ? analysis::PreservedAnalyses::all()
-                            : analysis::PreservedAnalyses::none();
-  }
-
-private:
-  unsigned LastChanges = 0;
 };
 
 } // namespace
@@ -368,32 +310,22 @@ PassManager::prefixKeys(const PipelineConfig &Config) const {
   return Keys;
 }
 
-std::vector<PassStat> PassManager::run(sir::Module &M,
-                                       analysis::AnalysisManager &AM,
-                                       PassState &State, size_t From,
+std::vector<PassStat> PassManager::run(sir::Module &M, PassState &State,
+                                       size_t From,
                                        const AfterPassFn &AfterPass) {
   std::vector<PassStat> Stats;
   for (size_t PI = From; PI < Passes.size(); ++PI) {
     ModulePass *P = Passes[PI].get();
     if (State.Fatal)
       break;
-    const analysis::AnalysisManager::Counters Before = AM.counters();
     const auto T0 = std::chrono::steady_clock::now();
-    unsigned Changes = P->run(M, AM, State);
-    // The boundary invalidation runs inside the pass's accounting
-    // window so the invalidation cost is attributed to the pass that
-    // caused it.
-    AM.invalidate(P->preserved());
+    unsigned Changes = P->run(M, State);
     const auto T1 = std::chrono::steady_clock::now();
-    const analysis::AnalysisManager::Counters After = AM.counters();
 
     PassStat S;
     S.Name = P->name();
     S.WallMs = std::chrono::duration<double, std::milli>(T1 - T0).count();
     S.Changes = Changes;
-    S.AnalysisHits = After.Hits - Before.Hits;
-    S.AnalysisMisses = After.Misses - Before.Misses;
-    S.AnalysisInvalidations = After.Invalidations - Before.Invalidations;
     Stats.push_back(S);
 
     if (!Opts.PrintAfter.empty() && Opts.PrintAfter == S.Name)

@@ -21,8 +21,7 @@
 ///
 /// The manager owns the observability at pass boundaries:
 ///
-///  * per-pass wall-clock, change counts, and analysis cache
-///    hit/miss/invalidation deltas (PassStat, flowing into
+///  * per-pass wall-clock and change counts (PassStat, flowing into
 ///    stats::Report and bench_out JSON);
 ///  * FPINT_VERIFY_EACH_PASS=1 verifies the module after every pass
 ///    and attributes the first broken invariant to the pass that
@@ -30,17 +29,16 @@
 ///  * FPINT_PRINT_AFTER=<pass> dumps the module (sir::Printer) to
 ///    stderr after the named pass.
 ///
-/// Analyses (CFG / ReachingDefs / RDG / Liveness / block weights) are
-/// cached in an analysis::AnalysisManager across passes; each pass
-/// reports a PreservedAnalyses set and the manager invalidates
-/// everything else at the boundary.
+/// Each pass builds the analyses it reads (CFG, RDG, liveness, block
+/// weights) over the IR it sees and drops them when it returns; no
+/// pass's analyses outlive it, so there is nothing to invalidate at a
+/// boundary.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FPINT_CORE_PASSMANAGER_H
 #define FPINT_CORE_PASSMANAGER_H
 
-#include "analysis/AnalysisManager.h"
 #include "core/Pipeline.h"
 #include "sir/IR.h"
 #include "vm/VM.h"
@@ -96,16 +94,7 @@ public:
 
   /// Runs over \p M. Returns the number of IR changes made (0 for
   /// analysis-only passes); diagnostics and reports go to \p State.
-  virtual unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-                       PassState &State) = 0;
-
-  /// Analyses left valid by the most recent run(). The default is the
-  /// safe claim for a transformation; passes that only read the module
-  /// override to all(). Queried by the PassManager immediately after
-  /// run().
-  virtual analysis::PreservedAnalyses preserved() const {
-    return analysis::PreservedAnalyses::none();
-  }
+  virtual unsigned run(sir::Module &M, PassState &State) = 0;
 
   /// The PipelineConfig fields this pass reads, as ConfigField bits (0,
   /// the default, for none). Part of PassManager::prefixKeys(), so a
@@ -169,8 +158,7 @@ const char *opt2PipelineText();
 /// resolves the text here.
 std::string effectivePipelineText(const PipelineConfig &Config);
 
-/// Drives a pass sequence over a module with per-pass telemetry and
-/// boundary invalidation.
+/// Drives a pass sequence over a module with per-pass telemetry.
 class PassManager {
 public:
   struct Options {
@@ -209,12 +197,11 @@ public:
 
   /// Runs the passes from index \p From on, in order; \p M and
   /// \p State must hold the result of passes [0, From). After each
-  /// pass: snapshots telemetry, invalidates non-preserved analyses,
-  /// honors VerifyEach / PrintAfter, calls \p AfterPass, and stops
-  /// early when State.Fatal is set. Returns one PassStat per executed
-  /// pass.
-  std::vector<PassStat> run(sir::Module &M, analysis::AnalysisManager &AM,
-                            PassState &State, size_t From = 0,
+  /// pass: records telemetry, honors VerifyEach / PrintAfter, calls
+  /// \p AfterPass, and stops early when State.Fatal is set. Returns one
+  /// PassStat per executed pass.
+  std::vector<PassStat> run(sir::Module &M, PassState &State,
+                            size_t From = 0,
                             const AfterPassFn &AfterPass = nullptr);
 
 private:

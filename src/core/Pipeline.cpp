@@ -270,13 +270,12 @@ PipelineRun core::compileAndMeasure(const sir::Module &Original,
   State.Config = Config;
   sir::Module &M = *Run.Compiled;
 
-  analysis::AnalysisManager AM;
   PassManager::AfterPassFn Save;
   if (Planned)
     Save = [&](size_t Done, const std::vector<PassStat> &Rows) {
       Memo->P->save(*Planned, Done, M, State, Start.Stats, Rows);
     };
-  std::vector<PassStat> Rows = PM.run(M, AM, State, From, Save);
+  std::vector<PassStat> Rows = PM.run(M, State, From, Save);
   Run.PassStats = std::move(Start.Stats);
   Run.PassStats.insert(Run.PassStats.end(), Rows.begin(), Rows.end());
 

@@ -76,15 +76,17 @@ void appendConfigFields(std::string &Key, const PipelineConfig &Config,
 
 /// Per-pass boundary telemetry, one row per executed pass. Flows into
 /// PipelineRun, stats::RunRecord, and the bench_out JSON "passes"
-/// section; deterministic fields (Changes, cache counters) are diffed
-/// by fpint-report, WallMs is informational.
+/// section; Changes is diffed by fpint-report, WallMs is
+/// informational.
 struct PassStat {
   std::string Name;
   double WallMs = 0.0;
   unsigned Changes = 0;
+  /// Always 0: passes build the analyses they read and cache nothing.
+  /// Kept only because perfbench/driver.cpp still sums them into its
+  /// pass.analysis_hit_ratio metric.
   uint64_t AnalysisHits = 0;
   uint64_t AnalysisMisses = 0;
-  uint64_t AnalysisInvalidations = 0;
 };
 
 /// Lazily captured dynamic trace of a compiled module on the ref

@@ -17,7 +17,6 @@
 #ifndef FPINT_PARTITION_PARTITIONER_H
 #define FPINT_PARTITION_PARTITIONER_H
 
-#include "analysis/AnalysisManager.h"
 #include "analysis/ExecutionEstimate.h"
 #include "partition/CostModel.h"
 #include "partition/Rewriter.h"
@@ -51,15 +50,13 @@ struct ModuleRewrite {
 
 /// Partitions and rewrites \p M in place using \p ProfileWeights for the
 /// advanced cost model (may be null: static estimates). The module must
-/// be renumbered and verify cleanly. When \p AM is non-null the CFG /
-/// ReachingDefs / RDG / BlockWeights analyses are fetched through it
-/// (cache-aware); each rewritten function's entries are invalidated in
-/// place. Advanced-scheme \p Params that costParamsError() rejects
-/// leave \p M untouched and are reported in Errors.
+/// be renumbered and verify cleanly. Block weights are built once for
+/// the module, and each function's CFG and RDG just before it is
+/// partitioned. Advanced-scheme \p Params that costParamsError()
+/// rejects leave \p M untouched and are reported in Errors.
 ModuleRewrite partitionModule(sir::Module &M, Scheme S,
                               const vm::Profile *ProfileWeights,
-                              CostParams Params = CostParams(),
-                              analysis::AnalysisManager *AM = nullptr);
+                              CostParams Params = CostParams());
 
 /// Dynamic-instruction accounting over a (partitioned) module, computed
 /// from a measurement profile of that same module: every instruction in

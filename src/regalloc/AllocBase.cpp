@@ -1,4 +1,8 @@
-//===- regalloc/AllocBase.cpp - Shared per-function allocator machinery ---===//
+//===- regalloc/AllocBase.cpp - Per-function register allocator -----------===//
+//
+// Every allocation step but the scan policy, which is in RegAlloc.cpp.
+//
+//===----------------------------------------------------------------------===//
 
 #include "regalloc/AllocBase.h"
 
@@ -18,7 +22,7 @@ using sir::Opcode;
 using sir::Reg;
 using sir::RegClass;
 
-Reg FuncAllocBase::archReg(RegClass RC, unsigned Idx) {
+Reg FuncAllocator::archReg(RegClass RC, unsigned Idx) {
   auto Key = std::make_pair(RC, Idx);
   auto It = ArchRegs.find(Key);
   if (It != ArchRegs.end())
@@ -28,7 +32,7 @@ Reg FuncAllocBase::archReg(RegClass RC, unsigned Idx) {
   return R;
 }
 
-void FuncAllocBase::lowerCallingConvention() {
+void FuncAllocator::lowerCallingConvention() {
   // Formals: the incoming values arrive in $a0..$aN; copy them into the
   // original formal registers at entry, then retarget the formal list.
   std::vector<Reg> OldFormals = F.formals();
@@ -95,24 +99,11 @@ void FuncAllocBase::lowerCallingConvention() {
   F.renumber();
 }
 
-void FuncAllocBase::buildIntervals() {
-  // Calling-convention lowering just mutated F, so any cached analyses
-  // are stale; the caller invalidated them, making this fetch a clean
-  // miss over the lowered IR (with LiveIntervals pulling CFG and
-  // Liveness through the same manager, so the per-pass cache counters
-  // attribute every lookup to the running regalloc pass).
-  std::unique_ptr<analysis::CFG> LocalCfg;
-  std::unique_ptr<Liveness> LocalLive;
-  std::unique_ptr<LiveIntervals> LocalLI;
-  const LiveIntervals *LI;
-  if (AM) {
-    LI = &AM->getResult<LiveIntervalsAnalysis>(F);
-  } else {
-    LocalCfg = std::make_unique<analysis::CFG>(F);
-    LocalLive = std::make_unique<Liveness>(F, *LocalCfg);
-    LocalLI = std::make_unique<LiveIntervals>(F, *LocalCfg, *LocalLive);
-    LI = LocalLI.get();
-  }
+void FuncAllocator::buildIntervals() {
+  // Built over the IR calling-convention lowering just produced.
+  const analysis::CFG Cfg(F);
+  const Liveness Live(F, Cfg);
+  const LiveIntervals LI(F, Cfg, Live);
 
   IsPrecolored.assign(F.numRegs(), false);
   for (const auto &[Key, R] : ArchRegs)
@@ -124,7 +115,7 @@ void FuncAllocBase::buildIntervals() {
   // rewritten to the zero register instead of occupying an interval.
   NeverDefined.assign(F.numRegs(), false);
   for (unsigned R = 1; R < F.numRegs(); ++R) {
-    const LiveIntervals::Range &Rg = LI->range(Reg(R));
+    const LiveIntervals::Range &Rg = LI.range(Reg(R));
     NeverDefined[R] = Rg.Used && !Rg.Defined && !IsPrecolored[R];
   }
 
@@ -132,7 +123,7 @@ void FuncAllocBase::buildIntervals() {
   for (unsigned R = 1; R < F.numRegs(); ++R) {
     if (IsPrecolored[R] || NeverDefined[R])
       continue;
-    const LiveIntervals::Range &Rg = LI->range(Reg(R));
+    const LiveIntervals::Range &Rg = LI.range(Reg(R));
     if (Rg.Start == ~0u)
       continue;
     Intervals.push_back(Interval{Reg(R), F.regClass(Reg(R)), Rg.Start,
@@ -153,7 +144,7 @@ void FuncAllocBase::buildIntervals() {
   CalleeUsed[1].assign(ArchLayout::NumCallee, false);
 }
 
-void FuncAllocBase::rewrite() {
+void FuncAllocator::rewrite() {
   struct PendingInsert {
     BasicBlock *BB;
     size_t Pos; ///< Insert before this position.
@@ -255,7 +246,7 @@ void FuncAllocBase::rewrite() {
     Ins.BB->insertAt(Ins.Pos, std::move(Ins.I));
 }
 
-void FuncAllocBase::insertCalleeSaves() {
+void FuncAllocator::insertCalleeSaves() {
   // Allocate save slots for used callee-saved registers and insert the
   // prologue stores / epilogue reloads.
   std::vector<std::pair<Reg, unsigned>> Saves; // (arch reg, slot)
@@ -302,7 +293,7 @@ void FuncAllocBase::insertCalleeSaves() {
   }
 }
 
-void FuncAllocBase::finish() {
+void FuncAllocator::finish() {
   F.setFrameWords(std::max(F.frameWords(), NextSlot));
   F.setAllocated(true);
   F.renumber();
@@ -314,7 +305,7 @@ void FuncAllocBase::finish() {
   Out.Funcs.emplace(&F, std::move(Result));
 }
 
-bool FuncAllocBase::run(std::string &Error) {
+bool FuncAllocator::run(std::string &Error) {
   if (F.formals().size() > ArchLayout::NumArgRegs) {
     Error = F.name() + ": more than " +
             std::to_string(ArchLayout::NumArgRegs) + " formals";

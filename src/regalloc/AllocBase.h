@@ -1,23 +1,22 @@
-//===- regalloc/AllocBase.h - Shared per-function allocator machinery -----===//
+//===- regalloc/AllocBase.h - Per-function register allocator -------------===//
 //
 // Part of the fpint project (PLDI 1998 idle-FP-resources reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The per-function allocation skeleton:
+/// The per-function allocator, one pass through:
 ///
-///   lowerCallingConvention -> buildIntervals -> scan (POLICY)
+///   lowerCallingConvention -> buildIntervals -> scan (Int, Fp)
 ///     -> rewrite -> insertCalleeSaves -> finish
 ///
-/// The allocator in RegAlloc.cpp subclasses FuncAllocBase and
-/// implements only scan(): walk the interval list (sorted by start)
-/// for one register class and either assign Interval::ArchIdx or
-/// spill. Everything around the scan -- the position numbering (via
-/// the shared LiveIntervals analysis), the spill-everywhere rewrite
-/// through scratch registers, and the callee-save prologue/epilogue --
-/// lives here, keeping the scan policy separate from the contract in
-/// regalloc/RegAlloc.h.
+/// scan() walks the interval list (sorted by start) for one register
+/// class and either assigns Interval::ArchIdx or spills; it is the
+/// linear-scan policy and lives in RegAlloc.cpp. The steps around it
+/// -- the position numbering (from a LiveIntervals built over the
+/// lowered IR), the spill-everywhere rewrite through scratch
+/// registers, and the callee-save prologue/epilogue -- live in
+/// AllocBase.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +36,7 @@ namespace regalloc {
 /// Architectural zero (reads as 0); never-defined registers map here.
 constexpr unsigned ZeroRegIndex = 31;
 
-/// One allocatable register's lifetime, as the scan policies see it:
+/// One allocatable register's lifetime, as scan() sees it:
 /// the LiveIntervals range of a non-precolored, non-never-defined
 /// register, plus the scan's assignment outcome.
 struct Interval {
@@ -50,25 +49,20 @@ struct Interval {
   bool Spilled = false;
 };
 
-/// Drives one function through the shared allocation skeleton.
-/// Single-use: construct, run(), discard.
-class FuncAllocBase {
+/// Allocates one function. Single-use: construct, run(), discard.
+class FuncAllocator {
 public:
-  FuncAllocBase(sir::Function &F, ModuleAlloc &Out,
-                analysis::AnalysisManager *AM)
-      : F(F), Out(Out), AM(AM) {}
-  virtual ~FuncAllocBase() = default;
+  FuncAllocator(sir::Function &F, ModuleAlloc &Out) : F(F), Out(Out) {}
 
-  /// Runs the full skeleton; false + \p Error on contract violations.
+  /// Runs every step; false + \p Error on contract violations.
   bool run(std::string &Error);
 
-protected:
-  /// Scan policy: assign ArchIdx or spill every interval of class
-  /// \p RC, in interval order. Must honor the contract: an interval
-  /// with CrossesCall set may only take a callee-saved index (or
-  /// spill), and every callee-saved index taken must be marked in
-  /// CalleeUsed (markCalleeUsed does both bookkeeping steps).
-  virtual void scan(sir::RegClass RC) = 0;
+private:
+  /// Linear scan: assigns ArchIdx or spills every interval of class
+  /// \p RC, in interval order. An interval with CrossesCall set may
+  /// only take a callee-saved index (or spill), and every callee-saved
+  /// index taken is marked in CalleeUsed (markCalleeUsed).
+  void scan(sir::RegClass RC);
 
   /// Records that callee-saved index \p ArchIdx of class \p RC is in
   /// use (so it is saved/restored in the prologue/epilogue).
@@ -93,20 +87,18 @@ protected:
   /// The architectural vreg for (class, index), created lazily.
   sir::Reg archReg(sir::RegClass RC, unsigned Idx);
 
-  sir::Function &F;
-  ModuleAlloc &Out;
-  analysis::AnalysisManager *AM; ///< Optional shared analysis cache.
-  FuncAlloc Result;
-
-  std::vector<Interval> Intervals;  ///< Sorted by (Start, R).
-  std::vector<unsigned> IntervalOf; ///< Reg id -> interval (~0u).
-
-private:
   void lowerCallingConvention();
   void buildIntervals();
   void rewrite();
   void insertCalleeSaves();
   void finish();
+
+  sir::Function &F;
+  ModuleAlloc &Out;
+  FuncAlloc Result;
+
+  std::vector<Interval> Intervals;  ///< Sorted by (Start, R).
+  std::vector<unsigned> IntervalOf; ///< Reg id -> interval (~0u).
 
   // Architectural vregs, created lazily per (class, index).
   std::map<std::pair<sir::RegClass, unsigned>, sir::Reg> ArchRegs;

@@ -71,16 +71,3 @@ LiveIntervals::LiveIntervals(const sir::Function &F,
     Rg.CrossesCall = It != CallPositions.end() && *It < Rg.End;
   }
 }
-
-const analysis::AnalysisKey *LiveIntervalsAnalysis::id() {
-  static analysis::AnalysisKey Key;
-  return &Key;
-}
-
-std::unique_ptr<LiveIntervals>
-LiveIntervalsAnalysis::run(const sir::Function &F,
-                           analysis::AnalysisManager &AM) {
-  const analysis::CFG &Cfg = AM.getResult<analysis::CFGAnalysis>(F);
-  const Liveness &Live = AM.getResult<LivenessAnalysis>(F);
-  return std::make_unique<LiveIntervals>(F, Cfg, Live);
-}

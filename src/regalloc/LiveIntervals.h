@@ -14,9 +14,7 @@
 /// intervals that are live across a call.
 ///
 /// This is the register allocator's input (see docs/REGALLOC.md),
-/// fetched through the AnalysisManager ("live-intervals",
-/// dependency-linked to "cfg" and "liveness") or built locally when no
-/// manager is available.
+/// built once per function over the lowered IR.
 ///
 /// The analysis is allocator-neutral: it covers *every* register id,
 /// including ones an allocator will treat as precolored or
@@ -29,11 +27,9 @@
 #ifndef FPINT_REGALLOC_LIVEINTERVALS_H
 #define FPINT_REGALLOC_LIVEINTERVALS_H
 
-#include "analysis/AnalysisManager.h"
 #include "regalloc/Liveness.h"
 #include "sir/IR.h"
 
-#include <memory>
 #include <vector>
 
 namespace fpint {
@@ -73,18 +69,6 @@ private:
   std::vector<unsigned> BlockStarts;
   std::vector<unsigned> BlockEnds;
   std::vector<unsigned> CallPositions;
-};
-
-/// AnalysisManager adapter for LiveIntervals (consults CFGAnalysis and
-/// LivenessAnalysis, so invalidating either transitively drops the
-/// intervals). Lives in regalloc/ for the same layering reason as
-/// LivenessAnalysis: the analysis library must not depend upward.
-struct LiveIntervalsAnalysis {
-  using Result = LiveIntervals;
-  static const analysis::AnalysisKey *id();
-  static const char *name() { return "live-intervals"; }
-  static std::unique_ptr<Result> run(const sir::Function &F,
-                                     analysis::AnalysisManager &AM);
 };
 
 } // namespace regalloc

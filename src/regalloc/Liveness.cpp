@@ -2,22 +2,9 @@
 
 #include "regalloc/Liveness.h"
 
-#include <memory>
-
 using namespace fpint;
 using namespace fpint::regalloc;
 using sir::Reg;
-
-const analysis::AnalysisKey *LivenessAnalysis::id() {
-  static analysis::AnalysisKey Key;
-  return &Key;
-}
-
-std::unique_ptr<Liveness>
-LivenessAnalysis::run(const sir::Function &F, analysis::AnalysisManager &AM) {
-  const analysis::CFG &Cfg = AM.getResult<analysis::CFGAnalysis>(F);
-  return std::make_unique<Liveness>(F, Cfg);
-}
 
 Liveness::Liveness(const sir::Function &F, const analysis::CFG &Cfg) {
   const unsigned NumBlocks = Cfg.numBlocks();

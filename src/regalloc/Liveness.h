@@ -18,12 +18,10 @@
 #ifndef FPINT_REGALLOC_LIVENESS_H
 #define FPINT_REGALLOC_LIVENESS_H
 
-#include "analysis/AnalysisManager.h"
 #include "analysis/CFG.h"
 #include "sir/IR.h"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace fpint {
@@ -69,17 +67,6 @@ private:
   unsigned Words = 0; ///< 64-bit words per set: ceil(numRegs / 64).
   std::vector<uint64_t> In;
   std::vector<uint64_t> Out;
-};
-
-/// AnalysisManager adapter for Liveness (consults CFGAnalysis). Lives
-/// here rather than in analysis/ because liveness is a regalloc-layer
-/// concern and the analysis library must not depend upward.
-struct LivenessAnalysis {
-  using Result = Liveness;
-  static const analysis::AnalysisKey *id();
-  static const char *name() { return "liveness"; }
-  static std::unique_ptr<Result> run(const sir::Function &F,
-                                     analysis::AnalysisManager &AM);
 };
 
 } // namespace regalloc

@@ -1,9 +1,9 @@
 //===- regalloc/RegAlloc.cpp - Linear-scan register allocation ------------===//
 //
-// The scan policy: lowest-index-first register pools per class,
-// caller-saved preferred for intervals that do not cross a call,
-// furthest-end victim spilling. Everything around the scan lives in
-// AllocBase.cpp.
+// The module driver and FuncAllocator's scan policy: lowest-index-first
+// register pools per class, caller-saved preferred for intervals that
+// do not cross a call, furthest-end victim spilling. The allocation
+// steps around the scan live in AllocBase.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,17 +20,7 @@ using namespace fpint::regalloc;
 using sir::Reg;
 using sir::RegClass;
 
-namespace {
-
-class ScanFuncAllocator final : public FuncAllocBase {
-public:
-  using FuncAllocBase::FuncAllocBase;
-
-private:
-  void scan(RegClass RC) override;
-};
-
-void ScanFuncAllocator::scan(RegClass RC) {
+void FuncAllocator::scan(RegClass RC) {
   std::vector<bool> CallerFree(ArchLayout::NumCaller, true);
   std::vector<bool> CalleeFree(ArchLayout::NumCallee, true);
   std::vector<unsigned> Active; // Interval indices, unordered.
@@ -115,21 +105,12 @@ void ScanFuncAllocator::scan(RegClass RC) {
   }
 }
 
-} // namespace
-
-ModuleAlloc regalloc::allocateModule(sir::Module &M,
-                                     analysis::AnalysisManager *AM) {
+ModuleAlloc regalloc::allocateModule(sir::Module &M) {
   ModuleAlloc Result;
   for (const auto &F : M.functions()) {
     std::string Error;
-    // Lowering and rewriting mutate F around the analysis fetches, so
-    // bracket each function with invalidations: stale entries from
-    // earlier passes are dropped going in, and the allocator's own
-    // CFG / liveness / live-interval results are dropped going out.
-    if (AM)
-      AM->invalidateFunction(*F);
     auto T0 = std::chrono::steady_clock::now();
-    bool Ok = ScanFuncAllocator(*F, Result, AM).run(Error);
+    bool Ok = FuncAllocator(*F, Result).run(Error);
     auto T1 = std::chrono::steady_clock::now();
     if (!Ok)
       Result.Errors.push_back(Error);
@@ -137,8 +118,6 @@ ModuleAlloc regalloc::allocateModule(sir::Module &M,
     if (It != Result.Funcs.end())
       It->second.WallMs =
           std::chrono::duration<double, std::milli>(T1 - T0).count();
-    if (AM)
-      AM->invalidateFunction(*F);
   }
   return Result;
 }

@@ -24,8 +24,9 @@
 ///  * rewrites the function onto architectural registers and reports a
 ///    register -> (file, index) map for the timing simulator's renamer.
 ///
-/// The scan policy lives in RegAlloc.cpp; everything around it
-/// (lowering, live intervals, spill rewrite, callee saves) is in
+/// regalloc::FuncAllocator (AllocBase.h) allocates one function; its
+/// scan policy lives in RegAlloc.cpp and every step around it
+/// (lowering, live intervals, spill rewrite, callee saves) in
 /// AllocBase.cpp. See docs/REGALLOC.md.
 ///
 //===----------------------------------------------------------------------===//
@@ -33,7 +34,6 @@
 #ifndef FPINT_REGALLOC_REGALLOC_H
 #define FPINT_REGALLOC_REGALLOC_H
 
-#include "analysis/AnalysisManager.h"
 #include "sir/IR.h"
 
 #include <string>
@@ -100,12 +100,8 @@ struct ModuleAlloc {
 /// function's allocation wall time in FuncAlloc::WallMs. The module
 /// must verify cleanly; functions may have at most
 /// ArchLayout::NumArgRegs formals (a violation is reported in
-/// ModuleAlloc::Errors and leaves that function untouched). When \p AM
-/// is non-null every analysis (CFG, liveness, live intervals) is
-/// fetched through it; each function's cached analyses are invalidated
-/// around its allocation (the allocator rewrites the IR).
-ModuleAlloc allocateModule(sir::Module &M,
-                           analysis::AnalysisManager *AM = nullptr);
+/// ModuleAlloc::Errors and leaves that function untouched).
+ModuleAlloc allocateModule(sir::Module &M);
 
 } // namespace regalloc
 } // namespace fpint

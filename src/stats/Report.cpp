@@ -104,8 +104,6 @@ RegAllocSummary RegAllocSummary::of(const core::PipelineRun &Run) {
 
 Value stats::regAllocSummaryToJson(const RegAllocSummary &S) {
   Value V = Value::object();
-  // There is one allocator; the field stays for the report schema.
-  V.set("allocator", "regalloc");
   V.set("functions", S.Functions);
   V.set("spilled_intervals", S.SpilledIntervals);
   V.set("spill_slots", S.SpillSlots);
@@ -125,9 +123,6 @@ Value stats::passStatsToJson(const std::vector<core::PassStat> &Passes) {
     Row.set("name", P.Name);
     Row.set("wall_ms", P.WallMs);
     Row.set("changes", P.Changes);
-    Row.set("analysis_hits", P.AnalysisHits);
-    Row.set("analysis_misses", P.AnalysisMisses);
-    Row.set("analysis_invalidations", P.AnalysisInvalidations);
     V.push(std::move(Row));
   }
   return V;
@@ -312,10 +307,11 @@ DiffResult stats::diffReports(const Value &Base, const Value &Current,
     }
 
     // Per-pass compile telemetry: for a fixed pipeline the change
-    // counts and analysis cache counters are deterministic, so any
-    // drift is a compile-side behaviour change. Baselines predating
-    // the "passes" array are skipped; wall_ms is informational and
-    // never compared.
+    // counts are deterministic, so any drift is a compile-side
+    // behaviour change. Baselines predating the "passes" array are
+    // skipped; wall_ms is informational and never compared, and keys
+    // this report no longer emits (the analysis cache counters) are
+    // ignored.
     const Value *BP = BaseRun.find("passes");
     const Value *CP = CurRun->find("passes");
     if (BP && BP->isArray() && CP && CP->isArray()) {
@@ -332,34 +328,24 @@ DiffResult stats::diffReports(const Value &Base, const Value &Current,
                                  "'");
             continue;
           }
-          for (const char *Metric :
-               {"changes", "analysis_hits", "analysis_misses",
-                "analysis_invalidations"}) {
-            double BV = BRow.numberOr(Metric, 0);
-            double CV = CRow.numberOr(Metric, 0);
-            if (BV != CV)
-              R.Problems.push_back(
-                  "pass '" + BName + "' " + Metric + " changed for " + Id +
-                  " (" + std::to_string(static_cast<long long>(BV)) +
-                  " -> " + std::to_string(static_cast<long long>(CV)) + ")");
-          }
+          double BV = BRow.numberOr("changes", 0);
+          double CV = CRow.numberOr("changes", 0);
+          if (BV != CV)
+            R.Problems.push_back(
+                "pass '" + BName + "' changes changed for " + Id + " (" +
+                std::to_string(static_cast<long long>(BV)) + " -> " +
+                std::to_string(static_cast<long long>(CV)) + ")");
         }
       }
     }
 
-    // Register-allocation telemetry: backend identity and spill
-    // footprint are deterministic for a fixed pipeline, so drift is a
-    // compile-side behaviour change. Baselines predating the
-    // "regalloc" object are skipped; wall_ms is informational like
-    // sim_wall_ms.
+    // Register-allocation telemetry: the spill footprint is
+    // deterministic for a fixed pipeline, so drift is a compile-side
+    // behaviour change. Baselines predating the "regalloc" object are
+    // skipped; wall_ms is informational like sim_wall_ms.
     const Value *BA = BaseRun.find("regalloc");
     const Value *CA = CurRun->find("regalloc");
     if (BA && BA->isObject() && CA && CA->isObject()) {
-      const std::string BAlloc = BA->strOr("allocator", "");
-      const std::string CAlloc = CA->strOr("allocator", "");
-      if (BAlloc != CAlloc)
-        R.Problems.push_back("register allocator changed for " + Id +
-                             " ('" + BAlloc + "' -> '" + CAlloc + "')");
       for (const char *Metric :
            {"functions", "spilled_intervals", "spill_slots", "spill_loads",
             "spill_stores", "callee_save_stores", "callee_save_restores"}) {

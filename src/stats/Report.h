@@ -49,7 +49,7 @@ json::Value pipelineConfigToJson(const core::PipelineConfig &C);
 json::Value simStatsToJson(const timing::SimStats &S);
 json::Value breakdownToJson(const StallBreakdown &B);
 /// The per-pass compile telemetry table ("passes" array of a run):
-/// name, wall ms, change count, and analysis cache counters per pass.
+/// name, wall ms and change count per pass.
 json::Value passStatsToJson(const std::vector<core::PassStat> &Passes);
 
 /// Register-allocation telemetry of one run (the "regalloc" object):

@@ -2,7 +2,7 @@
 
 #include "transform/Transforms.h"
 
-#include "analysis/AnalysisManager.h"
+#include "analysis/CFG.h"
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
 #include "opt/Passes.h"
@@ -24,14 +24,11 @@ namespace {
 /// this scan honest against its own (now stale) liveness: any
 /// candidate touching a register whose definition moved this scan
 /// waits for the next scan.
-unsigned hoistOnce(sir::Function &F, analysis::AnalysisManager &AM) {
-  const analysis::CFG &Cfg = AM.getResult<analysis::CFGAnalysis>(F);
-  const analysis::DominatorTree &DT =
-      AM.getResult<analysis::DominatorTreeAnalysis>(F);
-  const analysis::LoopInfo &LI = AM.getResult<analysis::LoopInfoAnalysis>(F);
-  const regalloc::Liveness &Live =
-      AM.getResult<regalloc::LivenessAnalysis>(F);
-  (void)Cfg;
+unsigned hoistOnce(sir::Function &F) {
+  const analysis::CFG Cfg(F);
+  const analysis::DominatorTree DT(F, Cfg);
+  const analysis::LoopInfo LI(F, Cfg, DT);
+  const regalloc::Liveness Live(F, Cfg);
 
   unsigned Hoisted = 0;
   std::unordered_set<uint32_t> HoistedRegs;
@@ -105,18 +102,17 @@ unsigned hoistOnce(sir::Function &F, analysis::AnalysisManager &AM) {
 
 } // namespace
 
-unsigned transform::runLICM(sir::Function &F, analysis::AnalysisManager &AM) {
+unsigned transform::runLICM(sir::Function &F) {
   if (F.blocks().empty())
     return 0;
   unsigned Total = 0;
   // Instructions only ever leave loops, so this terminates; the cap is
   // a backstop for pathological inputs.
   for (unsigned Round = 0; Round < 8; ++Round) {
-    unsigned Hoisted = hoistOnce(F, AM);
+    unsigned Hoisted = hoistOnce(F);
     if (!Hoisted)
       break;
     Total += Hoisted;
-    AM.invalidateFunction(F);
     F.renumber();
   }
   return Total;

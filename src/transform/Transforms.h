@@ -13,8 +13,8 @@
 /// on optimized code instead of naive input.
 ///
 ///  * LICM     hoists loop-invariant pure instructions into loop
-///             preheaders (built on the cached dominator and loop
-///             analyses).
+///             preheaders (dominator tree, loop info and liveness
+///             rebuilt for each hoisting round).
 ///  * Inline   bottom-up inlining over the acyclic part of the call
 ///             graph, under caller/callee size budgets.
 ///
@@ -33,9 +33,6 @@
 #include "sir/IR.h"
 
 namespace fpint {
-namespace analysis {
-class AnalysisManager;
-}
 namespace transform {
 
 /// Loop-invariant code motion. Hoists a pure non-memory instruction
@@ -48,7 +45,7 @@ namespace transform {
 /// instruction executed on every completed trip anyway). Loads and
 /// stores are never moved. Returns instructions hoisted; renumbers the
 /// function when it changes anything.
-unsigned runLICM(sir::Function &F, analysis::AnalysisManager &AM);
+unsigned runLICM(sir::Function &F);
 
 struct InlineOptions {
   /// Callees larger than this are never inlined.

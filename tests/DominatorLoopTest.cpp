@@ -10,12 +10,10 @@
 /// dominance queries on diamonds and unreachable blocks; natural-loop
 /// discovery (nesting, preheaders, latches, exits) on nested and
 /// multi-latch loops, including the irreducible-looking shape that must
-/// produce no natural loop at all; and the AnalysisManager contract
-/// that dropping "cfg" transitively drops "domtree" and "loops".
+/// produce no natural loop at all.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/AnalysisManager.h"
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
 #include "sir/Parser.h"
@@ -57,8 +55,8 @@ join:
 )");
   const Function &F = *M->functionByName("main");
   // entry=0, right=1, left=2, dead=3, join=4.
-  AnalysisManager AM;
-  const DominatorTree &DT = AM.getResult<DominatorTreeAnalysis>(F);
+  CFG Cfg(F);
+  DominatorTree DT(F, Cfg);
 
   EXPECT_EQ(DT.idom(0), 0u);
   EXPECT_EQ(DT.idom(1), 0u);
@@ -111,8 +109,8 @@ exit:
 )");
   const Function &F = *M->functionByName("main");
   // entry=0, loop=1, exit=2.
-  AnalysisManager AM;
-  const DominatorTree &DT = AM.getResult<DominatorTreeAnalysis>(F);
+  CFG Cfg(F);
+  DominatorTree DT(F, Cfg);
   EXPECT_EQ(DT.idom(1), 0u);
   EXPECT_EQ(DT.idom(2), 1u);
   // The latch's dominance frontier contains its own header (the
@@ -143,8 +141,9 @@ inner:
 )");
   const Function &F = *M->functionByName("main");
   // entry=0, outer=1, inner=2, after-inner=3 (outer latch), after=4.
-  AnalysisManager AM;
-  const LoopInfo &LI = AM.getResult<LoopInfoAnalysis>(F);
+  CFG Cfg(F);
+  DominatorTree DT(F, Cfg);
+  LoopInfo LI(F, Cfg, DT);
   ASSERT_EQ(LI.loops().size(), 2u);
 
   // Outermost first: loops()[0] is the outer loop.
@@ -199,8 +198,9 @@ exit:
 )");
   const Function &F = *M->functionByName("main");
   // entry=0, head=1, mid=2, anon-jmp=3, latch2=4, exit=5.
-  AnalysisManager AM;
-  const LoopInfo &LI = AM.getResult<LoopInfoAnalysis>(F);
+  CFG Cfg(F);
+  DominatorTree DT(F, Cfg);
+  LoopInfo LI(F, Cfg, DT);
   ASSERT_EQ(LI.loops().size(), 1u);
   const Loop &L = LI.loops()[0];
   EXPECT_EQ(L.Header, 1u);
@@ -227,8 +227,9 @@ c:
 }
 )");
   const Function &F = *M->functionByName("main");
-  AnalysisManager AM;
-  const LoopInfo &LI = AM.getResult<LoopInfoAnalysis>(F);
+  CFG Cfg(F);
+  DominatorTree DT(F, Cfg);
+  LoopInfo LI(F, Cfg, DT);
   EXPECT_TRUE(LI.loops().empty());
   EXPECT_EQ(LI.innermostLoop(1), Loop::NoLoop);
   EXPECT_EQ(LI.innermostLoop(2), Loop::NoLoop);
@@ -251,8 +252,9 @@ exit:
 }
 )");
   const Function &F = *M->functionByName("main");
-  AnalysisManager AM;
-  const LoopInfo &LI = AM.getResult<LoopInfoAnalysis>(F);
+  CFG Cfg(F);
+  DominatorTree DT(F, Cfg);
+  LoopInfo LI(F, Cfg, DT);
   ASSERT_EQ(LI.loops().size(), 1u);
   EXPECT_EQ(LI.loops()[0].Preheader, Loop::NoBlock);
 }
@@ -273,71 +275,12 @@ exit:
 }
 )");
   const Function &F = *M->functionByName("main");
-  AnalysisManager AM;
-  const LoopInfo &LI = AM.getResult<LoopInfoAnalysis>(F);
+  CFG Cfg(F);
+  DominatorTree DT(F, Cfg);
+  LoopInfo LI(F, Cfg, DT);
   ASSERT_EQ(LI.loops().size(), 1u);
   EXPECT_EQ(LI.loops()[0].Header, 1u);
   EXPECT_EQ(LI.loops()[0].Preheader, Loop::NoBlock);
-}
-
-//===----------------------------------------------------------------------===//
-// AnalysisManager integration
-//===----------------------------------------------------------------------===//
-
-TEST(DominatorLoopAnalyses, DroppingCfgInvalidatesTransitively) {
-  auto M = parseOrDie(R"(
-func main() {
-entry:
-  li %i, 0
-loop:
-  addi %i, %i, 1
-  slti %c, %i, 4
-  bne %c, %zero, loop
-exit:
-  ret
-}
-)");
-  const Function &F = *M->functionByName("main");
-  AnalysisManager AM;
-
-  // Computing "loops" computes (and records dependencies on) "domtree"
-  // and "cfg".
-  AM.getResult<LoopInfoAnalysis>(F);
-  auto MissesOf = [&](const char *Name) {
-    auto It = AM.countersByAnalysis().find(Name);
-    return It == AM.countersByAnalysis().end() ? uint64_t(0)
-                                               : It->second.Misses;
-  };
-  auto InvalidationsOf = [&](const char *Name) {
-    auto It = AM.countersByAnalysis().find(Name);
-    return It == AM.countersByAnalysis().end() ? uint64_t(0)
-                                               : It->second.Invalidations;
-  };
-  EXPECT_EQ(MissesOf("cfg"), 1u);
-  EXPECT_EQ(MissesOf("domtree"), 1u);
-  EXPECT_EQ(MissesOf("loops"), 1u);
-
-  // Cached: no further misses.
-  AM.getResult<LoopInfoAnalysis>(F);
-  AM.getResult<DominatorTreeAnalysis>(F);
-  EXPECT_EQ(MissesOf("loops"), 1u);
-  EXPECT_EQ(MissesOf("domtree"), 1u);
-
-  // Explicitly preserve domtree and loops but NOT cfg: the dependency
-  // edges must drop all three anyway.
-  PreservedAnalyses PA;
-  PA.preserve<DominatorTreeAnalysis>();
-  PA.preserve<LoopInfoAnalysis>();
-  AM.invalidate(PA);
-  EXPECT_EQ(InvalidationsOf("cfg"), 1u);
-  EXPECT_EQ(InvalidationsOf("domtree"), 1u);
-  EXPECT_EQ(InvalidationsOf("loops"), 1u);
-
-  // Everything recomputes from scratch.
-  AM.getResult<LoopInfoAnalysis>(F);
-  EXPECT_EQ(MissesOf("cfg"), 2u);
-  EXPECT_EQ(MissesOf("domtree"), 2u);
-  EXPECT_EQ(MissesOf("loops"), 2u);
 }
 
 } // namespace

@@ -158,7 +158,7 @@ TEST(RegAlloc, SummaryIsEmittedOnlyWhenRegallocRan) {
   EXPECT_EQ(S.Functions, Run.Alloc.Funcs.size());
   EXPECT_EQ(S.SpilledIntervals, Run.Alloc.totalSpilledIntervals());
   json::Value V = stats::regAllocSummaryToJson(S);
-  EXPECT_EQ(V.strOr("allocator", ""), "regalloc");
+  EXPECT_EQ(V.find("allocator"), nullptr);
 
   Cfg.Passes = "opt,profile,partition";
   core::PipelineRun Unallocated = core::compileAndMeasure(*M, Cfg);
@@ -386,10 +386,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RegAllocProperty, ::testing::Range(0, 30));
 namespace {
 
 //===----------------------------------------------------------------------===//
-// LiveIntervals: construction, AnalysisManager caching, invalidation.
+// LiveIntervals: construction.
 //===----------------------------------------------------------------------===//
 
-/// Builds LiveIntervals for \p Name directly (no manager).
+/// Builds LiveIntervals for \p Name.
 LiveIntervals buildIntervals(Module &M, const char *Name,
                              Function **OutF = nullptr) {
   Function *F = M.functionByName(Name);
@@ -482,66 +482,6 @@ entry:
   // inside), and the call's own def starts at the call: no crossing.
   EXPECT_FALSE(LI.range(Call->uses()[0]).CrossesCall);
   EXPECT_FALSE(LI.range(Call->def()).CrossesCall);
-}
-
-TEST(LiveIntervals, CachedAndInvalidatedThroughManager) {
-  auto M = parseOrDie(R"(
-func main() {
-entry:
-  li %a, 1
-  out %a
-  ret
-}
-)");
-  Function *F = M->functionByName("main");
-  F->renumber();
-  analysis::AnalysisManager AM;
-
-  const LiveIntervals &First = AM.getResult<LiveIntervalsAnalysis>(*F);
-  const LiveIntervals &Again = AM.getResult<LiveIntervalsAnalysis>(*F);
-  EXPECT_EQ(&First, &Again);
-
-  // One miss each for live-intervals and its cfg/liveness inputs; the
-  // second fetch is a pure hit.
-  const auto &ByName = AM.countersByAnalysis();
-  EXPECT_EQ(ByName.at("live-intervals").Misses, 1u);
-  EXPECT_EQ(ByName.at("live-intervals").Hits, 1u);
-  EXPECT_EQ(ByName.at("cfg").Misses, 1u);
-  EXPECT_EQ(ByName.at("liveness").Misses, 1u);
-
-  // Function-level invalidation recomputes everything.
-  AM.invalidateFunction(*F);
-  AM.getResult<LiveIntervalsAnalysis>(*F);
-  EXPECT_EQ(AM.countersByAnalysis().at("live-intervals").Misses, 2u);
-  EXPECT_EQ(AM.countersByAnalysis().at("cfg").Misses, 2u);
-}
-
-TEST(LiveIntervals, DependencyInvalidationCascades) {
-  auto M = parseOrDie(R"(
-func main() {
-entry:
-  li %a, 1
-  out %a
-  ret
-}
-)");
-  Function *F = M->functionByName("main");
-  F->renumber();
-  analysis::AnalysisManager AM;
-  AM.getResult<LiveIntervalsAnalysis>(*F);
-
-  // A pass that preserves live-intervals by name but not liveness
-  // still drops the intervals: they depended on a dropped entry.
-  analysis::PreservedAnalyses PA;
-  PA.preserve<LiveIntervalsAnalysis>();
-  PA.preserve<analysis::CFGAnalysis>();
-  AM.invalidate(PA);
-  AM.getResult<LiveIntervalsAnalysis>(*F);
-  const auto &ByName = AM.countersByAnalysis();
-  EXPECT_EQ(ByName.at("live-intervals").Misses, 2u);
-  // The preserved CFG survived and was a hit on recompute.
-  EXPECT_EQ(ByName.at("cfg").Misses, 1u);
-  EXPECT_GE(ByName.at("cfg").Hits, 1u);
 }
 
 //===----------------------------------------------------------------------===//

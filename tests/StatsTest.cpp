@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <sstream>
 
@@ -472,4 +473,80 @@ TEST(Report, DiffReportsMissingRunsAsProblems) {
   EXPECT_EQ(R.Problems.size(), 2u);
   EXPECT_FALSE(R.clean());
   EXPECT_EQ(R.Regressions, 0u);
+}
+
+namespace {
+
+/// \p Doc with every run's "passes" rows and "regalloc" object rewritten
+/// by \p EditRow and \p EditAlloc.
+json::Value editRuns(const json::Value &Doc,
+                     const std::function<void(json::Value &)> &EditRow,
+                     const std::function<void(json::Value &)> &EditAlloc) {
+  json::Value Out = Doc;
+  json::Value NewRuns = json::Value::array();
+  for (const json::Value &OldRun : Doc.find("runs")->items()) {
+    json::Value Run = OldRun;
+    json::Value Rows = json::Value::array();
+    for (json::Value Row : OldRun.find("passes")->items()) {
+      EditRow(Row);
+      Rows.push(std::move(Row));
+    }
+    Run.set("passes", std::move(Rows));
+    json::Value Alloc = *OldRun.find("regalloc");
+    EditAlloc(Alloc);
+    Run.set("regalloc", std::move(Alloc));
+    NewRuns.push(std::move(Run));
+  }
+  Out.set("runs", std::move(NewRuns));
+  return Out;
+}
+
+} // namespace
+
+TEST(Report, DiffIgnoresRetiredPassAndAllocatorKeys) {
+  PipelineRun Run = compileSrc(wideKernel(), partition::Scheme::Advanced);
+  MachineConfig M = MachineConfig::fourWay();
+  Simulator Sim(M, Run.Alloc);
+  SimStats S = Sim.run(Run.packedTrace());
+  S.SimWallMs = 1.0;
+  stats::StatsRegistry Reg;
+  Reg.record("wide", Run.Config, M, S, vm::TrapKind::None, Run.PassStats,
+             stats::RegAllocSummary::of(Run));
+  json::Value Cur = Reg.reportJson("diff_test");
+
+  // The report no longer writes the analysis cache counters or the
+  // constant allocator name.
+  const json::Value &Run0 = (*Cur.find("runs"))[0];
+  ASSERT_EQ(Run0.find("passes")->size(), 3u);
+  for (const json::Value &Row : Run0.find("passes")->items()) {
+    EXPECT_NE(Row.find("changes"), nullptr);
+    for (const char *Key : {"analysis_hits", "analysis_misses",
+                            "analysis_invalidations"})
+      EXPECT_EQ(Row.find(Key), nullptr) << Key;
+  }
+  EXPECT_EQ(Run0.find("regalloc")->find("allocator"), nullptr);
+
+  // A baseline written before that still carries them diffs clean.
+  json::Value Old = editRuns(
+      Cur,
+      [](json::Value &Row) {
+        Row.set("analysis_hits", int64_t(3));
+        Row.set("analysis_misses", int64_t(5));
+        Row.set("analysis_invalidations", int64_t(5));
+      },
+      [](json::Value &Alloc) { Alloc.set("allocator", "regalloc"); });
+  stats::DiffResult R = stats::diffReports(Old, Cur, stats::DiffOptions());
+  EXPECT_TRUE(R.Problems.empty()) << R.Problems.front();
+  EXPECT_TRUE(R.clean());
+
+  // Pass rows are still compared on their change counts.
+  json::Value Moved = editRuns(
+      Cur,
+      [](json::Value &Row) {
+        Row.set("changes", int64_t(Row.numberOr("changes", 0) + 1));
+      },
+      [](json::Value &) {});
+  stats::DiffResult R2 = stats::diffReports(Moved, Cur, stats::DiffOptions());
+  EXPECT_EQ(R2.Problems.size(), 3u);
+  EXPECT_FALSE(R2.clean());
 }

@@ -15,7 +15,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/AnalysisManager.h"
 #include "sir/Parser.h"
 #include "sir/Verifier.h"
 #include "transform/Transforms.h"
@@ -88,8 +87,7 @@ exit:
 )");
   auto Reference = M->clone();
   Function &F = *M->functionByName("main");
-  analysis::AnalysisManager AM;
-  EXPECT_EQ(transform::runLICM(F, AM), 1u);
+  EXPECT_EQ(transform::runLICM(F), 1u);
   // The mul now lives in the preheader (entry, block 0), not the loop.
   ASSERT_GE(F.blocks().size(), 2u);
   EXPECT_EQ(countOps(F, Opcode::Mul), 1u);
@@ -123,11 +121,10 @@ exit:
 }
 )");
   Function &F = *M->functionByName("main");
-  analysis::AnalysisManager AM;
   // The lw looks invariant (g's address never changes) but the sw in
   // the same loop aliases it: memory operations are categorically not
   // hoisted.
-  EXPECT_EQ(transform::runLICM(F, AM), 0u);
+  EXPECT_EQ(transform::runLICM(F), 0u);
   bool LoadInLoop = false;
   for (const auto &I : F.blocks()[1]->instructions())
     if (I->isLoad())
@@ -155,8 +152,7 @@ exit:
 }
 )");
   Function &F = *M->functionByName("main");
-  analysis::AnalysisManager AM;
-  EXPECT_EQ(transform::runLICM(F, AM), 0u); // %i changes every trip.
+  EXPECT_EQ(transform::runLICM(F), 0u); // %i changes every trip.
   expectStrictlyValid(*M);
 }
 
@@ -180,11 +176,10 @@ exit:
 )");
   auto Reference = M->clone();
   Function &F = *M->functionByName("main");
-  analysis::AnalysisManager AM;
   // %v is printed before it is recomputed, so the first iteration must
   // observe the preheader's 0. Hoisting the mul would print 30 instead:
   // the live-into-header check has to refuse.
-  EXPECT_EQ(transform::runLICM(F, AM), 0u);
+  EXPECT_EQ(transform::runLICM(F), 0u);
   expectStrictlyValid(*M);
   expectSameBehavior(*Reference, *M);
 }

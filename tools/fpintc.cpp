@@ -75,8 +75,8 @@ void usage() {
       "  --simulate=M         cycle simulation: 4way | 8way (Figure 9/10)\n"
       "  --trace=N            dump the first N dynamic trace entries\n"
       "  --print-after=PASS   dump the module after PASS to stderr\n"
-      "  --time-passes        per-pass wall-clock / change / analysis-\n"
-      "                       cache table to stderr\n");
+      "  --time-passes        per-pass wall-clock / change table to\n"
+      "                       stderr\n");
 }
 
 bool parseIntList(const std::string &Text, std::vector<int32_t> &Out) {
@@ -264,12 +264,9 @@ int main(int argc, char **argv) {
     setenv("FPINT_PRINT_AFTER", PrintAfter.c_str(), 1);
   core::PipelineRun Run = core::compileAndMeasure(*M, Cfg);
   if (TimePasses) {
-    Table T({"pass", "wall ms", "changes", "analysis hit/miss/inval"});
+    Table T({"pass", "wall ms", "changes"});
     for (const core::PassStat &P : Run.PassStats)
-      T.addRow({P.Name, Table::fmt(P.WallMs, 3), std::to_string(P.Changes),
-                Table::num(P.AnalysisHits) + "/" +
-                    Table::num(P.AnalysisMisses) + "/" +
-                    Table::num(P.AnalysisInvalidations)});
+      T.addRow({P.Name, Table::fmt(P.WallMs, 3), std::to_string(P.Changes)});
     T.print(stderr);
   }
   if (!Run.ok()) {
