@@ -246,11 +246,7 @@ void runMatrix(const std::vector<Item> &Items, Table &T, RowFn Row,
     for (size_t I = 0; I < Items.size(); ++I) {
       const std::string Label = detail::itemLabel(Items[I], What, I);
       campaign::CellOutcome Out = campaign::runCell(
-          {Label, Label},
-          [&](const campaign::Cell &) {
-            return detail::rowsToJson(Row(Items[I]));
-          },
-          Policy, "cell");
+          [&] { return detail::rowsToJson(Row(Items[I])); }, Policy);
       MatrixRows Rows;
       if (Out.ok() && detail::rowsFromJson(Out.Result, Rows)) {
         for (std::vector<std::string> &R : Rows)

@@ -168,7 +168,7 @@ bool Journal::append(const json::Value &Record, std::string *Err) {
     return false;
   }
   // Fired only after the record is durable: a "crash" here kills the
-  // runner itself without losing the cell just journaled, which is
+  // journaling process without losing the record just written, which is
   // exactly the harness-death scenario the resume path must absorb.
   support::fault::inject("campaign:journal");
   return true;

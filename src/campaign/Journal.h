@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The durability primitive under the campaign runtime: an append-only
-/// write-ahead journal of JSON records. A campaign (hundreds of
-/// MachineConfig x workload cells running for hours) journals every
-/// completed cell, so the harness process crashing, being OOM-killed,
-/// or losing its node can never lose completed work -- a restarted
-/// campaign replays the journal and executes only the unfinished
-/// cells.
+/// The durability primitive behind fpint-fuzz --journal: an append-only
+/// write-ahead journal of JSON records. A fuzz campaign (thousands of
+/// iterations running for hours) journals every completed batch, so
+/// the harness process crashing, being OOM-killed, or losing its node
+/// can never lose completed work -- a restarted campaign replays the
+/// journal and runs only the unfinished batches.
 ///
 /// On-disk format (see docs/CAMPAIGNS.md):
 ///
@@ -19,7 +18,7 @@
 ///
 /// Records are serialized with support/Json.h's canonical dump, so a
 /// replayed record re-dumps to exactly the bytes that were journaled
-/// -- the property that makes a resumed campaign's final report
+/// -- the property that makes a resumed campaign's final summary
 /// byte-identical to an uninterrupted run's.
 ///
 /// Append semantics: length prefix and record body are written with a
@@ -33,15 +32,15 @@
 /// (a crash between write and fsync, a lost tail page) -- is a torn
 /// tail: it is truncated off and every complete record before it is
 /// replayed. Torn tails only ever cost the single record that was
-/// being appended when the process died; that cell simply re-executes.
+/// being appended when the process died; that batch simply re-runs.
 ///
 /// The "campaign:journal" fault-injection site fires inside append()
-/// *after* the record is durable, in the runner process itself: CI
+/// *after* the record is durable, in the journaling process itself: CI
 /// uses it to kill the harness mid-campaign deterministically and
 /// assert that a resume loses nothing (docs/ROBUSTNESS.md).
 ///
-/// Thread-safety: append() may be called from pool workers; writes are
-/// serialized under an internal mutex. open()/reset() are not
+/// Thread-safety: append() may be called from several threads; writes
+/// are serialized under an internal mutex. open()/reset() are not
 /// concurrent with append().
 ///
 //===----------------------------------------------------------------------===//
@@ -117,11 +116,11 @@ struct CampaignReplay {
   size_t TruncatedBytes = 0; ///< Torn tail dropped on open.
 };
 
-/// The one journal-header protocol (campaign::Runner, fpint-fuzz
-/// --journal): opens <Dir>/journal.wal into \p J. A first record that
-/// is a "campaign" header with this JournalSchema and \p Key is adopted
-/// and the rest replays into \p Out.Records. Otherwise a non-empty
-/// journal is reset (never merged) and a fresh header is appended:
+/// The journal-header protocol of fpint-fuzz --journal: opens
+/// <Dir>/journal.wal into \p J. A first record that is a "campaign"
+/// header with this JournalSchema and \p Key is adopted and the rest
+/// replays into \p Out.Records. Otherwise a non-empty journal is reset
+/// (never merged) and a fresh header is appended:
 /// type, schema and key, then \p Header's members (e.g. the fuzzer's
 /// seed). Returns false with \p Err set on I/O failure.
 bool openCampaignJournal(Journal &J, const std::string &Dir,

@@ -372,33 +372,28 @@ DiffResult stats::diffReports(const Value &Base, const Value &Current,
     }
   }
 
-  // Optional top-level metric objects ("run_cache" memoization
-  // counters, "campaign" resume/retry accounting from fpint-explore):
-  // compared member-by-member when both trees carry them, but strictly
-  // informational -- cache hit rates and how often a campaign resumed
-  // or retried are environment-dependent and never gate.
-  auto diffInfoObject = [&](const char *Key) {
-    const Value *BO = Base.find(Key);
-    const Value *CO = Current.find(Key);
-    if (!BO || !BO->isObject() || !CO || !CO->isObject())
-      return;
-    for (const auto &KV : BO->members()) {
-      if (!KV.second.isNumber())
-        continue;
-      const Value *CV = CO->find(KV.first);
-      if (!CV || !CV->isNumber())
-        continue;
-      MetricDelta D;
-      D.RunId = Key;
-      D.Metric = KV.first;
-      D.Base = KV.second.number();
-      D.Current = CV->number();
-      D.DeltaPct = D.Base != 0 ? (D.Current - D.Base) / D.Base * 100.0 : 0.0;
-      D.Informational = true;
-      R.Deltas.push_back(std::move(D));
-    }
-  };
-  diffInfoObject("run_cache");
-  diffInfoObject("campaign");
+  // The optional top-level "run_cache" memoization counters: compared
+  // member-by-member when both trees carry them, but strictly
+  // informational -- cache hit rates are environment-dependent and
+  // never gate.
+  const Value *BO = Base.find("run_cache");
+  const Value *CO = Current.find("run_cache");
+  if (!BO || !BO->isObject() || !CO || !CO->isObject())
+    return R;
+  for (const auto &KV : BO->members()) {
+    if (!KV.second.isNumber())
+      continue;
+    const Value *CV = CO->find(KV.first);
+    if (!CV || !CV->isNumber())
+      continue;
+    MetricDelta D;
+    D.RunId = "run_cache";
+    D.Metric = KV.first;
+    D.Base = KV.second.number();
+    D.Current = CV->number();
+    D.DeltaPct = D.Base != 0 ? (D.Current - D.Base) / D.Base * 100.0 : 0.0;
+    D.Informational = true;
+    R.Deltas.push_back(std::move(D));
+  }
   return R;
 }

@@ -127,11 +127,11 @@ struct DiffResult {
 /// reported as problems (a changed dynamic instruction count means the
 /// compiler changed, not just the machine). Runs only in \p Current
 /// are ignored (new coverage is not a regression). The optional
-/// top-level "run_cache" and "campaign" objects (memoization counters
-/// and fpint-explore resume/retry accounting) are compared
-/// member-by-member when both documents carry them, but always as
-/// informational deltas -- cache hit rates and campaign resume counts
-/// never gate a PR.
+/// top-level "run_cache" object (memoization counters) is compared
+/// member-by-member when both documents carry it, but always as
+/// informational deltas -- cache hit rates never gate a PR. Any other
+/// top-level object (such as a retired "campaign" counter object) is
+/// ignored.
 DiffResult diffReports(const json::Value &Base, const json::Value &Current,
                        const DiffOptions &Opts);
 

@@ -22,14 +22,13 @@
 ///
 /// Instrumented sites: "compile" (core::compileAndMeasure), "simulate"
 /// (core::simulate), "cell" (bench::runMatrix sandboxed cell, fired by
-/// campaign::runCell in the child), "oracle"
-/// (testgen::runOracle), "campaign:journal" (campaign::Journal::append,
-/// fired in the *runner* process after a record is durably on disk --
-/// killing the harness itself, which the resumable campaign layer must
-/// survive) and "campaign:cell" (campaign::Runner cell execution, fired
-/// inside the sandbox child). The hooks are inert unless FPINT_FAULT is
-/// set; CI's fault-injection and campaign-resume jobs are the only
-/// intended users.
+/// campaign::runCell in the child), "oracle" (testgen::runOracle) and
+/// "campaign:journal" (campaign::Journal::append, fired in the
+/// journaling process itself after a record is durably on disk --
+/// killing the harness, which a resumed fpint-fuzz --journal campaign
+/// must survive). The hooks are inert unless FPINT_FAULT is set; CI's
+/// fault-injection and campaign-resume jobs are the only intended
+/// users.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,10 +48,10 @@ bool enabled();
 void inject(const char *Where);
 
 /// Sets the 1-based attempt counter consulted by ":once" specs. The
-/// one rule: campaign::runCell (the attempt loop of bench and campaign
-/// cells) calls it inside each sandbox child, first thing after the
-/// fork, with the attempt that child runs; no parent sets it before
-/// forking, since campaign cells fork concurrently from pool workers.
+/// one rule: campaign::runCell (the attempt loop of bench cells) calls
+/// it inside each sandbox child, first thing after the fork, with the
+/// attempt that child runs; no parent sets it, so the parent's own
+/// fault state never depends on how many cells it has retried.
 void setAttempt(unsigned Attempt);
 
 /// Arms (or, with nullptr, disarms) a fault spec in-process, exactly

@@ -9,10 +9,9 @@
 /// its one way to key a list of parts, ChainedKey. std::hash is not
 /// stable across standard-library implementations, but these hashes
 /// leak into artifacts that outlive a process -- golden-baseline run
-/// ids (stats::runId), the durable campaign cell keys
-/// (campaign::cellKey), the fuzz battery key (testgen::batteryKey) and
-/// the campaign keys of both journals (fpint-explore, fpint-fuzz) --
-/// so a fixed, platform-independent function is required.
+/// ids (stats::runId), the fuzz battery key (testgen::batteryKey) and
+/// the campaign key of the fuzz journal (fpint-fuzz --journal) -- so a
+/// fixed, platform-independent function is required.
 ///
 //===----------------------------------------------------------------------===//
 

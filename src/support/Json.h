@@ -85,7 +85,7 @@ public:
     return Members;
   }
   void set(const std::string &Key, Value V);
-  /// Null-kind sentinel when absent.
+  /// nullptr when absent (or when this value is not an object).
   const Value *find(const std::string &Key) const;
   /// Convenience: member lookup that returns a default when missing or
   /// kind-mismatched.

@@ -15,18 +15,17 @@
 /// payload the child streamed back over a pipe.
 ///
 /// This is the containment layer under campaign::runCell (the
-/// retrying attempt loop of bench and campaign cells) and the
-/// fpint-fuzz iterations (single attempt, crash/hang triage); see
+/// retrying attempt loop of bench cells) and the fpint-fuzz
+/// iterations (single attempt, crash/hang triage); see
 /// docs/ROBUSTNESS.md.
 ///
 /// Forking contract: the child may only use what no concurrently
 /// running thread can hold locked at fork time; glibc's malloc fork
 /// handlers make the allocator safe. Bench matrix cells use the
 /// parent's core::RunCache, so bench forks them serially from the
-/// orchestration thread. Campaign cells and fuzz iterations run only
-/// self-contained compile/simulate code, so campaign cells may fork
-/// from pool workers while siblings run. The child runs the callable
-/// and _exit()s; it never returns into the caller's stack.
+/// orchestration thread. Fuzz iterations run only self-contained
+/// compile/simulate code. The child runs the callable and _exit()s;
+/// it never returns into the caller's stack.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,8 +70,8 @@ struct SandboxLimits {
 };
 
 /// The one containment policy of every sandboxed unit of work: limits
-/// plus a retry budget. campaign::runCell applies it to bench and
-/// campaign cells; fpint-fuzz takes its limits but never retries.
+/// plus a retry budget. campaign::runCell applies it to bench cells;
+/// fpint-fuzz takes its limits but never retries.
 struct SandboxPolicy {
   static constexpr int KillGraceMs = 500;
   static constexpr int BackoffMs = 50; ///< Before retry 1; doubled after.

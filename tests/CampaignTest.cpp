@@ -5,12 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The crash-safety contract of src/campaign: journal round-trip and
-/// torn-tail recovery, content-key stability, resume-skips-completed,
-/// SIGKILL-mid-campaign resume producing byte-identical results,
-/// exactly-once journaling under an injected first-attempt crash,
-/// deadline exhaustion degrading to typed ERR records, and the
-/// explore grid / Pareto frontier helpers.
+/// The campaign layer's contracts: journal round-trip and torn-tail
+/// recovery, the campaign-journal header protocol, runCell's typed
+/// ERR kinds and retry absorption, and the pinned machine grids.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,13 +15,10 @@
 #include "campaign/Explore.h"
 #include "campaign/Journal.h"
 #include "support/FaultInject.h"
-#include "support/Subprocess.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <csignal>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
@@ -95,42 +89,12 @@ std::vector<json::Value> replay(Journal &J, const std::string &Path,
   return Records;
 }
 
-/// Standard cells k0..k(N-1) with display labels.
-std::vector<Cell> makeCells(int N) {
-  std::vector<Cell> Cells;
-  for (int I = 0; I < N; ++I)
-    Cells.push_back({"k" + std::to_string(I), "cell" + std::to_string(I)});
-  return Cells;
-}
-
-Options inProcessOptions(const std::string &Dir, const std::string &Key) {
-  Options O;
-  O.Dir = Dir;
-  O.CampaignKey = Key;
-  O.Policy.Retries = 0;
-  O.Jobs = 1;
-  O.Sandbox = false;
-  return O;
-}
-
-/// Deterministic cell document for the resume tests.
-json::Value squareDoc(const Cell &C) {
-  json::Value Doc = json::Value::object();
-  int I = std::atoi(C.Key.c_str() + 1);
-  Doc.set("value", I * I);
-  Doc.set("label", C.Label);
-  return Doc;
-}
-
-/// Canonical dump of every outcome, in input-cell order -- the
-/// byte-identity probe used by the kill/resume tests.
-std::string outcomesDump(const std::vector<CellOutcome> &Outcomes) {
-  std::string Text;
-  for (const CellOutcome &Out : Outcomes) {
-    Text += Out.ok() ? Out.Result.dump() : ("ERR:" + Out.ErrorKind);
-    Text += "\n";
+/// Sleeps in short naps until the sandbox watchdog kills the child.
+json::Value sleepForever() {
+  for (;;) {
+    struct timespec TS = {0, 50 * 1000 * 1000};
+    nanosleep(&TS, nullptr);
   }
-  return Text;
 }
 
 //===----------------------------------------------------------------------===//
@@ -288,324 +252,99 @@ TEST(CampaignJournal, WritesHeaderThenResumesThenDiscards) {
 }
 
 //===----------------------------------------------------------------------===//
-// Content keys
+// runCell
 //===----------------------------------------------------------------------===//
 
-TEST(CellKey, IsStableAcrossProcesses) {
-  // Golden value: chained FNV-1a with 0x1f separators, folded with
-  // JournalSchema. If this changes, every persisted journal is
-  // invalidated -- bump JournalSchema instead of silently re-keying.
-  EXPECT_EQ(cellKey("compress", "pipe", "mach"), "620cdbd2c7389c67");
+support::SandboxPolicy policy(int Retries, int WallMs) {
+  support::SandboxPolicy P;
+  P.Retries = Retries;
+  P.Limits.WallMs = WallMs;
+  return P;
 }
 
-TEST(CellKey, IsSensitiveToEveryComponent) {
-  const std::string Base = cellKey("w", "p", "m");
-  EXPECT_EQ(Base.size(), 16u);
-  EXPECT_NE(cellKey("w2", "p", "m"), Base);
-  EXPECT_NE(cellKey("w", "p2", "m"), Base);
-  EXPECT_NE(cellKey("w", "p", "m2"), Base);
-  // Separators prevent concatenation collisions.
-  EXPECT_NE(cellKey("wp", "", "m"), cellKey("w", "p", "m"));
+TEST(RunCell, DeadlineExhaustionDegradesToTimeout) {
+  CellOutcome Out = runCell(sleepForever, policy(1, 300));
+  EXPECT_FALSE(Out.ok());
+  EXPECT_EQ(Out.ErrorKind, "timeout");
+  EXPECT_EQ(Out.Attempts, 2u); // Initial try + 1 retry, both spent.
 }
 
-TEST(CellKey, ExplorePipelineKeyFollowsEnvOverride) {
-  // A resumed explore campaign must not replay cells compiled by a
-  // different pipeline: $FPINT_PASSES is part of each cell's key.
-  const std::string Default =
-      cellKey("compress", explorePipelineKey("compress"), "m");
-  setenv("FPINT_PASSES", "opt2", 1);
-  const std::string Opt2 =
-      cellKey("compress", explorePipelineKey("compress"), "m");
-  unsetenv("FPINT_PASSES");
-  EXPECT_NE(Default, Opt2);
+TEST(RunCell, ThrowingCellDegradesToExitWithItsMessage) {
+  CellOutcome Out = runCell(
+      []() -> json::Value { throw std::runtime_error("boom"); },
+      policy(0, 20000));
+  EXPECT_FALSE(Out.ok());
+  EXPECT_EQ(Out.ErrorKind, "exit");
+  EXPECT_EQ(Out.Attempts, 1u);
+  // The child's last stderr line (the exception message) ends Error.
+  const std::string Suffix = ": boom";
+  ASSERT_GE(Out.Error.size(), Suffix.size()) << Out.Error;
+  EXPECT_EQ(Out.Error.substr(Out.Error.size() - Suffix.size()), Suffix)
+      << Out.Error;
 }
 
-//===----------------------------------------------------------------------===//
-// Runner
-//===----------------------------------------------------------------------===//
-
-TEST(Runner, ExecutesAllCellsThenResumesAll) {
-  TempDir Dir("resume_all");
-  std::atomic<int> Calls{0};
-  auto Fn = [&Calls](const Cell &C) {
-    ++Calls;
-    return squareDoc(C);
-  };
-
-  Runner R1(inProcessOptions(Dir.Path, "key1"));
-  std::vector<CellOutcome> First = R1.run(makeCells(4), Fn);
-  EXPECT_EQ(Calls.load(), 4);
-  EXPECT_EQ(R1.summary().Executed, 4u);
-  EXPECT_EQ(R1.summary().Resumed, 0u);
-  EXPECT_EQ(R1.summary().Completed, 4u);
-
-  // A second campaign over the same cells replays everything from the
-  // journal: the cell function never runs again, and every outcome is
-  // byte-identical to the first run's.
-  Runner R2(inProcessOptions(Dir.Path, "key1"));
-  std::vector<CellOutcome> Second = R2.run(makeCells(4), Fn);
-  EXPECT_EQ(Calls.load(), 4);
-  EXPECT_EQ(R2.summary().Resumed, 4u);
-  EXPECT_EQ(R2.summary().Executed, 0u);
-  EXPECT_EQ(outcomesDump(First), outcomesDump(Second));
-  for (const CellOutcome &Out : Second)
-    EXPECT_TRUE(Out.Resumed);
-}
-
-TEST(Runner, DiscardsJournalOfDifferentCampaign) {
-  TempDir Dir("discard");
-  auto Fn = [](const Cell &C) { return squareDoc(C); };
-
-  Runner R1(inProcessOptions(Dir.Path, "campaign-A"));
-  R1.run(makeCells(2), Fn);
-
-  // Same state dir, different campaign identity: the journal is reset,
-  // nothing resumes, and the summary says so.
-  Runner R2(inProcessOptions(Dir.Path, "campaign-B"));
-  R2.run(makeCells(2), Fn);
-  EXPECT_TRUE(R2.summary().JournalDiscarded);
-  EXPECT_EQ(R2.summary().Resumed, 0u);
-  EXPECT_EQ(R2.summary().Executed, 2u);
-}
-
-TEST(Runner, SigkillMidCampaignResumesByteIdentical) {
-  TempDir Killed("kill_resume");
-  TempDir Clean("kill_clean");
-
-  // Phase 1: a forked harness runs the campaign in-process and dies on
-  // SIGKILL after journaling exactly 3 of 6 cells -- the uncontained
-  // harness-death scenario the journal exists for.
-  support::SandboxLimits Limits;
-  Limits.WallMs = 30000;
-  Limits.KillGraceMs = 500;
-  std::string Dir = Killed.Path;
-  support::TaskResult Death = support::Subprocess::run(
-      [&Dir](int) {
-        Options O;
-        O.Dir = Dir;
-        O.CampaignKey = "kill-test";
-        O.Policy.Retries = 0;
-        O.Jobs = 1; // Pool threads do not survive the fork.
-        O.Sandbox = false;
-        int Done = 0;
-        Runner R(O);
-        R.run(makeCells(6), [&Done](const Cell &C) {
-          if (Done == 3)
-            raise(SIGKILL);
-          ++Done;
-          return squareDoc(C);
-        });
-        return 0; // Unreachable.
+TEST(RunCell, NonObjectPayloadIsBadPayload) {
+  CellOutcome Out = runCell(
+      [] {
+        json::Value V = json::Value::array();
+        V.push("row");
+        return V;
       },
-      Limits);
-  ASSERT_EQ(Death.St, support::TaskResult::Status::Signaled);
-  ASSERT_EQ(Death.TermSignal, SIGKILL);
-
-  // Phase 2: resume. Only the 3 unfinished cells execute.
-  std::atomic<int> ResumeCalls{0};
-  Runner Resumed(inProcessOptions(Killed.Path, "kill-test"));
-  std::vector<CellOutcome> ResumedOutcomes =
-      Resumed.run(makeCells(6), [&ResumeCalls](const Cell &C) {
-        ++ResumeCalls;
-        return squareDoc(C);
-      });
-  EXPECT_EQ(ResumeCalls.load(), 3);
-  EXPECT_EQ(Resumed.summary().Resumed, 3u);
-  EXPECT_EQ(Resumed.summary().Executed, 3u);
-  EXPECT_EQ(Resumed.summary().Completed, 6u);
-
-  // The resumed campaign's results are byte-identical to a never-
-  // interrupted campaign's.
-  Runner Uninterrupted(inProcessOptions(Clean.Path, "kill-test"));
-  std::vector<CellOutcome> CleanOutcomes =
-      Uninterrupted.run(makeCells(6), [](const Cell &C) {
-        return squareDoc(C);
-      });
-  EXPECT_EQ(outcomesDump(ResumedOutcomes), outcomesDump(CleanOutcomes));
+      policy(0, 20000));
+  EXPECT_FALSE(Out.ok());
+  EXPECT_EQ(Out.ErrorKind, "bad_payload");
 }
 
-TEST(Runner, InjectedFirstAttemptCrashIsAbsorbedByRetry) {
-  TempDir Dir("crash_once");
+TEST(RunCell, InjectedFirstAttemptCrashIsAbsorbedByRetry) {
   // ":once" fires on attempt 1 only; the sandbox child sets its own
   // attempt number, so the retry (attempt 2) runs clean. The override
   // is inherited across fork by the cell children.
-  support::fault::armForTest("crash:campaign:cell:once");
-
-  Options O;
-  O.Dir = Dir.Path;
-  O.CampaignKey = "crash-once";
-  O.Policy.Retries = 1;
-  O.Policy.Limits.WallMs = 20000;
-  O.Jobs = 1;
-  O.Sandbox = true;
-  Runner R(O);
-  std::vector<CellOutcome> Outcomes =
-      R.run(makeCells(3), [](const Cell &C) { return squareDoc(C); });
+  support::fault::armForTest("crash:cell:once");
+  CellOutcome Out = runCell(
+      [] {
+        json::Value Doc = json::Value::object();
+        Doc.set("value", 49);
+        return Doc;
+      },
+      policy(1, 20000));
   support::fault::armForTest(nullptr);
-
-  EXPECT_EQ(R.summary().Completed, 3u);
-  EXPECT_EQ(R.summary().Errors, 0u);
-  EXPECT_EQ(R.summary().Retried, 3u);
-  for (const CellOutcome &Out : Outcomes) {
-    EXPECT_TRUE(Out.ok());
-    EXPECT_EQ(Out.Attempts, 2u);
-  }
-
-  // Exactly-once in the journal: resuming replays one record per cell.
-  Runner R2(inProcessOptions(Dir.Path, "crash-once"));
-  R2.run(makeCells(3), [](const Cell &C) { return squareDoc(C); });
-  EXPECT_EQ(R2.summary().Resumed, 3u);
-  EXPECT_EQ(R2.summary().Executed, 0u);
-}
-
-TEST(Runner, DeadlineExhaustionDegradesToTypedErr) {
-  TempDir Dir("deadline");
-  Options O;
-  O.Dir = Dir.Path;
-  O.CampaignKey = "deadline";
-  O.Policy.Retries = 1;
-  O.Policy.Limits.WallMs = 300;
-  O.Jobs = 1;
-  O.Sandbox = true;
-  Runner R(O);
-  std::vector<CellOutcome> Outcomes =
-      R.run(makeCells(1), [](const Cell &) -> json::Value {
-        for (;;) {
-          struct timespec TS = {0, 50 * 1000 * 1000};
-          nanosleep(&TS, nullptr);
-        }
-      });
-  ASSERT_EQ(Outcomes.size(), 1u);
-  EXPECT_FALSE(Outcomes[0].ok());
-  EXPECT_EQ(Outcomes[0].ErrorKind, "timeout");
-  EXPECT_EQ(Outcomes[0].Attempts, 2u); // Initial try + 1 retry, both spent.
-  EXPECT_EQ(R.summary().Errors, 1u);
-  EXPECT_EQ(R.summary().Completed, 0u);
-
-  // The ERR is journaled like any completion: the campaign resumes
-  // past it instead of re-hanging on every restart.
-  Runner R2(inProcessOptions(Dir.Path, "deadline"));
-  std::vector<CellOutcome> Resumed =
-      R2.run(makeCells(1), [](const Cell &C) { return squareDoc(C); });
-  EXPECT_EQ(R2.summary().Resumed, 1u);
-  EXPECT_FALSE(Resumed[0].ok());
-  EXPECT_EQ(Resumed[0].ErrorKind, "timeout");
-}
-
-TEST(Runner, ThrowingCellDegradesInProcess) {
-  TempDir Dir("throw");
-  Runner R(inProcessOptions(Dir.Path, "throw"));
-  std::vector<CellOutcome> Outcomes =
-      R.run(makeCells(1), [](const Cell &) -> json::Value {
-        throw std::runtime_error("boom");
-      });
-  ASSERT_EQ(Outcomes.size(), 1u);
-  EXPECT_FALSE(Outcomes[0].ok());
-  EXPECT_EQ(Outcomes[0].ErrorKind, "exception");
-  EXPECT_EQ(Outcomes[0].Error, "boom");
-}
-
-TEST(Summary, SerializesEveryCounter) {
-  Summary S;
-  S.Cells = 10;
-  S.Completed = 8;
-  S.Resumed = 3;
-  S.Executed = 7;
-  S.Retried = 2;
-  S.Errors = 2;
-  S.JournalTruncatedBytes = 17;
-  S.JournalDiscarded = true;
-  json::Value V = summaryToJson(S);
-  EXPECT_EQ(V.numberOr("cells", 0), 10);
-  EXPECT_EQ(V.numberOr("completed", 0), 8);
-  EXPECT_EQ(V.numberOr("resumed", 0), 3);
-  EXPECT_EQ(V.numberOr("executed", 0), 7);
-  EXPECT_EQ(V.numberOr("retried", 0), 2);
-  EXPECT_EQ(V.numberOr("errors", 0), 2);
-  EXPECT_EQ(V.numberOr("journal_truncated_bytes", 0), 17);
-  const json::Value *D = V.find("journal_discarded");
-  ASSERT_NE(D, nullptr);
-  EXPECT_TRUE(D->boolean());
-}
-
-TEST(PublishReport, WritesAtomicallyWithTrailingNewline) {
-  TempDir Dir("publish");
-  json::Value Doc = json::Value::object();
-  Doc.set("hello", "world");
-  std::string Path = Dir.Path + "/sub/report.json";
-  std::string Err;
-  ASSERT_TRUE(publishReport(Path, Doc, &Err)) << Err;
-
-  std::ifstream In(Path, std::ios::binary);
-  std::string Text((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_EQ(Text, Doc.dump() + "\n");
-  // No tmp litter left behind.
-  size_t Entries = 0;
-  for (const auto &Ent : fs::directory_iterator(Dir.Path + "/sub"))
-    (void)Ent, ++Entries;
-  EXPECT_EQ(Entries, 1u);
+  ASSERT_TRUE(Out.ok()) << Out.ErrorKind << ": " << Out.Error;
+  EXPECT_EQ(Out.Attempts, 2u);
+  EXPECT_EQ(Out.Result.numberOr("value", 0), 49);
 }
 
 //===----------------------------------------------------------------------===//
-// Explore helpers
+// Machine grids
 //===----------------------------------------------------------------------===//
 
-TEST(Explore, GridsAreDeterministicWithUniqueLabels) {
-  for (const char *Name : {"smoke", "small", "full"}) {
-    std::vector<MachinePoint> A = exploreGrid(Name);
-    std::vector<MachinePoint> B = exploreGrid(Name);
-    ASSERT_FALSE(A.empty()) << Name;
-    ASSERT_EQ(A.size(), B.size());
-    std::set<std::string> Labels, Keys;
-    for (size_t I = 0; I < A.size(); ++I) {
-      EXPECT_EQ(A[I].Label, B[I].Label);
-      EXPECT_EQ(A[I].M.canonicalKey(), B[I].M.canonicalKey());
-      Labels.insert(A[I].Label);
-      Keys.insert(A[I].M.canonicalKey());
+TEST(Explore, GridsArePinned) {
+  // perfbench's `sweep` replays on every "small" point and fpint-fuzz
+  // draws its timing machines from "full" (its journal key folds every
+  // point's canonical key), so neither grid may drift silently: the
+  // digest chains each point's label and canonical machine key. A
+  // deliberate grid change re-pins the digest but must keep labels and
+  // machines unique.
+  struct Pin {
+    const char *Grid;
+    size_t Points;
+    const char *Digest;
+  };
+  for (const Pin &P : {Pin{"small", 39, "adb844084680375f"},
+                       Pin{"full", 117, "67b694fb44b3c3e5"}}) {
+    std::vector<MachinePoint> G = exploreGrid(P.Grid);
+    support::ChainedKey Key(P.Grid);
+    std::set<std::string> Labels, Machines;
+    for (const MachinePoint &MP : G) {
+      Key.add(MP.Label).add(MP.M.canonicalKey());
+      Labels.insert(MP.Label);
+      Machines.insert(MP.M.canonicalKey());
     }
-    EXPECT_EQ(Labels.size(), A.size()) << Name << ": duplicate labels";
-    EXPECT_EQ(Keys.size(), A.size()) << Name << ": duplicate machines";
+    EXPECT_EQ(G.size(), P.Points) << P.Grid;
+    EXPECT_EQ(Key.hex(), P.Digest) << P.Grid;
+    EXPECT_EQ(Labels.size(), G.size()) << P.Grid << ": duplicate labels";
+    EXPECT_EQ(Machines.size(), G.size()) << P.Grid << ": duplicate machines";
   }
   EXPECT_TRUE(exploreGrid("no-such-grid").empty());
-  // The grids nest by intent: smoke < small < full.
-  EXPECT_LT(exploreGrid("smoke").size(), exploreGrid("small").size());
-  EXPECT_LT(exploreGrid("small").size(), exploreGrid("full").size());
-}
-
-TEST(Explore, ResourceCostIsMonotoneInMajorAxes) {
-  timing::MachineConfig Four = timing::MachineConfig::fourWay();
-  timing::MachineConfig Eight = timing::MachineConfig::eightWay();
-  EXPECT_LT(resourceCost(Four), resourceCost(Eight));
-
-  timing::MachineConfig BiggerCache = Four;
-  BiggerCache.DCache.SizeBytes *= 2;
-  EXPECT_LT(resourceCost(Four), resourceCost(BiggerCache));
-
-  timing::MachineConfig NoPredictor = Four;
-  NoPredictor.Predictor = timing::PredictorKind::StaticNotTaken;
-  EXPECT_LT(resourceCost(NoPredictor), resourceCost(Four));
-}
-
-TEST(Explore, ParetoFrontierMarksUndominatedPoints) {
-  // (cost, value): a dominates nothing, b dominates c (same cost, more
-  // value), d is the cheap end of the frontier.
-  std::vector<uint64_t> Cost = {10, 20, 20, 5};
-  std::vector<double> Value = {1.0, 2.0, 1.5, 0.5};
-  std::vector<bool> On = paretoFrontier(Cost, Value);
-  ASSERT_EQ(On.size(), 4u);
-  EXPECT_TRUE(On[0]);  // Cheapest point with value 1.0.
-  EXPECT_TRUE(On[1]);  // Highest value.
-  EXPECT_FALSE(On[2]); // Dominated by b.
-  EXPECT_TRUE(On[3]);  // Cheapest overall.
-
-  // Duplicates do not knock each other off the frontier (neither
-  // strictly dominates).
-  std::vector<bool> Dup = paretoFrontier({7, 7}, {1.0, 1.0});
-  EXPECT_TRUE(Dup[0]);
-  EXPECT_TRUE(Dup[1]);
-
-  EXPECT_TRUE(paretoFrontier({}, {}).empty());
 }
 
 } // namespace

@@ -266,7 +266,6 @@ TEST(Pipeline, ToolsRejectMalformedNumbers) {
       {FPINTC_PATH " @compress --odupl=", "--odupl"},
       {FPINTC_PATH " @compress --fpa-cap=nan", "--fpa-cap"},
       {FPINTC_PATH " @compress --trace=1e3", "--trace"},
-      {FPINT_EXPLORE_PATH " --list --jobs two", "--jobs"},
       {FPINT_REPORT_PATH " --tolerance=0.1% a b", "--tolerance"},
   };
   for (const auto &[Cmd, Flag] : Cases) {

@@ -539,6 +539,26 @@ TEST(Report, DiffIgnoresRetiredPassAndAllocatorKeys) {
   EXPECT_TRUE(R.Problems.empty()) << R.Problems.front();
   EXPECT_TRUE(R.clean());
 
+  // So does one carrying the retired top-level "campaign" counter
+  // object, even against a current tree that (wrongly) still has one:
+  // no producer writes it, so it is neither a problem nor a delta row.
+  json::Value Counters = json::Value::object();
+  Counters.set("cells", int64_t(10));
+  Counters.set("resumed", int64_t(3));
+  json::Value OldCampaign = Old;
+  OldCampaign.set("campaign", Counters);
+  Counters.set("resumed", int64_t(0));
+  json::Value CurCampaign = Cur;
+  CurCampaign.set("campaign", Counters);
+  for (const json::Value *C : {&Cur, &CurCampaign}) {
+    stats::DiffResult RC =
+        stats::diffReports(OldCampaign, *C, stats::DiffOptions());
+    EXPECT_TRUE(RC.Problems.empty()) << RC.Problems.front();
+    EXPECT_TRUE(RC.clean());
+    for (const stats::MetricDelta &D : RC.Deltas)
+      EXPECT_NE(D.RunId, "campaign") << D.Metric;
+  }
+
   // Pass rows are still compared on their change counts.
   json::Value Moved = editRuns(
       Cur,

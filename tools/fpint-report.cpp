@@ -14,11 +14,9 @@
 /// dynamic instruction counts) also fail, which is how CI gates PRs
 /// against the committed golden baseline.
 ///
-/// Top-level "run_cache" and "campaign" objects (memoization counters
-/// and the resume/retry accounting that fpint-explore publishes as a
-/// <stem>_campaign.json sidecar) render as informational rows under
-/// --all and never gate, however large the delta: how often a campaign
-/// resumed or retried describes the environment, not the code under
+/// A top-level "run_cache" object (memoization counters) renders as
+/// informational rows under --all and never gates, however large the
+/// delta: cache hit rates describe the environment, not the code under
 /// test.
 ///
 ///   fpint-report [--tolerance=PCT] [--check] [--all] BASELINE CURRENT
