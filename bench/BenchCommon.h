@@ -9,24 +9,23 @@
 /// reproduction binaries:
 ///
 ///  * compileWorkload() / simulateRun(): compile a workload under a
-///    scheme and simulate it on a machine, both memoized in the
-///    process-wide core::RunCache (each (workload, scheme, costs)
-///    point compiles exactly once per process; the VM trace is
-///    captured at most once per compiled module).
+///    scheme and simulate it on a machine. Nothing is memoized: a row
+///    owns the runs it compiles, and a binary whose rows share a point
+///    shares it in its own code. A run's VM trace is captured at most
+///    once, however many machines simulate it.
 ///  * runMatrix(): fan per-item row computations out on the shared
 ///    support::ThreadPool and append the resulting Table rows in
 ///    deterministic item order, so the emitted tables are
 ///    byte-identical to a serial evaluation.
-///  * ScopedBenchReport: per-binary wall-clock / cache / peak-RSS
-///    footer on stderr (stdout stays reserved for the reproduced
-///    tables).
+///  * ScopedBenchReport: per-binary wall-clock / peak-RSS footer on
+///    stderr (stdout stays reserved for the reproduced tables).
 ///
 /// Threading contract: each matrix item is evaluated by exactly one
 /// pool task, so a row function may freely use its own item (including
-/// the workload's module) but must touch shared state only through the
-/// caches. Row functions signal a bad matrix cell by throwing (e.g.
-/// CompileError); runMatrix reports the cell on stderr and keeps
-/// evaluating the remaining items instead of killing the binary.
+/// the workload's module) but must guard any state it shares with
+/// other items. Row functions signal a bad matrix cell by throwing
+/// (e.g. CompileError); runMatrix degrades the cell to an ERR row and
+/// keeps evaluating the remaining items instead of killing the binary.
 ///
 /// Containment contract (degrade-don't-die, see docs/ROBUSTNESS.md):
 /// with FPINT_SANDBOX=1 -- or automatically whenever FPINT_FAULT is
@@ -38,10 +37,11 @@
 /// error kind; the table still renders, the per-binary footer lists
 /// every degraded cell, and the binary exits nonzero only under
 /// --strict / FPINT_STRICT=1 (bench::harnessExit()). Cells fork
-/// serially from the orchestration thread, never from pool workers:
-/// they compute through the parent's core::RunCache, which a pool task
-/// could hold locked at fork time. Sandboxed cells do not contribute
-/// telemetry records: the child's StatsRegistry dies with it.
+/// serially from the orchestration thread while the pool is idle,
+/// never from pool workers, so no pool task can hold a lock the child
+/// needs (the pool's queue, the StatsRegistry's). Sandboxed cells do
+/// not contribute telemetry records: the child's StatsRegistry dies
+/// with it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +50,6 @@
 
 #include "campaign/Campaign.h"
 #include "core/Pipeline.h"
-#include "core/RunCache.h"
 #include "stats/StatsRegistry.h"
 #include "support/FaultInject.h"
 #include "support/ParseNumber.h"
@@ -130,24 +129,25 @@ public:
       : std::runtime_error(What) {}
 };
 
-using RunPtr = core::RunCache::RunPtr;
-
-/// Compiles module \p M (identified by \p Name) under \p Config via
-/// the process-wide cache; throws CompileError on pipeline failure.
-inline RunPtr compileModule(const sir::Module &M, const std::string &Name,
-                            const core::PipelineConfig &Config) {
-  RunPtr Run = core::RunCache::global().compile(M, Name, Config);
-  if (!Run->ok())
+/// Compiles module \p M (identified by \p Name, which reports' run ids
+/// read from the run) under \p Config; throws CompileError on pipeline
+/// failure.
+inline core::PipelineRun compileModule(const sir::Module &M,
+                                       const std::string &Name,
+                                       const core::PipelineConfig &Config) {
+  core::PipelineRun Run = core::compileAndMeasure(M, Config);
+  Run.Name = Name;
+  if (!Run.ok())
     throw CompileError("pipeline failed for " + Name + " (" +
                        partition::schemeName(Config.Scheme) + "): " +
-                       (Run->Errors.empty() ? "output mismatch"
-                                            : Run->Errors[0]));
+                       (Run.Errors.empty() ? "output mismatch"
+                                           : Run.Errors[0]));
   return Run;
 }
 
-/// Compiles \p W under \p Scheme (memoized); throws CompileError on
-/// any pipeline error.
-inline RunPtr compileWorkload(const workloads::Workload &W,
+/// Compiles \p W under \p Scheme; throws CompileError on any pipeline
+/// error.
+inline core::PipelineRun compileWorkload(const workloads::Workload &W,
                               partition::Scheme Scheme,
                               partition::CostParams Costs =
                                   partition::CostParams()) {
@@ -159,19 +159,18 @@ inline RunPtr compileWorkload(const workloads::Workload &W,
   return compileModule(*W.M, W.Name, Cfg);
 }
 
-/// Simulates \p Run on \p Machine (memoized; replays the run's cached
-/// ref-input trace, so the functional VM is not re-executed). With
+/// Simulates \p Run on \p Machine (replays the run's ref-input trace,
+/// so the functional VM runs once per run, not once per machine). With
 /// FPINT_TELEMETRY=1 every simulated point is also recorded in the
 /// process-wide StatsRegistry, from which ScopedBenchReport emits the
 /// binary's bench_out/<name>.json report at exit.
-inline timing::SimStats simulateRun(const RunPtr &Run,
+inline timing::SimStats simulateRun(const core::PipelineRun &Run,
                                     const timing::MachineConfig &Machine) {
-  timing::SimStats S = core::RunCache::global().simulate(Run, Machine);
+  timing::SimStats S = core::simulate(Run, Machine);
   stats::StatsRegistry &Reg = stats::StatsRegistry::global();
   if (Reg.enabled())
-    Reg.record(Run->Name, Run->Config, Machine, S,
-               Run->RefResult.Trap.Kind, Run->PassStats,
-               stats::RegAllocSummary::of(*Run));
+    Reg.record(Run.Name, Run.Config, Machine, S, Run.RefResult.Trap.Kind,
+               Run.PassStats, stats::RegAllocSummary::of(Run));
   return S;
 }
 
@@ -225,19 +224,33 @@ std::string itemLabel(const Item &I, const char *What, size_t Index) {
     return std::string(What) + " #" + std::to_string(Index);
 }
 
+/// Degrades matrix item \p Index to a single row of "ERR" cells padded
+/// to the header width, reports it on stderr, and registers it in
+/// HarnessState as "<label>: <Err>".
+inline void degradeCell(Table &T, const char *What, size_t Index,
+                        const std::string &Label, const std::string &Err) {
+  std::fprintf(stderr, "[bench] %s %zu (%s) degraded to ERR: %s\n", What,
+               Index, Label.c_str(), Err.c_str());
+  HarnessState::global().addDegraded(Label + ": " + Err);
+  std::vector<std::string> ErrRow{Label};
+  while (ErrRow.size() < std::max<size_t>(T.numCols(), 2))
+    ErrRow.push_back("ERR");
+  T.addRow(std::move(ErrRow));
+}
+
 } // namespace detail
 
 /// Evaluates Row(Items[i]) for every item and appends the produced
 /// rows to \p T in item order, making the table byte-identical to a
 /// serial evaluation.
 ///
-/// Default mode fans the items out on the shared thread pool; a row
-/// function that throws fails only its own cell (reported on stderr,
-/// rows absent). Sandbox mode (see sandboxEnabled()) instead runs each
-/// cell through campaign::runCell, serially: a cell that crashes,
-/// hangs, or exhausts its address space is retried with backoff and
-/// finally degrades to a single row of "ERR" cells padded to the header
-/// width, registered in HarnessState as "<label>: <kind>: <detail>".
+/// Default mode fans the items out on the shared thread pool. Sandbox
+/// mode (see sandboxEnabled()) instead runs each cell through
+/// campaign::runCell, serially: a cell that crashes, hangs, or exhausts
+/// its address space is retried with backoff. In both modes a cell that
+/// fails (a throw in the pool; the last attempt in the sandbox)
+/// degrades to a single row of "ERR" cells padded to the header width,
+/// registered in HarnessState as "<label>: <kind>: <detail>".
 template <typename Item, typename RowFn>
 void runMatrix(const std::vector<Item> &Items, Table &T, RowFn Row,
                const char *What = "matrix cell") {
@@ -253,16 +266,9 @@ void runMatrix(const std::vector<Item> &Items, Table &T, RowFn Row,
           T.addRow(std::move(R));
         continue;
       }
-      const std::string Err =
-          Out.ok() ? "bad_payload: malformed cell rows"
-                   : Out.ErrorKind + ": " + Out.Error;
-      std::fprintf(stderr, "[bench] %s %zu (%s) degraded to ERR: %s\n",
-                   What, I, Label.c_str(), Err.c_str());
-      HarnessState::global().addDegraded(Label + ": " + Err);
-      std::vector<std::string> ErrRow{Label};
-      while (ErrRow.size() < std::max<size_t>(T.numCols(), 2))
-        ErrRow.push_back("ERR");
-      T.addRow(std::move(ErrRow));
+      detail::degradeCell(T, What, I, Label,
+                          Out.ok() ? "bad_payload: malformed cell rows"
+                                   : Out.ErrorKind + ": " + Out.Error);
     }
     return;
   }
@@ -277,35 +283,13 @@ void runMatrix(const std::vector<Item> &Items, Table &T, RowFn Row,
       for (std::vector<std::string> &R : Pending[I].get())
         T.addRow(std::move(R));
     } catch (const std::exception &E) {
-      std::fprintf(stderr, "[bench] %s %zu failed: %s\n", What, I,
-                   E.what());
+      detail::degradeCell(T, What, I, detail::itemLabel(Items[I], What, I),
+                          std::string("exception: ") + E.what());
     }
   }
 }
 
-/// The (workloads x schemes x machines) convenience form from the
-/// evaluation-runtime design: every (scheme, machine) pair is
-/// compiled and simulated for each workload (all through the caches),
-/// then Row emits the workload's rows from the warmed caches.
-template <typename RowFn>
-void runMatrix(const std::vector<workloads::Workload> &Ws,
-               const std::vector<partition::Scheme> &Schemes,
-               const std::vector<timing::MachineConfig> &Machines,
-               Table &T, RowFn Row) {
-  runMatrix(
-      Ws, T,
-      [&](const workloads::Workload &W) {
-        for (partition::Scheme S : Schemes) {
-          RunPtr Run = compileWorkload(W, S);
-          for (const timing::MachineConfig &M : Machines)
-            simulateRun(Run, M);
-        }
-        return Row(W);
-      },
-      "workload row");
-}
-
-/// Prints a wall-clock + parallelism + cache-effectiveness footer on
+/// Prints a wall-clock + parallelism + peak-RSS footer on
 /// stderr when the binary exits, and -- when telemetry is enabled --
 /// writes the binary's structured JSON report (one record per
 /// simulated point) into bench_out/ (or $FPINT_BENCH_OUT).
@@ -329,18 +313,11 @@ public:
     double Secs = duration_cast<duration<double>>(
                       steady_clock::now() - Start)
                       .count();
-    core::RunCache::Stats S = core::RunCache::global().stats();
     struct rusage Usage;
     getrusage(RUSAGE_SELF, &Usage);
     std::fprintf(stderr,
-                 "[bench] %s: wall %.2fs, jobs %u, compiles %llu "
-                 "(%llu cached), sims %llu (%llu cached), peak RSS "
-                 "%.1f MiB\n",
+                 "[bench] %s: wall %.2fs, jobs %u, peak RSS %.1f MiB\n",
                  Name, Secs, support::ThreadPool::global().threadCount(),
-                 static_cast<unsigned long long>(S.CompileMisses),
-                 static_cast<unsigned long long>(S.CompileHits),
-                 static_cast<unsigned long long>(S.SimMisses),
-                 static_cast<unsigned long long>(S.SimHits),
                  static_cast<double>(Usage.ru_maxrss) / 1024.0);
 
     {

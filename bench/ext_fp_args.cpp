@@ -104,26 +104,26 @@ int main(int argc, char **argv) {
     Base.Scheme = partition::Scheme::None;
     Base.TrainArgs = It.Train;
     Base.RefArgs = It.Ref;
-    bench::RunPtr Conv = bench::compileModule(*It.M, It.Name, Base);
+    core::PipelineRun Conv = bench::compileModule(*It.M, It.Name, Base);
     uint64_t ConvCycles = bench::simulateRun(Conv, Conventional).Cycles;
 
     core::PipelineConfig Off = Base;
     Off.Scheme = partition::Scheme::Advanced;
-    bench::RunPtr OffRun = bench::compileModule(*It.M, It.Name, Off);
+    core::PipelineRun OffRun = bench::compileModule(*It.M, It.Name, Off);
     core::PipelineConfig On = Off;
     On.Passes = "opt,profile,partition,fp-arg-passing,regalloc";
-    bench::RunPtr OnRun = bench::compileModule(*It.M, It.Name, On);
+    core::PipelineRun OnRun = bench::compileModule(*It.M, It.Name, On);
 
     timing::SimStats SOff = bench::simulateRun(OffRun, Machine);
     timing::SimStats SOn = bench::simulateRun(OnRun, Machine);
     return bench::MatrixRows{
-        {It.Name, Table::num(OnRun->FpArgs.ArgsConverted),
-         Table::num(OffRun->Stats.Copies) + " -> " +
-             Table::num(OnRun->Stats.Copies),
-         Table::num(OffRun->Stats.CopyBacks) + " -> " +
-             Table::num(OnRun->Stats.CopyBacks),
-         Table::num(OffRun->Stats.Total) + " -> " +
-             Table::num(OnRun->Stats.Total),
+        {It.Name, Table::num(OnRun.FpArgs.ArgsConverted),
+         Table::num(OffRun.Stats.Copies) + " -> " +
+             Table::num(OnRun.Stats.Copies),
+         Table::num(OffRun.Stats.CopyBacks) + " -> " +
+             Table::num(OnRun.Stats.CopyBacks),
+         Table::num(OffRun.Stats.Total) + " -> " +
+             Table::num(OnRun.Stats.Total),
          Table::pct(static_cast<double>(ConvCycles) / SOff.Cycles - 1.0),
          Table::pct(static_cast<double>(ConvCycles) / SOn.Cycles - 1.0)}};
   });

@@ -27,15 +27,15 @@ int main(int argc, char **argv) {
   std::vector<workloads::Workload> Ws = workloads::intWorkloads();
   Table T({"benchmark", "basic", "advanced", "adv/basic", "dyn instrs"});
   bench::runMatrix(Ws, T, [&](const workloads::Workload &W) {
-    bench::RunPtr Basic =
+    core::PipelineRun Basic =
         bench::compileWorkload(W, partition::Scheme::Basic);
-    bench::RunPtr Adv =
+    core::PipelineRun Adv =
         bench::compileWorkload(W, partition::Scheme::Advanced);
-    double B = Basic->Stats.fpaFraction();
-    double A = Adv->Stats.fpaFraction();
+    double B = Basic.Stats.fpaFraction();
+    double A = Adv.Stats.fpaFraction();
     return bench::MatrixRows{{W.Name, Table::pct(B), Table::pct(A),
                               Table::fmt(B > 0 ? A / B : 0.0),
-                              Table::num(Adv->Stats.Total)}};
+                              Table::num(Adv.Stats.Total)}};
   });
   T.print();
   std::printf("\nPaper: basic 5%%-29%%, advanced 9%%-41%%; advanced ~2x basic "

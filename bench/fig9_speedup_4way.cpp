@@ -31,11 +31,11 @@ int main(int argc, char **argv) {
   Table T({"benchmark", "basic", "advanced", "conv cycles", "adv IPC",
            "br acc"});
   bench::runMatrix(Ws, T, [&](const workloads::Workload &W) {
-    bench::RunPtr Conv =
+    core::PipelineRun Conv =
         bench::compileWorkload(W, partition::Scheme::None);
-    bench::RunPtr Basic =
+    core::PipelineRun Basic =
         bench::compileWorkload(W, partition::Scheme::Basic);
-    bench::RunPtr Adv =
+    core::PipelineRun Adv =
         bench::compileWorkload(W, partition::Scheme::Advanced);
 
     timing::SimStats ConvStats = bench::simulateRun(Conv, Conventional);

@@ -41,6 +41,7 @@ struct Point {
   double Fpa = 0.0;
   double Speedup = 0.0;
   unsigned MidendChanges = 0;
+  uint64_t DynInstrs = 0;
 };
 
 } // namespace
@@ -75,22 +76,23 @@ int main(int argc, char **argv) {
           Cfg.Passes = V.Passes;
         return Cfg;
       };
-      bench::RunPtr Conv =
+      core::PipelineRun Conv =
           bench::compileModule(*W.M, W.Name, ConfigFor(partition::Scheme::None));
-      bench::RunPtr Adv = bench::compileModule(
+      core::PipelineRun Adv = bench::compileModule(
           *W.M, W.Name, ConfigFor(partition::Scheme::Advanced));
       Point P;
-      P.Fpa = Adv->Stats.fpaFraction();
+      P.Fpa = Adv.Stats.fpaFraction();
       P.Speedup = core::speedup(bench::simulateRun(Conv, Conventional),
                                 bench::simulateRun(Adv, Machine));
-      P.MidendChanges = Adv->Transform.total();
-      return std::make_pair(P, Adv);
+      P.MidendChanges = Adv.Transform.total();
+      P.DynInstrs = Adv.Stats.Total;
+      return P;
     };
 
     bench::MatrixRows Rows;
     Point Base;
     for (size_t I = 0; I < Variants.size(); ++I) {
-      auto [P, Adv] = Measure(Variants[I]);
+      Point P = Measure(Variants[I]);
       if (I == 0)
         Base = P;
       Rows.push_back({W.Name, Variants[I].Label,
@@ -98,7 +100,7 @@ int main(int argc, char **argv) {
                       Table::pct(P.Fpa - Base.Fpa),
                       Table::pct(P.Speedup - 1.0),
                       Table::pct(P.Speedup - Base.Speedup),
-                      Table::num(Adv->Stats.Total)});
+                      Table::num(P.DynInstrs)});
     }
     return Rows;
   });

@@ -92,12 +92,12 @@ int main(int argc, char **argv) {
     }
     double Bound = 1.0 - (LdSt + MemOps + CallRet + Unsupported) / Total;
 
-    bench::RunPtr Adv =
+    core::PipelineRun Adv =
         bench::compileWorkload(W, partition::Scheme::Advanced);
     return bench::MatrixRows{
         {W.Name, Table::pct(LdSt / Total), Table::pct(MemOps / Total),
          Table::pct(CallRet / Total), Table::pct(Unsupported / Total),
-         Table::pct(Bound), Table::pct(Adv->Stats.fpaFraction())}};
+         Table::pct(Bound), Table::pct(Adv.Stats.fpaFraction())}};
   });
   T.print();
   std::printf(

@@ -17,7 +17,20 @@
 #include "BenchCommon.h"
 #include "support/Table.h"
 
+#include <mutex>
+
 using namespace fpint;
+
+namespace {
+
+/// One workload's conventional 4-way cycles, filled by whichever sweep
+/// point asks first.
+struct Baseline {
+  std::once_flag Once;
+  uint64_t Cycles = 0;
+};
+
+} // namespace
 
 int main(int argc, char **argv) {
   bench::ScopedBenchReport Report("sec61_cost_sweep", argc, argv);
@@ -32,9 +45,7 @@ int main(int argc, char **argv) {
   const double CopySweep[] = {1.5, 3.0, 4.0, 6.0, 9.0};
   const double DupSweep[] = {1.0, 2.5, 5.0};
 
-  // One matrix item per admissible (o_copy, o_dupl) point; the
-  // parameter-independent conventional baselines are shared across
-  // items through the run cache.
+  // One matrix item per admissible (o_copy, o_dupl) point.
   std::vector<partition::CostParams> Sweep;
   for (double OCopy : CopySweep) {
     for (double ODup : DupSweep) {
@@ -47,22 +58,35 @@ int main(int argc, char **argv) {
     }
   }
 
+  // The conventional baselines do not depend on (o_copy, o_dupl), so
+  // the sweep points share them: each workload's is compiled and
+  // simulated once. A sandboxed cell fills its own child's copy.
+  std::vector<Baseline> Baselines(Ws.size());
+  auto ConvCycles = [&](size_t I) {
+    Baseline &B = Baselines[I];
+    std::call_once(B.Once, [&] {
+      B.Cycles = bench::simulateRun(
+                     bench::compileWorkload(Ws[I], partition::Scheme::None),
+                     Conventional)
+                     .Cycles;
+    });
+    return B.Cycles;
+  };
+
   Table T({"o_copy", "o_dupl", "mean offload", "mean speedup",
            "mean copy+dup ovh"});
   bench::runMatrix(Sweep, T, [&](const partition::CostParams &P) {
     double SumOffload = 0, SumSpeedup = 0, SumOvh = 0;
-    for (const workloads::Workload &W : Ws) {
-      bench::RunPtr Conv =
-          bench::compileWorkload(W, partition::Scheme::None);
-      uint64_t ConvCycles = bench::simulateRun(Conv, Conventional).Cycles;
-      bench::RunPtr Adv =
-          bench::compileWorkload(W, partition::Scheme::Advanced, P);
+    for (size_t I = 0; I < Ws.size(); ++I) {
+      const uint64_t Conv = ConvCycles(I);
+      core::PipelineRun Adv =
+          bench::compileWorkload(Ws[I], partition::Scheme::Advanced, P);
       timing::SimStats S = bench::simulateRun(Adv, Machine);
-      SumOffload += Adv->Stats.fpaFraction();
-      SumSpeedup += static_cast<double>(ConvCycles) /
+      SumOffload += Adv.Stats.fpaFraction();
+      SumSpeedup += static_cast<double>(Conv) /
                         static_cast<double>(S.Cycles) -
                     1.0;
-      SumOvh += Adv->Stats.copyFraction() + Adv->Stats.dupFraction();
+      SumOvh += Adv.Stats.copyFraction() + Adv.Stats.dupFraction();
     }
     double N = static_cast<double>(Ws.size());
     return bench::MatrixRows{

@@ -33,19 +33,19 @@ int main(int argc, char **argv) {
   std::vector<workloads::Workload> Ws = workloads::intWorkloads();
   Table T({"benchmark", "cap", "offload", "int idle|fpa busy", "speedup"});
   bench::runMatrix(Ws, T, [&](const workloads::Workload &W) {
-    bench::RunPtr Conv =
+    core::PipelineRun Conv =
         bench::compileWorkload(W, partition::Scheme::None);
     timing::SimStats ConvStats = bench::simulateRun(Conv, Conventional);
     bench::MatrixRows Rows;
     for (double Cap : Caps) {
       partition::CostParams P;
       P.FpaShareCap = Cap;
-      bench::RunPtr Adv =
+      core::PipelineRun Adv =
           bench::compileWorkload(W, partition::Scheme::Advanced, P);
       timing::SimStats S = bench::simulateRun(Adv, Machine);
       Rows.push_back({Cap == 1.0 ? W.Name : "",
                       Cap == 1.0 ? "greedy" : Table::fmt(Cap, 2),
-                      Table::pct(Adv->Stats.fpaFraction()),
+                      Table::pct(Adv.Stats.fpaFraction()),
                       Table::pct(S.intIdleWhileFpBusy()),
                       Table::pct(core::speedup(ConvStats, S) - 1.0)});
     }

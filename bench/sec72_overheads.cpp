@@ -29,32 +29,32 @@ int main(int argc, char **argv) {
   Table T({"benchmark", "dyn increase", "copies", "dups", "copy-backs",
            "static growth", "load delta"});
   bench::runMatrix(Ws, T, [&](const workloads::Workload &W) {
-    bench::RunPtr Conv =
+    core::PipelineRun Conv =
         bench::compileWorkload(W, partition::Scheme::None);
-    bench::RunPtr Adv =
+    core::PipelineRun Adv =
         bench::compileWorkload(W, partition::Scheme::Advanced);
 
     double DynIncrease =
-        static_cast<double>(Adv->Stats.Total) /
-            static_cast<double>(Conv->Stats.Total) -
+        static_cast<double>(Adv.Stats.Total) /
+            static_cast<double>(Conv.Stats.Total) -
         1.0;
-    double CopyFrac = static_cast<double>(Adv->Stats.Copies) /
-                      static_cast<double>(Adv->Stats.Total);
-    double DupFrac = Adv->Stats.dupFraction();
-    double CopyBackFrac = static_cast<double>(Adv->Stats.CopyBacks) /
-                          static_cast<double>(Adv->Stats.Total);
+    double CopyFrac = static_cast<double>(Adv.Stats.Copies) /
+                      static_cast<double>(Adv.Stats.Total);
+    double DupFrac = Adv.Stats.dupFraction();
+    double CopyBackFrac = static_cast<double>(Adv.Stats.CopyBacks) /
+                          static_cast<double>(Adv.Stats.Total);
 
     unsigned StaticConv = 0, StaticAdv = 0;
-    for (const auto &F : Conv->Compiled->functions())
+    for (const auto &F : Conv.Compiled->functions())
       StaticConv += F->numInstrIds();
-    for (const auto &F : Adv->Compiled->functions())
+    for (const auto &F : Adv.Compiled->functions())
       StaticAdv += F->numInstrIds();
     double StaticGrowth =
         static_cast<double>(StaticAdv) / static_cast<double>(StaticConv) -
         1.0;
 
-    double LoadDelta = static_cast<double>(Adv->Stats.Loads) /
-                           static_cast<double>(Conv->Stats.Loads) -
+    double LoadDelta = static_cast<double>(Adv.Stats.Loads) /
+                           static_cast<double>(Conv.Stats.Loads) -
                        1.0;
 
     return bench::MatrixRows{

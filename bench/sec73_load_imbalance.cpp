@@ -27,12 +27,8 @@ int main(int argc, char **argv) {
   std::vector<workloads::Workload> Ws = workloads::intWorkloads();
   Table T({"benchmark", "int idle | fpa busy", "fpa busy cycles",
            "int issue/cycle", "fp issue/cycle"});
-  // The (workloads x schemes x machines) convenience form: the single
-  // (Advanced, 4-way) cell is compiled+simulated on the pool, then the
-  // row function reads the warmed caches.
-  bench::runMatrix(Ws, {partition::Scheme::Advanced}, {Machine}, T,
-                   [&](const workloads::Workload &W) {
-    bench::RunPtr Adv =
+  bench::runMatrix(Ws, T, [&](const workloads::Workload &W) {
+    core::PipelineRun Adv =
         bench::compileWorkload(W, partition::Scheme::Advanced);
     timing::SimStats S = bench::simulateRun(Adv, Machine);
     return bench::MatrixRows{

@@ -31,16 +31,16 @@ int main(int argc, char **argv) {
   Table T({"benchmark", "int offloaded", "native fp", "speedup",
            "conv cycles"});
   bench::runMatrix(Ws, T, [&](const workloads::Workload &W) {
-    bench::RunPtr Conv =
+    core::PipelineRun Conv =
         bench::compileWorkload(W, partition::Scheme::None);
-    bench::RunPtr Adv =
+    core::PipelineRun Adv =
         bench::compileWorkload(W, partition::Scheme::Advanced);
     timing::SimStats ConvStats = bench::simulateRun(Conv, Conventional);
     timing::SimStats AdvStats = bench::simulateRun(Adv, Machine);
-    double NativeFp = static_cast<double>(Adv->Stats.NativeFp) /
-                      static_cast<double>(Adv->Stats.Total);
+    double NativeFp = static_cast<double>(Adv.Stats.NativeFp) /
+                      static_cast<double>(Adv.Stats.Total);
     return bench::MatrixRows{
-        {W.Name, Table::pct(Adv->Stats.fpaFraction()),
+        {W.Name, Table::pct(Adv.Stats.fpaFraction()),
          Table::pct(NativeFp),
          Table::pct(core::speedup(ConvStats, AdvStats) - 1.0),
          Table::num(ConvStats.Cycles)}};

@@ -16,7 +16,7 @@
 /// machine-dependent, so the regular regression gate never reads
 /// them).
 ///
-/// Every point is also recorded through the run caches, so with
+/// Every point is also recorded through bench::simulateRun, so with
 /// FPINT_TELEMETRY=1 the bench_out/sim_throughput.json report carries
 /// the sim_wall_ms / sim_cycles_per_sec fields of the default
 /// (fast-path) simulation.
@@ -75,17 +75,17 @@ int main(int argc, char **argv) {
   double TotalRefMs = 0, TotalFastMs = 0;
 
   bench::runMatrix(Ws, T, [&](const workloads::Workload &W) {
-    bench::RunPtr Run =
+    core::PipelineRun Run =
         bench::compileWorkload(W, partition::Scheme::Advanced);
-    // Record the default simulation in the telemetry report (cached;
+    // Record the default simulation in the telemetry report (it
     // carries sim_wall_ms / sim_cycles_per_sec in bench_out JSON).
     bench::simulateRun(Run, Machine);
 
-    const timing::PackedTrace &PT = Run->packedTrace();
+    const timing::PackedTrace &PT = Run.packedTrace();
     // The reference loop runs over entries; rebuild them once so its
     // timing covers the cycle loop alone.
     const std::vector<vm::TraceEntry> Entries = PT.entries();
-    timing::Simulator Sim(Machine, Run->Alloc);
+    timing::Simulator Sim(Machine, Run.Alloc);
 
     timing::SimStats RefStats, FastStats;
     Sim.setFastPath(false);

@@ -2,11 +2,11 @@
 # Build, test, and regenerate every table/figure of the reproduction.
 #
 # Bench binaries run the parallel evaluation runtime (thread pool +
-# run cache + trace reuse); set FPINT_JOBS=N to pin the worker count
+# trace reuse); set FPINT_JOBS=N to pin the worker count
 # (FPINT_JOBS=1 reproduces a serial evaluation bit-for-bit).
 #
 # Table/figure text goes to bench_output.txt (stdout only, so the file
-# is byte-stable across runs); per-binary wall-clock and cache
+# is byte-stable across runs); per-binary wall-clock and peak-RSS
 # footers print to the terminal.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -154,8 +154,8 @@ const char *opt2PipelineText();
 /// The text compileAndMeasure will run for \p Config:
 /// Config.Passes if set, else $FPINT_PASSES if set, else the default.
 /// Every consumer of the pipeline identity -- compileAndMeasure,
-/// RunCache::runKey, stats::runId and stats::pipelineConfigToJson --
-/// resolves the text here.
+/// runKey, stats::runId and stats::pipelineConfigToJson -- resolves
+/// the text here.
 std::string effectivePipelineText(const PipelineConfig &Config);
 
 /// Drives a pass sequence over a module with per-pass telemetry.

@@ -42,6 +42,15 @@ void core::appendConfigFields(std::string &Key, const PipelineConfig &Config,
     Args(Config.RefArgs);
 }
 
+std::string core::runKey(const std::string &ModuleName,
+                         const PipelineConfig &Config) {
+  std::string Key = ModuleName;
+  appendConfigFields(Key, Config, AllConfigFields);
+  Key += '|';
+  Key += effectivePipelineText(Config);
+  return Key;
+}
+
 //===----------------------------------------------------------------------===//
 // CompileMemo.
 //===----------------------------------------------------------------------===//

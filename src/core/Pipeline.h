@@ -52,7 +52,7 @@ struct PipelineConfig {
   /// Section 6.6 extension, dropping "opt" skips the optimizer, and
   /// dropping "regalloc" stops before allocation. Empty means:
   /// $FPINT_PASSES if set, else the default text.
-  /// effectivePipelineText() resolves it; run ids, cache keys and
+  /// effectivePipelineText() resolves it; run ids, content keys and
   /// reports all carry the resolved text.
   std::string Passes;
 };
@@ -69,10 +69,18 @@ enum ConfigField : unsigned {
 /// Appends the \p Fields of \p Config to \p Key, each after a '|', in
 /// the order Scheme, Costs, TrainArgs, RefArgs. Costs print as three
 /// hex floats, which are exact, and args as "[a,b,]". The one spelling
-/// of config fields in a key: RunCache::runKey and
-/// PassManager::prefixKeys both use it.
+/// of config fields in a key: runKey and PassManager::prefixKeys both
+/// use it.
 void appendConfigFields(std::string &Key, const PipelineConfig &Config,
                         unsigned Fields);
+
+/// The content key of compiling module \p ModuleName under \p Config:
+/// the name, every Config field as appendConfigFields() spells it, and
+/// the pipeline text resolved by effectivePipelineText(). stats::runId
+/// and testgen::batteryKey hash it into goldens and journal keys, so
+/// its spelling must not change.
+std::string runKey(const std::string &ModuleName,
+                   const PipelineConfig &Config);
 
 /// Per-pass boundary telemetry, one row per executed pass. Flows into
 /// PipelineRun, stats::RunRecord, and the bench_out JSON "passes"
@@ -107,8 +115,8 @@ struct TraceHandle {
 
 /// A compiled (partitioned + allocated) program with its measurements.
 struct PipelineRun {
-  /// Module identity for reports and cache keys (set by RunCache and
-  /// the bench harness; empty for ad-hoc compileAndMeasure calls).
+  /// Module identity for reports and run ids (set by the bench
+  /// harness; empty for ad-hoc compileAndMeasure calls).
   std::string Name;
   std::unique_ptr<sir::Module> Compiled;
   regalloc::ModuleAlloc Alloc;

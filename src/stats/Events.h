@@ -217,9 +217,8 @@ inline bool telemetryEnabled() {
   return On;
 }
 
-/// Forces telemetry on or off (tests and tools). Note the run caches
-/// memoize SimStats including any telemetry payload, so flip this
-/// before simulating, not between cached lookups.
+/// Forces telemetry on or off (tests and tools); the next simulation
+/// sees the new setting.
 inline void setTelemetryEnabled(bool On) {
   detail::TelemetryMode.store(On ? 1 : 0, std::memory_order_relaxed);
 }

@@ -3,7 +3,6 @@
 #include "stats/Report.h"
 
 #include "core/PassManager.h"
-#include "core/RunCache.h"
 #include "support/Hash.h"
 
 #include <cinttypes>
@@ -190,7 +189,7 @@ std::string stats::runId(const std::string &Workload,
   // support::fnv1a64 is platform-stable (std::hash is not), and ids
   // are committed in golden baselines.
   uint64_t H =
-      support::fnv1a64(core::RunCache::runKey(Workload, Pipeline) + "|" +
+      support::fnv1a64(core::runKey(Workload, Pipeline) + "|" +
                        Machine.canonicalKey());
   char Tag[12];
   std::snprintf(Tag, sizeof(Tag), "%08" PRIx64,
@@ -370,30 +369,6 @@ DiffResult stats::diffReports(const Value &Base, const Value &Current,
         R.Deltas.push_back(std::move(D));
       }
     }
-  }
-
-  // The optional top-level "run_cache" memoization counters: compared
-  // member-by-member when both trees carry them, but strictly
-  // informational -- cache hit rates are environment-dependent and
-  // never gate.
-  const Value *BO = Base.find("run_cache");
-  const Value *CO = Current.find("run_cache");
-  if (!BO || !BO->isObject() || !CO || !CO->isObject())
-    return R;
-  for (const auto &KV : BO->members()) {
-    if (!KV.second.isNumber())
-      continue;
-    const Value *CV = CO->find(KV.first);
-    if (!CV || !CV->isNumber())
-      continue;
-    MetricDelta D;
-    D.RunId = "run_cache";
-    D.Metric = KV.first;
-    D.Base = KV.second.number();
-    D.Current = CV->number();
-    D.DeltaPct = D.Base != 0 ? (D.Current - D.Base) / D.Base * 100.0 : 0.0;
-    D.Informational = true;
-    R.Deltas.push_back(std::move(D));
   }
   return R;
 }

@@ -126,12 +126,9 @@ struct DiffResult {
 /// are gated against the tolerance, instruction-count changes are
 /// reported as problems (a changed dynamic instruction count means the
 /// compiler changed, not just the machine). Runs only in \p Current
-/// are ignored (new coverage is not a regression). The optional
-/// top-level "run_cache" object (memoization counters) is compared
-/// member-by-member when both documents carry it, but always as
-/// informational deltas -- cache hit rates never gate a PR. Any other
-/// top-level object (such as a retired "campaign" counter object) is
-/// ignored.
+/// are ignored (new coverage is not a regression). Top-level objects
+/// other than "runs" (such as the counter objects of older reports)
+/// are ignored.
 DiffResult diffReports(const json::Value &Base, const json::Value &Current,
                        const DiffOptions &Opts);
 

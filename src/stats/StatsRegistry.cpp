@@ -2,8 +2,6 @@
 
 #include "stats/StatsRegistry.h"
 
-#include "core/RunCache.h"
-
 using namespace fpint;
 using namespace fpint::stats;
 
@@ -55,17 +53,6 @@ json::Value StatsRegistry::reportJson(const std::string &BinaryName) const {
     Runs.push(std::move(Run));
   }
   Doc.set("runs", std::move(Runs));
-  // In-memory memoization counters of this process (core::RunCache),
-  // rendered by fpint-report. Misses count distinct keys and hits the
-  // replays, so the numbers are scheduling-independent and safe to
-  // byte-diff.
-  const core::RunCache::Stats CS = core::RunCache::global().stats();
-  json::Value RC = json::Value::object();
-  RC.set("compile_hits", CS.CompileHits);
-  RC.set("compile_misses", CS.CompileMisses);
-  RC.set("sim_hits", CS.SimHits);
-  RC.set("sim_misses", CS.SimMisses);
-  Doc.set("run_cache", std::move(RC));
   return Doc;
 }
 

@@ -21,9 +21,10 @@
 ///
 /// Forking contract: the child may only use what no concurrently
 /// running thread can hold locked at fork time; glibc's malloc fork
-/// handlers make the allocator safe. Bench matrix cells use the
-/// parent's core::RunCache, so bench forks them serially from the
-/// orchestration thread. Fuzz iterations run only self-contained
+/// handlers make the allocator safe. Bench forks matrix cells serially
+/// from the orchestration thread while the thread pool is idle, so no
+/// pool worker can hold a lock (the pool's queue, the StatsRegistry's)
+/// that the child then needs. Fuzz iterations run only self-contained
 /// compile/simulate code. The child runs the callable and _exit()s;
 /// it never returns into the caller's stack.
 ///

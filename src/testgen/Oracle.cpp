@@ -2,7 +2,6 @@
 
 #include "testgen/Oracle.h"
 
-#include "core/RunCache.h"
 #include "partition/Partitioner.h"
 #include "sir/Opcode.h"
 #include "support/FaultInject.h"
@@ -60,7 +59,7 @@ std::vector<VariantSpec> testgen::midendVariants() {
 std::string testgen::batteryKey(const std::vector<VariantSpec> &Variants) {
   support::ChainedKey Key("battery");
   for (const VariantSpec &V : Variants)
-    Key.add(V.Name).add(core::RunCache::runKey("", V.Config));
+    Key.add(V.Name).add(core::runKey("", V.Config));
   return Key.hex();
 }
 

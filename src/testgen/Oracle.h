@@ -64,8 +64,8 @@ std::vector<VariantSpec> defaultVariants();
 std::vector<VariantSpec> midendVariants();
 
 /// Identity of a resolved variant battery: 16 hex digits of chained
-/// FNV-1a over each variant's name and core::RunCache::runKey() of its
-/// config (scheme, costs, arguments, resolved pipeline text). Equal
+/// FNV-1a over each variant's name and core::runKey() of its config
+/// (scheme, costs, arguments, resolved pipeline text). Equal
 /// batteries give equal keys; changing one variant's pipeline text, or
 /// adding the mid-end battery, changes the key. fpint-fuzz folds it
 /// into its journal's campaign key.

@@ -76,10 +76,10 @@ struct MachineConfig {
   bool FpaEnabled = true;
 
   /// Canonical serialization of every simulation-relevant field, used
-  /// as (part of) a memoization key by core::RunCache. Two configs
-  /// with equal keys produce identical SimStats for any trace. Name is
-  /// deliberately excluded (it is a display label). Keep in sync when
-  /// adding fields.
+  /// in content keys (stats::runId, fpint-fuzz's journal key). Two
+  /// configs with equal keys produce identical SimStats for any trace.
+  /// Name is deliberately excluded (it is a display label). Keep in
+  /// sync when adding fields.
   std::string canonicalKey() const {
     auto Cache = [](const CacheConfig &C) {
       return std::to_string(C.SizeBytes) + "/" + std::to_string(C.Assoc) +

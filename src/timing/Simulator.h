@@ -113,9 +113,9 @@ struct SimStats {
   }
 
   /// Cycle-level telemetry collected by the run's event sink, or null
-  /// when telemetry was disabled (the default). Carrying the breakdown
-  /// here lets the memoizing run caches serve it alongside the
-  /// aggregate counters.
+  /// when telemetry was disabled (the default). Shared, so copies of
+  /// the stats (the StatsRegistry's records among them) carry the
+  /// breakdown without copying it.
   std::shared_ptr<const stats::StallBreakdown> Telemetry;
 };
 

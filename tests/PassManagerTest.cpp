@@ -8,7 +8,6 @@
 
 #include "core/PassManager.h"
 #include "core/Pipeline.h"
-#include "core/RunCache.h"
 #include "opt/Passes.h"
 #include "regalloc/RegAlloc.h"
 #include "sir/Parser.h"
@@ -110,21 +109,29 @@ TEST(PipelineText, EffectiveTextPrecedence) {
   }
 }
 
-TEST(PipelineText, RunCacheKeyStableForDefault) {
+TEST(PipelineText, RunKeyStableForDefault) {
   // The key always carries the resolved text, so spelling out the
   // default keys the same as leaving it implicit, and any other text
   // keys separately.
   PipelineConfig Implicit;
-  const std::string Key = RunCache::runKey("w", Implicit);
+  const std::string Key = runKey("w", Implicit);
   // Pinned: run ids and battery keys hash runKey text.
   EXPECT_EQ(Key,
             "w|2|0x1p+2|0x1.4p+1|0x1p+0|[]|[]|opt,profile,partition,regalloc");
   PipelineConfig Explicit;
   Explicit.Passes = defaultPipelineText();
-  EXPECT_EQ(RunCache::runKey("w", Explicit), Key);
+  EXPECT_EQ(runKey("w", Explicit), Key);
   PipelineConfig Custom;
   Custom.Passes = "profile,partition,regalloc";
-  EXPECT_NE(RunCache::runKey("w", Custom), Key);
+  EXPECT_NE(runKey("w", Custom), Key);
+  // The key covers every config field: a cost and a pass list differ
+  // from the default too.
+  PipelineConfig Costs;
+  Costs.Costs.CopyOverhead = 5.5;
+  EXPECT_NE(runKey("w", Costs), Key);
+  PipelineConfig FpArgs;
+  FpArgs.Passes = "opt,profile,partition,fp-arg-passing,regalloc";
+  EXPECT_NE(runKey("w", FpArgs), Key);
 }
 
 TEST(PipelineText, IdentityFollowsEnvOverride) {
@@ -132,12 +139,12 @@ TEST(PipelineText, IdentityFollowsEnvOverride) {
   // the run id and the report must all name the text that ran.
   PipelineConfig Config;
   const timing::MachineConfig Machine = timing::MachineConfig::fourWay();
-  const std::string Key = RunCache::runKey("w", Config);
+  const std::string Key = runKey("w", Config);
   const std::string Id = stats::runId("w", Config, Machine);
   EXPECT_EQ(stats::pipelineConfigToJson(Config).strOr("passes", ""),
             defaultPipelineText());
   ScopedEnv Env("FPINT_PASSES", "opt2");
-  EXPECT_NE(RunCache::runKey("w", Config), Key);
+  EXPECT_NE(runKey("w", Config), Key);
   EXPECT_NE(stats::runId("w", Config, Machine), Id);
   EXPECT_EQ(stats::pipelineConfigToJson(Config).strOr("passes", ""), "opt2");
 }

@@ -397,6 +397,17 @@ TEST(PackedTraceTest, CachedOnTraceHandleAcrossMachines) {
   EXPECT_EQ(Run.Trace->Captures, 1u);
 }
 
+// core::simulate replays the run's packed trace; it must report exactly
+// what simulating a fresh VM run of the compiled module reports.
+TEST(PackedTraceTest, TraceReplayMatchesDirectSimulation) {
+  PipelineRun Run =
+      compileSrc(fixtures::IntVectorSum, partition::Scheme::Advanced);
+  const MachineConfig Four = MachineConfig::fourWay();
+  expectStatsEqual(
+      simulateModule(*Run.Compiled, Run.Alloc, Four, Run.Config.RefArgs),
+      core::simulate(Run, Four), "replay");
+}
+
 // A trace that traps after a loop: the packed trace is the prefix.
 const char *TrapsAfterLoop = R"(
 global acc 4

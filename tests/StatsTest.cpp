@@ -430,18 +430,16 @@ TEST(Report, DiffPassesOnIdenticalTrees) {
   stats::DiffResult R = stats::diffReports(A, B, stats::DiffOptions());
   EXPECT_TRUE(R.clean());
   EXPECT_EQ(R.Regressions, 0u);
-  // cycles + ipc + informational sim_wall_ms per run (2 runs), plus
-  // the four informational run_cache counters.
-  EXPECT_EQ(R.Deltas.size(), 10u);
+  // cycles + ipc + informational sim_wall_ms per run (2 runs).
+  EXPECT_EQ(R.Deltas.size(), 6u);
   unsigned Informational = 0;
   for (const stats::MetricDelta &D : R.Deltas)
     if (D.Informational) {
-      EXPECT_TRUE(D.Metric == "sim_wall_ms" || D.RunId == "run_cache")
-          << D.RunId << "/" << D.Metric;
+      EXPECT_EQ(D.Metric, "sim_wall_ms") << D.RunId << "/" << D.Metric;
       EXPECT_FALSE(D.Regression); // Info metrics never gate.
       ++Informational;
     }
-  EXPECT_EQ(Informational, 6u);
+  EXPECT_EQ(Informational, 2u);
 }
 
 TEST(Report, DiffFlagsInjectedRegression) {

@@ -14,11 +14,6 @@
 /// dynamic instruction counts) also fail, which is how CI gates PRs
 /// against the committed golden baseline.
 ///
-/// A top-level "run_cache" object (memoization counters) renders as
-/// informational rows under --all and never gates, however large the
-/// delta: cache hit rates describe the environment, not the code under
-/// test.
-///
 ///   fpint-report [--tolerance=PCT] [--check] [--all] BASELINE CURRENT
 ///
 ///     BASELINE, CURRENT   report file or directory of *.json reports
